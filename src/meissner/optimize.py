@@ -10,6 +10,7 @@ drops below FEASIBILITY_TOL.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,10 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-8
 START_RESIDUAL_MAX = 0.1
+# vertices this close are one: a restart collapsing onto a smaller wheel leaves them ~1e-8 apart
+MERGE_TOL = 1e-5
+# 100x FEASIBILITY_TOL: iterates accepted as feasible, merged or not, must pass validation
+VALIDATION_TOL = 1e-6
 _MAX_ROUNDS = 18
 _STALL_ROUNDS = 3
 _COS30 = math.cos(math.pi / 6)
@@ -69,6 +74,7 @@ class RestartRecord:
     area: float
     residual: float
     rounds: int
+    evaluations: int
     converged: bool
     validated: bool
     meets_tetrahedron_bound: bool
@@ -117,53 +123,13 @@ def optimize_pyramid(n: int, restarts: int = 1, seed: int = 0) -> OptimizationRe
     if n < 3 or n % 2 == 0 or n > 19:
         raise ValueError(f"base count must be odd and in [3, 19], got {n}")
     k = (n - 1) // 2
+    kernel = _pyramid_kernel(k)
     angles0 = _regular_angles(k)
-    if _pyramid_residual(angles0, k) > START_RESIDUAL_MAX:
+    if kernel.residual(angles0) > START_RESIDUAL_MAX:
         raise InfeasibleStart("regular pyramid start violates its own constraints")
-
-    records: list[RestartRecord] = []
-    trajectories: list[tuple[float, ...]] = []
-    points: list[np.ndarray] = []
-    for run in range(restarts):
-        if run == 0:
-            angles = angles0.copy()
-        else:
-            # widen the spread with the restart index; the interesting
-            # degenerate corners sit far from the regular configuration
-            sigma = min(0.03 + 0.02 * (run - 1), 0.3)
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(run,))))
-            angles = angles0 + sigma * rng.normal(size=angles0.shape)
-            projected = _project_diagonals(angles, k)
-            if projected is not None:
-                angles = projected
-        final, rounds, traj, best = _penalty_loop(
-            angles,
-            _pyramid_soft_objective,
-            lambda v: _pyramid_penalty(v, k),
-            lambda v: _pyramid_residual(v, k),
-            lambda v: _evaluate_pyramid(_pyramid_points(v)),
-            project=lambda v: _project_diagonals(v, k),
-        )
-        if best is not None:
-            objective, area, validated, final, residual = best
-        else:
-            objective, area, validated, _ = _evaluate_pyramid(_pyramid_points(final))
-            residual = _pyramid_residual(final, k)
-        records.append(
-            RestartRecord(
-                restart=run,
-                objective=objective,
-                area=area,
-                residual=residual,
-                rounds=rounds,
-                converged=best is not None,
-                validated=validated,
-                meets_tetrahedron_bound=area >= TETRAHEDRON_AREA - 1e-6,
-            )
-        )
-        trajectories.append(traj)
-        points.append(_pyramid_points(final))
-    return _assemble_report(records, trajectories, points)
+    # widen the spread with the restart index; the interesting
+    # degenerate corners sit far from the regular configuration
+    return _search(kernel, angles0, restarts, seed, lambda run: min(0.03 + 0.02 * (run - 1), 0.3))
 
 
 def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int = 0) -> OptimizationReport:
@@ -174,56 +140,11 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
     at distance one, non-edges inequality constraints at most one.  The
     objective for each dual pair takes the better smoothing orientation.
     """
-    graph = problem.graph
-    pairs = dual_pair_indices(graph)
-    m = graph.m
-    edges = set(graph.edges)
-    non_edges = [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in edges]
+    kernel = _general_kernel(problem.graph)
     x0 = _gauge_coords(np.array(problem.start, dtype=float))
-    if _general_residual(x0, m, graph.edges, non_edges) > START_RESIDUAL_MAX:
+    if kernel.residual(x0) > START_RESIDUAL_MAX:
         raise InfeasibleStart("start configuration violates the distance constraints")
-
-    records: list[RestartRecord] = []
-    trajectories: list[tuple[float, ...]] = []
-    points: list[np.ndarray] = []
-    for run in range(restarts):
-        if run == 0:
-            x = x0.copy()
-        else:
-            sigma = min(0.01 + 0.01 * (run - 1), 0.1)
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(run,))))
-            x = x0 + sigma * rng.normal(size=x0.shape)
-            projected = _project_edges(x, m, graph.edges)
-            if projected is not None:
-                x = projected
-        final, rounds, traj, best = _penalty_loop(
-            x,
-            lambda v: _general_soft_objective(v, m, pairs),
-            lambda v: _general_penalty(v, m, graph.edges, non_edges),
-            lambda v: _general_residual(v, m, graph.edges, non_edges),
-            lambda v: _evaluate_general(_coords_to_points(v, m), pairs),
-            project=lambda v: _project_edges(v, m, graph.edges),
-        )
-        if best is not None:
-            objective, area, validated, final, residual = best
-        else:
-            objective, area, validated, _ = _evaluate_general(_coords_to_points(final, m), pairs)
-            residual = _general_residual(final, m, graph.edges, non_edges)
-        records.append(
-            RestartRecord(
-                restart=run,
-                objective=objective,
-                area=area,
-                residual=residual,
-                rounds=rounds,
-                converged=best is not None,
-                validated=validated,
-                meets_tetrahedron_bound=area >= TETRAHEDRON_AREA - 1e-6,
-            )
-        )
-        trajectories.append(traj)
-        points.append(_coords_to_points(final, m))
-    return _assemble_report(records, trajectories, points)
+    return _search(kernel, x0, restarts, seed, lambda run: min(0.01 + 0.01 * (run - 1), 0.1))
 
 
 def random_feasible_pyramid(k: int, seed: int, scale: float = 0.05) -> VertexSet:
@@ -234,18 +155,189 @@ def random_feasible_pyramid(k: int, seed: int, scale: float = 0.05) -> VertexSet
     tolerance.
     """
     n = 2 * k + 1
+    kernel = _pyramid_kernel(k)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     for _ in range(20):
         angles = _regular_angles(k) + scale * rng.normal(size=2 * n)
-        angles = _project_diagonals(angles, k)
+        angles = kernel.project(angles)
         if angles is None:
             continue
-        pts = _pyramid_points(angles)
         try:
-            return validate_vertex_set(pts)
+            return validate_vertex_set(_pyramid_points(angles))
         except ValidationError:
             continue
     raise InfeasibleStart(f"no feasible perturbed pyramid found for k={k}, seed={seed}")
+
+
+@dataclass(frozen=True, slots=True)
+class _Kernel:
+    """Merit, residual, projection and scoring of one problem.
+
+    Every evaluation gathers the point pairs (i, j) in one difference and
+    reads the soft objective and every constraint from the resulting
+    squared distances.  Those come from direct differences, not from a
+    Gram matrix: restarts collapse toward coincident vertices, where a
+    Gram matrix loses short distances to cancellation.  Every pair is
+    constrained; its violation (length minus one) is floored at `floor`,
+    -inf for the equalities at distance one and 0 for the inequalities
+    at most one.
+    """
+
+    points: Callable[[np.ndarray], np.ndarray]  # parameters -> (m, 3) points
+    i: np.ndarray
+    j: np.ndarray
+    floor: np.ndarray
+    soft: Callable[[np.ndarray], float]  # squared distances -> soft objective
+    exact: Callable[[VertexSet], float]  # objective of a validated set
+    area: Callable[[float], float]  # area at an objective value
+
+    def squared(self, x: np.ndarray) -> np.ndarray:
+        pts = self.points(x)
+        d = pts.take(self.i, axis=0) - pts.take(self.j, axis=0)
+        return (d * d).sum(axis=1)
+
+    def merit(self, x: np.ndarray, mu: float) -> float:
+        """-objective + mu * penalty, the function Nelder-Mead minimizes."""
+        d2 = self.squared(x)
+        violation = np.maximum(d2 - 1.0, self.floor)
+        return -self.soft(d2) + mu * float(violation @ violation)
+
+    def residual(self, x: np.ndarray) -> float:
+        """Worst constraint violation, measured in distance."""
+        return float(np.abs(np.maximum(np.sqrt(self.squared(x)) - 1.0, self.floor)).max())
+
+    def project(self, x: np.ndarray) -> np.ndarray | None:
+        """Restore the equality constraints; None when Gauss-Newton fails."""
+        eq = self.floor < 0.0
+        return _gauss_newton(x, lambda v: self.squared(v)[eq] - 1.0)
+
+    def evaluate(self, x: np.ndarray) -> tuple[float, float, bool, bool]:
+        """Objective, area, strict-validity flag, on-domain flag.
+
+        Points that fail strict validation get a second chance after
+        merging coincident vertices: the collapse of a pyramid onto a
+        smaller wheel (the tetrahedron, in the limit) is then scored by
+        the closed form of the merged body.  The soft objective applied
+        to anything else no longer measures an area, so such points are
+        flagged off-domain and only ever reported for runs that found
+        nothing better.
+        """
+        pts = self.points(x)
+        for candidate in (pts, _merged_distinct(pts)):
+            if candidate is None or len(candidate) < 4:
+                continue
+            try:
+                objective = self.exact(validate_vertex_set(candidate, tol=VALIDATION_TOL))
+            except (ValidationError, ValueError):
+                continue
+            return objective, self.area(objective), candidate is pts, True
+        objective = self.soft(self.squared(x))
+        return objective, self.area(objective), False, False
+
+
+def _pyramid_kernel(k: int) -> _Kernel:
+    """Base chords of every step 1..k; row s - 1 joins base vertex b to b + s.
+
+    The step-k chords are the base edges of the diameter graph, the
+    shorter steps its base non-edges, and the step-1 chords fix the
+    dihedral angles at the apex edges, which the soft objective sums.
+    """
+    n = 2 * k + 1
+    base = np.arange(n)
+    partner = (base + np.arange(1, k + 1)[:, None]) % n
+
+    def soft(d2: np.ndarray) -> float:
+        phi = 2.0 * np.arcsin(np.minimum(np.sqrt(d2[:n]) / 2.0 / _COS30, 1.0))
+        return float(_COS30 * phi.sum())
+
+    # point 0 is the apex, base vertex b is point b + 1
+    return _Kernel(
+        _pyramid_points,
+        np.tile(base + 1, k),
+        partner.ravel() + 1,
+        floor=np.r_[np.zeros((k - 1) * n), np.full(n, -np.inf)],
+        soft=soft,
+        exact=pyramid_objective,
+        area=lambda objective: 2.0 * math.pi - (math.pi / 3.0) * objective,
+    )
+
+
+def _general_kernel(graph: DiameterGraph) -> _Kernel:
+    """Every point pair in gauge-fixed coordinates, graph edges first."""
+    m, n_edges = graph.m, len(graph.edges)
+    non_edges = [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in graph.edges]
+    pairs = list(graph.edges) + non_edges
+    position = {pair: p for p, pair in enumerate(pairs)}
+    i, j = np.array(pairs).T
+    # row 0: each dual pair's first edge, row 1: its dual
+    ends = np.array([[position[e] for e in pair] for pair in dual_pair_indices(graph)]).T
+    # flat slots of the 3m - 6 free coordinates, see _gauge_coords
+    gauge = np.r_[3, 6, 7, 9 : 3 * m]
+
+    def points(coords: np.ndarray) -> np.ndarray:
+        flat = np.zeros(3 * m)
+        flat[gauge] = coords
+        return flat.reshape(m, 3)
+
+    def soft(d2: np.ndarray) -> float:
+        # smoothing gain f(retained, smoothed) of both orientations of
+        # every pair, from half chords and half arcs; the pair takes the
+        # better orientation
+        half = np.sqrt(d2[ends]) / 2.0
+        half_arc = np.arcsin(np.minimum(half, 1.0))[::-1]
+        cos_half = np.cos(half_arc)
+        f = 2.0 * half_arc * cos_half * 2.0 * np.arcsin(np.minimum(half / cos_half, 1.0))
+        return float(np.maximum(f[0], f[1]).sum())
+
+    return _Kernel(
+        points,
+        i,
+        j,
+        floor=np.r_[np.full(n_edges, -np.inf), np.zeros(len(pairs) - n_edges)],
+        soft=soft,
+        exact=lambda vs: 2.0 * math.pi - meissner_area(build_meissner(vs)),
+        area=lambda objective: 2.0 * math.pi - objective,
+    )
+
+
+def _search(
+    kernel: _Kernel, x0: np.ndarray, restarts: int, seed: int, spread: Callable[[int], float]
+) -> OptimizationReport:
+    """Restart 0 starts at x0, restart r from x0 plus spread(r) noise, projected."""
+    records: list[RestartRecord] = []
+    trajectories: list[tuple[float, ...]] = []
+    points: list[np.ndarray] = []
+    for run in range(restarts):
+        if run == 0:
+            x = x0.copy()
+        else:
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(run,))))
+            x = x0 + spread(run) * rng.normal(size=x0.shape)
+            projected = kernel.project(x)
+            if projected is not None:
+                x = projected
+        final, rounds, evaluations, traj, best = _penalty_loop(x, kernel)
+        if best is not None:
+            objective, area, validated, final, residual = best
+        else:
+            objective, area, validated, _ = kernel.evaluate(final)
+            residual = kernel.residual(final)
+        records.append(
+            RestartRecord(
+                restart=run,
+                objective=objective,
+                area=area,
+                residual=residual,
+                rounds=rounds,
+                evaluations=evaluations,
+                converged=best is not None,
+                validated=validated,
+                meets_tetrahedron_bound=area >= TETRAHEDRON_AREA - 1e-6,
+            )
+        )
+        trajectories.append(traj)
+        points.append(kernel.points(final))
+    return _assemble_report(records, trajectories, points)
 
 
 def _regular_angles(k: int) -> np.ndarray:
@@ -258,78 +350,24 @@ def _regular_angles(k: int) -> np.ndarray:
 
 
 def _pyramid_points(angles: np.ndarray) -> np.ndarray:
-    rho = angles[0::2]
-    psi = angles[1::2]
-    base = np.stack(
-        (np.sin(rho) * np.cos(psi), np.sin(rho) * np.sin(psi), np.cos(rho)), axis=1
-    )
-    return np.vstack((np.zeros(3), base))
+    """Apex at the origin, then base points at polar angle rho, azimuth psi."""
+    sin, cos = np.sin(angles), np.cos(angles)
+    pts = np.zeros((len(angles) // 2 + 1, 3))
+    pts[1:, 0] = sin[0::2] * cos[1::2]
+    pts[1:, 1] = sin[0::2] * sin[1::2]
+    pts[1:, 2] = cos[0::2]
+    return pts
 
 
-def _base_chords(angles: np.ndarray, step: int) -> np.ndarray:
-    pts = _pyramid_points(angles)[1:]
-    return np.linalg.norm(pts - np.roll(pts, -step, axis=0), axis=1)
-
-
-def _pyramid_soft_objective(angles: np.ndarray) -> float:
-    chords = _base_chords(angles, 1)
-    half_sin = np.clip(chords / 2.0, 0.0, 1.0)
-    phi = 2.0 * np.arcsin(np.clip(half_sin / _COS30, 0.0, 1.0))
-    return float(_COS30 * phi.sum())
-
-
-def _pyramid_penalty(angles: np.ndarray, k: int) -> float:
-    n = 2 * k + 1
-    total = 0.0
-    eq = _base_chords(angles, k)
-    total += float(((eq * eq - 1.0) ** 2).sum())
-    for step in range(1, k):
-        d = _base_chords(angles, step)
-        total += float((np.maximum(0.0, d * d - 1.0) ** 2).sum())
-    return total
-
-
-def _pyramid_residual(angles: np.ndarray, k: int) -> float:
-    res = float(np.abs(_base_chords(angles, k) - 1.0).max())
-    for step in range(1, k):
-        res = max(res, float(np.maximum(0.0, _base_chords(angles, step) - 1.0).max()))
-    return res
-
-
-def _merged_distinct(pts: np.ndarray, tol: float = 1e-5) -> np.ndarray | None:
-    """Drop vertices closer than tol to an earlier one; None when none merge."""
+def _merged_distinct(pts: np.ndarray) -> np.ndarray | None:
+    """Drop vertices within MERGE_TOL of an earlier one; None when none merge."""
     reps: list[np.ndarray] = []
     for p in pts:
-        if all(float(np.linalg.norm(p - r)) > tol for r in reps):
+        if all(float(np.linalg.norm(p - r)) > MERGE_TOL for r in reps):
             reps.append(p)
     if len(reps) == len(pts):
         return None
     return np.array(reps)
-
-
-def _evaluate_pyramid(pts: np.ndarray) -> tuple[float, float, bool, bool]:
-    """Objective, area, strict-validity flag, on-domain flag.
-
-    Points that fail strict validation get a second chance after merging
-    coincident vertices: the collapse of a pyramid onto a smaller wheel
-    (the tetrahedron, in the limit) is then scored by the closed form of
-    the merged body.  The wheel-pair formula applied to anything else
-    no longer measures an area, so such points are flagged off-domain
-    and only ever reported for runs that found nothing better.
-    """
-    for candidate in (pts, _merged_distinct(pts)):
-        if candidate is None or len(candidate) < 4:
-            continue
-        try:
-            vs = validate_vertex_set(candidate, tol=1e-6)
-            objective = pyramid_objective(vs)
-        except (ValidationError, ValueError):
-            continue
-        return objective, 2.0 * math.pi - (math.pi / 3.0) * objective, candidate is pts, True
-    chords = np.linalg.norm(pts[1:] - np.roll(pts[1:], -1, axis=0), axis=1)
-    phi = 2.0 * np.arcsin(np.clip(chords / 2.0 / _COS30, 0.0, 1.0))
-    objective = float(_COS30 * phi.sum())
-    return objective, 2.0 * math.pi - (math.pi / 3.0) * objective, False, False
 
 
 def _gauss_newton(v: np.ndarray, constraints, iters: int = 60) -> np.ndarray | None:
@@ -348,23 +386,6 @@ def _gauss_newton(v: np.ndarray, constraints, iters: int = 60) -> np.ndarray | N
         step, *_ = np.linalg.lstsq(jac, r, rcond=None)
         v = v - step
     return None
-
-
-def _project_diagonals(angles: np.ndarray, k: int) -> np.ndarray | None:
-    """Restore the base-diagonal equality constraints."""
-    return _gauss_newton(angles, lambda v: _base_chords(v, k) ** 2 - 1.0)
-
-
-def _project_edges(coords: np.ndarray, m: int, edges) -> np.ndarray | None:
-    """Restore the unit-distance equalities of the diameter graph."""
-    idx = np.array(edges)
-
-    def constraints(v: np.ndarray) -> np.ndarray:
-        pts = _coords_to_points(v, m)
-        d = pts[idx[:, 0]] - pts[idx[:, 1]]
-        return (d * d).sum(axis=1) - 1.0
-
-    return _gauss_newton(coords, constraints)
 
 
 def _gauge_coords(points: np.ndarray) -> np.ndarray:
@@ -392,91 +413,25 @@ def _gauge_coords(points: np.ndarray) -> np.ndarray:
     return np.array(coords)
 
 
-def _coords_to_points(coords: np.ndarray, m: int) -> np.ndarray:
-    pts = np.zeros((m, 3))
-    pts[1, 0] = coords[0]
-    pts[2, 0] = coords[1]
-    pts[2, 1] = coords[2]
-    for i in range(3, m):
-        pts[i] = coords[3 * i - 6 : 3 * i - 3]
-    return pts
-
-
-def _soft_f(c_retained: float, c_smoothed: float) -> float:
-    y = 2.0 * math.asin(min(max(c_smoothed / 2.0, 0.0), 1.0))
-    cos_half = math.cos(y / 2.0)
-    arg = min(max(c_retained / 2.0, 0.0) / cos_half, 1.0)
-    return y * cos_half * 2.0 * math.asin(arg)
-
-
-def _general_soft_objective(coords: np.ndarray, m: int, pairs) -> float:
-    pts = _coords_to_points(coords, m)
-    total = 0.0
-    for e, e_dual in pairs:
-        c1 = float(np.linalg.norm(pts[e[0]] - pts[e[1]]))
-        c2 = float(np.linalg.norm(pts[e_dual[0]] - pts[e_dual[1]]))
-        total += max(_soft_f(c1, c2), _soft_f(c2, c1))
-    return total
-
-
-def _general_penalty(coords: np.ndarray, m: int, edges, non_edges) -> float:
-    pts = _coords_to_points(coords, m)
-    total = 0.0
-    for i, j in edges:
-        d2 = float(((pts[i] - pts[j]) ** 2).sum())
-        total += (d2 - 1.0) ** 2
-    for i, j in non_edges:
-        d2 = float(((pts[i] - pts[j]) ** 2).sum())
-        total += max(0.0, d2 - 1.0) ** 2
-    return total
-
-
-def _general_residual(coords: np.ndarray, m: int, edges, non_edges) -> float:
-    pts = _coords_to_points(coords, m)
-    res = 0.0
-    for i, j in edges:
-        res = max(res, abs(float(np.linalg.norm(pts[i] - pts[j])) - 1.0))
-    for i, j in non_edges:
-        res = max(res, float(np.linalg.norm(pts[i] - pts[j])) - 1.0)
-    return res
-
-
-def _evaluate_general(pts: np.ndarray, pairs) -> tuple[float, float, bool, bool]:
-    """General-mode counterpart of _evaluate_pyramid, same return shape."""
-    for candidate in (pts, _merged_distinct(pts)):
-        if candidate is None or len(candidate) < 4:
-            continue
-        try:
-            vs = validate_vertex_set(candidate, tol=1e-6)
-            area = meissner_area(build_meissner(vs))
-        except (ValidationError, ValueError):
-            continue
-        return 2.0 * math.pi - area, area, candidate is pts, True
-    total = 0.0
-    for e, e_dual in pairs:
-        c1 = float(np.linalg.norm(pts[e[0]] - pts[e[1]]))
-        c2 = float(np.linalg.norm(pts[e_dual[0]] - pts[e_dual[1]]))
-        total += max(_soft_f(c1, c2), _soft_f(c2, c1))
-    return total, 2.0 * math.pi - total, False, False
-
-
 _Best = tuple[float, float, bool, np.ndarray, float]
 
 
-def _penalty_loop(x, objective, penalty, residual, evaluate, project=None) -> tuple[np.ndarray, int, tuple[float, ...], _Best | None]:
+def _penalty_loop(x: np.ndarray, kernel: _Kernel) -> tuple[np.ndarray, int, int, tuple[float, ...], _Best | None]:
     """Nelder-Mead rounds with a tenfold penalty ramp; keeps the best iterate.
 
     Nelder-Mead can tunnel through an infeasible valley into a spurious
     branch of the constraint set where the soft objective stops meaning
     anything, so the final simplex point is never trusted blindly.
-    Round results are restored to the equality manifold by `project`
-    when available, then scored by `evaluate`, which rejects off-domain
-    points; the best accepted iterate (the start competes too) is
-    returned as (objective, area, validated, x, residual).
+    Round results are restored to the equality manifold by projection
+    when it succeeds, then scored by `kernel.evaluate`, which rejects
+    off-domain points; the best accepted iterate (the start competes
+    too) is returned as (objective, area, validated, x, residual), after
+    the final point, the round count and the merit evaluation count.
     """
     mu = 1e2
     trajectory: list[float] = []
     rounds = 0
+    evaluations = 0
     improved_at = 0
     best: _Best | None = None
 
@@ -484,18 +439,19 @@ def _penalty_loop(x, objective, penalty, residual, evaluate, project=None) -> tu
         nonlocal best
         if r > FEASIBILITY_TOL:
             return False
-        obj, area, validated, on_domain = evaluate(v)
+        obj, area, validated, on_domain = kernel.evaluate(v)
         if on_domain and (best is None or obj > best[0] + 1e-12):
             best = (obj, area, validated, v.copy(), r)
             return True
         return False
 
-    consider(x, residual(x))
+    consider(x, kernel.residual(x))
     for _ in range(_MAX_ROUNDS):
         rounds += 1
         result = minimize(
-            lambda v: -objective(v) + mu * penalty(v),
+            kernel.merit,
             x,
+            args=(mu,),
             method="Nelder-Mead",
             options={
                 "maxfev": 600 * len(x),
@@ -505,12 +461,12 @@ def _penalty_loop(x, objective, penalty, residual, evaluate, project=None) -> tu
                 "initial_simplex": _simplex(x, 0.05),
             },
         )
+        evaluations += result.nfev
         x = result.x
-        if project is not None:
-            restored = project(x)
-            if restored is not None:
-                x = restored
-        r = residual(x)
+        restored = kernel.project(x)
+        if restored is not None:
+            x = restored
+        r = kernel.residual(x)
         if consider(x, r):
             improved_at = rounds
         trajectory.append(best[0] if best is not None else -math.inf)
@@ -519,7 +475,7 @@ def _penalty_loop(x, objective, penalty, residual, evaluate, project=None) -> tu
         if mu >= 1e8 and r <= FEASIBILITY_TOL and rounds - improved_at >= _STALL_ROUNDS:
             break
         mu = min(mu * 10.0, 1e8)
-    return x, rounds, tuple(trajectory), best
+    return x, rounds, evaluations, tuple(trajectory), best
 
 
 def _simplex(x: np.ndarray, scale: float) -> np.ndarray:

@@ -11,6 +11,10 @@ from meissner import (
     OptimizationProblem,
     TETRAHEDRON_AREA,
     TETRAHEDRON_VOLUME,
+    build_diameter_graph,
+    build_meissner,
+    dual_pair_indices,
+    meissner_area,
     optimize_meissner,
     optimize_pyramid,
     pyramid_objective,
@@ -19,7 +23,13 @@ from meissner import (
     regular_tetrahedron,
     validate_vertex_set,
 )
-from meissner.optimize import FEASIBILITY_TOL
+from meissner.optimize import (
+    FEASIBILITY_TOL,
+    _gauge_coords,
+    _general_kernel,
+    _pyramid_kernel,
+    _regular_angles,
+)
 
 from conftest import (
     PYR2_OBJECTIVE,
@@ -143,3 +153,99 @@ def test_random_feasible_pyramid():
         assert objective <= PYRAMID_OBJECTIVE_MAX + 1e-9
         # perturbations sit near, and generically below, the regular value
         assert abs(objective - PYR2_OBJECTIVE) < 0.05
+
+
+def _soft_f(c_retained, c_smoothed):
+    y = 2.0 * math.asin(min(max(c_smoothed / 2.0, 0.0), 1.0))
+    cos_half = math.cos(y / 2.0)
+    return y * cos_half * 2.0 * math.asin(min(max(c_retained / 2.0, 0.0) / cos_half, 1.0))
+
+
+def _reference_pyramid(angles, k):
+    """Soft objective, penalty and residual of the pyramid search, by loops."""
+    n = 2 * k + 1
+    base = [
+        (math.sin(rho) * math.cos(psi), math.sin(rho) * math.sin(psi), math.cos(rho))
+        for rho, psi in zip(angles[0::2], angles[1::2])
+    ]
+    soft = penalty = residual = 0.0
+    for step in range(1, k + 1):
+        for b in range(n):
+            c = math.dist(base[b], base[(b + step) % n])
+            if step == 1:
+                soft += math.cos(math.pi / 6) * 2.0 * math.asin(min(c / 2.0 / math.cos(math.pi / 6), 1.0))
+            if step == k:  # the base edges of the diameter graph
+                penalty += (c * c - 1.0) ** 2
+                residual = max(residual, abs(c - 1.0))
+            else:
+                penalty += max(0.0, c * c - 1.0) ** 2
+                residual = max(residual, c - 1.0)
+    return soft, penalty, residual
+
+
+def _reference_general(coords, graph):
+    """Soft objective, penalty and residual of the general search, by loops."""
+    pts = [(0.0, 0.0, 0.0), (coords[0], 0.0, 0.0), (coords[1], coords[2], 0.0)]
+    pts += [tuple(coords[3 * i - 6 : 3 * i - 3]) for i in range(3, graph.m)]
+    soft = 0.0
+    for e, e_dual in dual_pair_indices(graph):
+        c1, c2 = math.dist(*(pts[v] for v in e)), math.dist(*(pts[v] for v in e_dual))
+        soft += max(_soft_f(c1, c2), _soft_f(c2, c1))
+    penalty = residual = 0.0
+    for i in range(graph.m):
+        for j in range(i + 1, graph.m):
+            c = math.dist(pts[i], pts[j])
+            if (i, j) in graph.edges:
+                penalty += (c * c - 1.0) ** 2
+                residual = max(residual, abs(c - 1.0))
+            else:
+                penalty += max(0.0, c * c - 1.0) ** 2
+                residual = max(residual, c - 1.0)
+    return soft, penalty, residual
+
+
+def _general_starts():
+    sets = [regular_tetrahedron()] + [random_feasible_pyramid(k, seed=k) for k in (1, 2, 3)]
+    return [(build_diameter_graph(vs), vs) for vs in sets]
+
+
+def _check_kernel(kernel, x, reference):
+    soft, penalty, residual = reference
+    for mu in (0.0, 1.0, 1e4):
+        assert kernel.merit(x, mu) == pytest.approx(-soft + mu * penalty, rel=1e-12, abs=1e-12)
+    assert kernel.residual(x) == pytest.approx(residual, rel=1e-12, abs=1e-12)
+
+
+def test_merit_kernels_match_the_loop_reference():
+    rng = np.random.default_rng(5)
+    for k in (1, 2, 3, 4):
+        angles = _regular_angles(k) + 0.05 * rng.normal(size=4 * k + 2)
+        _check_kernel(_pyramid_kernel(k), angles, _reference_pyramid(angles, k))
+    for graph, vs in _general_starts():
+        coords = _gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)
+        _check_kernel(_general_kernel(graph), coords, _reference_general(coords, graph))
+
+
+def test_merit_kernels_at_feasible_points():
+    for k in (1, 2, 3, 4):
+        vs = random_feasible_pyramid(k, seed=k)
+        base = vs.points[1:]
+        angles = np.ravel(np.column_stack((np.arccos(base[:, 2]), np.arctan2(base[:, 1], base[:, 0]))))
+        kernel = _pyramid_kernel(k)
+        assert -kernel.merit(angles, 0.0) == pytest.approx(pyramid_objective(vs), abs=1e-12)
+        assert kernel.merit(angles, 1.0) - kernel.merit(angles, 0.0) == pytest.approx(0.0, abs=1e-15)
+    for graph, vs in _general_starts():
+        coords = _gauge_coords(vs.points)
+        kernel = _general_kernel(graph)
+        expected = 2.0 * math.pi - meissner_area(build_meissner(vs))
+        assert -kernel.merit(coords, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert kernel.merit(coords, 1.0) - kernel.merit(coords, 0.0) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_optimizers_are_deterministic():
+    problem = OptimizationProblem.from_vertex_set(regular_tetrahedron())
+    for search in (lambda: optimize_pyramid(3, restarts=2), lambda: optimize_meissner(problem, restarts=3)):
+        first, second = search(), search()
+        assert first.records == second.records
+        assert np.array_equal(first.best_points, second.best_points)
+        assert all(r.evaluations > r.rounds for r in first.records)
