@@ -7,6 +7,7 @@ __all__ = [
     "GeometryError",
     "NoIntersection",
     "ValidationError",
+    "ArgumentError",
     "DiameterViolation",
     "NotExtremal",
     "WrongPairCount",
@@ -34,6 +35,10 @@ class NoIntersection(GeometryError):
 
 class ValidationError(MeissnerError):
     """Input data failed validation.  The CLI maps this family to exit code 2."""
+
+
+class ArgumentError(ValidationError, ValueError):
+    """A function argument is outside its documented range or shape."""
 
 
 class DiameterViolation(ValidationError):

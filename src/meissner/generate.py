@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationMismatch
+from .errors import ArgumentError, ParseError, ValidationMismatch
 from .polytope import DEFAULT_TOL, VertexSet, build_diameter_graph, validate_vertex_set
 
 __all__ = [
@@ -46,7 +46,7 @@ def regular_pyramid(k: int, tol: float = DEFAULT_TOL) -> VertexSet:
     to a rigid motion.
     """
     if k < 1:
-        raise ValueError(f"pyramid parameter k must be positive, got {k}")
+        raise ArgumentError(f"pyramid parameter k must be positive, got {k}")
     n = 2 * k + 1
     sin_r = 1.0 / (2.0 * math.sin(math.pi * k / n))
     cos_r = math.sqrt(1.0 - sin_r * sin_r)

@@ -1,21 +1,27 @@
 """Watertight triangle meshes of Meissner and Reuleaux polyhedra.
 
-Every patch is sampled on a structured grid with dyadic parameters, and
-neighboring patches evaluate their shared boundary curves through the
-same expressions on the same floats, so boundary vertices agree bitwise
-and deduplication closes the mesh exactly.  Grid corners that coincide
-with polytope vertices are snapped to the vertex coordinates.
+Every patch (the fan of a spherical face, one half of a wedge, a
+spindle) is a structured grid with dyadic parameters, evaluated and
+triangulated in one pass.  Vertices are merged by exact coordinates,
+with no tolerance, so the mesh closes only because neighboring patches
+produce bitwise equal points on every curve they share.  That holds
+because both sides evaluate a shared curve through the same expressions
+on the same floats: `_slerp` reproduces its endpoints exactly and is
+symmetric under a <-> b, t <-> 1 - t, which is exact for the dyadic
+parameters l / 2**refinement, and dot products are summed in one fixed
+order whatever the array shape.  Points that other expressions would
+only approximate are snapped: grid corners to the polytope vertices,
+and each wedge's arc row to the arc's own points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ArgumentError, GeometryError
 from .polytope import (
     Arc,
     DualEdgePair,
@@ -32,7 +38,6 @@ __all__ = [
     "mesh_area",
     "euler_characteristic",
     "write_mesh",
-    "unit_sphere_mesh",
 ]
 
 
@@ -46,67 +51,81 @@ class TriangleMesh:
 
 class _Builder:
     def __init__(self) -> None:
-        self._index: dict[tuple[float, float, float], int] = {}
-        self.vertices: list[np.ndarray] = []
-        self.faces: list[tuple[int, int, int]] = []
         self.group_names: list[str] = []
-        self.face_groups: list[int] = []
+        self._points: list[np.ndarray] = []
+        self._triangles: list[np.ndarray] = []
+        self._refs: list[np.ndarray] = []
+        self._groups: list[np.ndarray] = []
+        self._count = 0
 
     def group(self, name: str) -> None:
         self.group_names.append(name)
 
-    def vertex(self, p: np.ndarray) -> int:
-        key = (round(float(p[0]), 12), round(float(p[1]), 12), round(float(p[2]), 12))
-        idx = self._index.get(key)
-        if idx is None:
-            idx = len(self.vertices)
-            self._index[key] = idx
-            self.vertices.append(np.asarray(p, dtype=float))
-        return idx
+    def patch(self, points: np.ndarray, tris: np.ndarray, outward_ref: np.ndarray) -> None:
+        """Add a grid of points and its triangles, indexed into the flattened grid.
 
-    def triangle(self, a: int, b: int, c: int, outward_ref: np.ndarray) -> None:
-        """Add triangle (a, b, c) wound so its normal points away from outward_ref."""
-        if a == b or b == c or a == c:
-            return
-        pa, pb, pc = self.vertices[a], self.vertices[b], self.vertices[c]
-        normal = np.cross(pb - pa, pc - pa)
-        centroid = (pa + pb + pc) / 3.0
-        if float(normal @ (centroid - outward_ref)) < 0.0:
-            b, c = c, b
-        self.faces.append((a, b, c))
-        self.face_groups.append(len(self.group_names) - 1)
+        On build, each triangle is wound so its normal points away from
+        outward_ref, one point for the patch or one per triangle.
+        """
+        points = points.reshape(-1, 3)
+        self._points.append(points)
+        self._triangles.append(tris + self._count)
+        self._refs.append(np.broadcast_to(outward_ref, tris.shape))
+        self._groups.append(np.full(len(tris), len(self.group_names) - 1))
+        self._count += len(points)
 
     def build(self) -> TriangleMesh:
+        """Merge equal points, drop collapsed triangles and fix the winding."""
+        points = np.concatenate(self._points)
+        _, first, ids = np.unique(points, axis=0, return_index=True, return_inverse=True)
+        # number the vertices in order of first appearance
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        tris = rank[ids.ravel()][np.concatenate(self._triangles)]
+        a, b, c = tris.T
+        keep = (a != b) & (b != c) & (a != c)
+        tris = tris[keep]
+        vertices = points[first[order]]
+        pa, pb, pc = vertices[tris.T]
+        normal = np.cross(pb - pa, pc - pa)
+        centroid = (pa + pb + pc) / 3.0
+        inward = _dot(normal, centroid - np.concatenate(self._refs)[keep]) < 0.0
+        tris[inward] = tris[inward][:, (0, 2, 1)]
         return TriangleMesh(
-            np.array(self.vertices),
-            np.array(self.faces, dtype=np.int64),
+            vertices,
+            tris,
             tuple(self.group_names),
-            np.array(self.face_groups, dtype=np.int64),
+            np.concatenate(self._groups)[keep],
         )
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, summed in the same order for every shape."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def _udir(p: np.ndarray, origin: np.ndarray) -> np.ndarray:
     d = p - origin
-    return d / np.linalg.norm(d)
+    return d / np.sqrt(_dot(d, d))[..., None]
 
 
-def _slerp(a: np.ndarray, b: np.ndarray, t: float) -> np.ndarray:
-    """Great-circle interpolation of unit vectors.
+def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Great-circle interpolation of unit vectors a, b (..., 3) at parameters t (...).
 
     Exactly reproduces the endpoints at t = 0 and t = 1, and evaluates
     symmetrically: _slerp(a, b, t) and _slerp(b, a, 1 - t) give bitwise
     equal results, which the watertight gluing relies on.
     """
-    if t == 0.0:
-        return a
-    if t == 1.0:
-        return b
+    t = np.asarray(t, dtype=float)[..., None]
     cross = np.cross(a, b)
-    omega = math.atan2(float(np.linalg.norm(cross)), float(a @ b))
-    if omega < 1e-12:
-        return a
-    s = math.sin(omega)
-    return (math.sin((1.0 - t) * omega) * a + math.sin(t * omega) * b) / s
+    omega = np.arctan2(np.sqrt(_dot(cross, cross)), _dot(a, b))[..., None]
+    degenerate = omega < 1e-12
+    s = np.sin(np.where(degenerate, 1.0, omega))
+    blend = (np.sin((1.0 - t) * omega) * a + np.sin(t * omega) * b) / s
+    out = np.where(degenerate, a, blend)
+    out = np.where(t == 1.0, b, out)
+    return np.where(t == 0.0, a, out)
 
 
 def tessellate(poly: MeissnerPolyhedron, refinement: int) -> TriangleMesh:
@@ -196,114 +215,43 @@ def write_mesh(mesh: TriangleMesh, path: str | Path, fmt: str = "obj") -> None:
             lines.append(f"3 {face[0]} {face[1]} {face[2]}")
         path.write_text("\n".join(lines) + "\n")
     else:
-        raise ValueError(f"unknown mesh format {fmt!r}")
-
-
-def unit_sphere_mesh(depth: int) -> TriangleMesh:
-    """Icosahedron subdivided depth times with midpoints pushed to the sphere.
-
-    Calibration fixture: its area converges to 4*pi from below.
-    """
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    raw = [
-        (-1, phi, 0), (1, phi, 0), (-1, -phi, 0), (1, -phi, 0),
-        (0, -1, phi), (0, 1, phi), (0, -1, -phi), (0, 1, -phi),
-        (phi, 0, -1), (phi, 0, 1), (-phi, 0, -1), (-phi, 0, 1),
-    ]
-    verts = [np.array(p, dtype=float) / math.sqrt(1.0 + phi * phi) for p in raw]
-    tris = [
-        (0, 11, 5), (0, 5, 1), (0, 1, 7), (0, 7, 10), (0, 10, 11),
-        (1, 5, 9), (5, 11, 4), (11, 10, 2), (10, 7, 6), (7, 1, 8),
-        (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
-        (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
-    ]
-    builder = _Builder()
-    builder.group("sphere")
-    ids = [builder.vertex(v) for v in verts]
-
-    def subdivide(a: np.ndarray, b: np.ndarray, c: np.ndarray, level: int) -> None:
-        if level == 0:
-            ia, ib, ic = builder.vertex(a), builder.vertex(b), builder.vertex(c)
-            builder.triangle(ia, ib, ic, np.zeros(3))
-            return
-        ab = a + b
-        bc = b + c
-        ca = c + a
-        ab /= np.linalg.norm(ab)
-        bc /= np.linalg.norm(bc)
-        ca /= np.linalg.norm(ca)
-        subdivide(a, ab, ca, level - 1)
-        subdivide(ab, b, bc, level - 1)
-        subdivide(ca, bc, c, level - 1)
-        subdivide(ab, bc, ca, level - 1)
-
-    for ia, ib, ic in tris:
-        subdivide(verts[ia], verts[ib], verts[ic], depth)
-    _ = ids
-    return builder.build()
+        raise ArgumentError(f"unknown mesh format {fmt!r}")
 
 
 def _grid_size(refinement: int) -> int:
     if not 0 <= refinement <= 8:
-        raise ValueError(f"refinement {refinement} outside [0, 8]")
+        raise ArgumentError(f"refinement {refinement} outside [0, 8]")
     return 1 << refinement
 
 
 def _face_patches(builder: _Builder, vs: VertexSet, n: int) -> None:
+    """Each spherical face as a fan of geodesic triangles around an interior apex.
+
+    Fan triangle j is a triangular grid whose row i runs from
+    slerp(apex, u_j, i/n) to slerp(apex, u_j+1, i/n), with u_j the unit
+    direction to the j-th neighbor; its last row samples the polygon
+    edge itself, with the two corners snapped to the polytope vertices.
+    """
     pts = vs.points
     cycles = face_cycles(vs, build_diameter_graph(vs))
+    row, col = _fan_grid(n)
+    tris = _fan_triangles(n)
     for i, cycle in enumerate(cycles):
         builder.group(f"face_{i}")
         x = pts[i]
-        units = [_udir(pts[v], x) for v in cycle]
-        centroid = np.add.reduce(units)
+        units = _udir(pts[cycle], x)
+        centroid = units.sum(axis=0)
         norm = float(np.linalg.norm(centroid))
         if norm < 1e-9:
             raise GeometryError(f"face {i} has no interior point")
-        centroid = centroid / norm
-        for j in range(len(cycle)):
-            b_unit, c_unit = units[j], units[(j + 1) % len(cycle)]
-            b_vid = builder.vertex(pts[cycle[j]])
-            c_vid = builder.vertex(pts[cycle[(j + 1) % len(cycle)]])
-            _geodesic_triangle(builder, x, centroid, b_unit, c_unit, b_vid, c_vid, n)
-
-
-def _geodesic_triangle(
-    builder: _Builder,
-    x: np.ndarray,
-    apex: np.ndarray,
-    b_unit: np.ndarray,
-    c_unit: np.ndarray,
-    b_vid: int,
-    c_vid: int,
-    n: int,
-) -> None:
-    """Fan triangle of a spherical face, subdivided on a triangular grid.
-
-    Row i runs from slerp(apex, b, i/n) to slerp(apex, c, i/n); the last
-    row samples the polygon edge itself, with its two corners snapped to
-    the supplied vertex ids.
-    """
-    rows: list[list[int]] = []
-    for i in range(n + 1):
-        row: list[int] = []
-        left = _slerp(apex, b_unit, i / n)
-        right = _slerp(apex, c_unit, i / n)
-        for l in range(i + 1):
-            if i == n and l == 0:
-                row.append(b_vid)
-            elif i == n and l == n:
-                row.append(c_vid)
-            elif i == 0:
-                row.append(builder.vertex(x + apex))
-            else:
-                row.append(builder.vertex(x + _slerp(left, right, l / i)))
-        rows.append(row)
-    for i in range(1, n + 1):
-        for l in range(i):
-            builder.triangle(rows[i][l], rows[i][l + 1], rows[i - 1][l], x)
-            if l < i - 1:
-                builder.triangle(rows[i - 1][l], rows[i][l + 1], rows[i - 1][l + 1], x)
+        left = _slerp(centroid / norm, units[:, None], np.arange(n + 1) / n)
+        right = np.roll(left, -1, axis=0)
+        grid = x + _slerp(left[:, row], right[:, row], col / np.maximum(row, 1))
+        # grid points (n, 0) and (n, n) of every fan triangle
+        grid[:, -1 - n] = pts[cycle]
+        grid[:, -1] = pts[np.roll(cycle, -1)]
+        offsets = len(row) * np.arange(len(cycle))[:, None, None]
+        builder.patch(grid, (tris + offsets).reshape(-1, 3), x)
 
 
 def _wedge_half(
@@ -317,31 +265,17 @@ def _wedge_half(
     """Lune between the geodesic and the edge arc on one supporting sphere.
 
     Row t blends from the geodesic (t = 0) to the arc (t = n); the arc
-    row reuses the arc's own points so both halves emit identical floats.
+    row is the arc's own points so both halves emit identical floats.
     """
     s_c = pts[sphere_idx]
-    p_idx, q_idx = retained
-    gp = _udir(pts[p_idx], s_c)
-    gq = _udir(pts[q_idx], s_c)
-    grid: list[list[int]] = []
-    for t in range(n + 1):
-        row: list[int] = []
-        for l in range(n + 1):
-            if l == 0:
-                row.append(builder.vertex(pts[p_idx]))
-            elif l == n:
-                row.append(builder.vertex(pts[q_idx]))
-            elif t == n:
-                row.append(builder.vertex(arc.point(arc.sweep * (l / n))))
-            else:
-                g_l = _slerp(gp, gq, l / n)
-                if t == 0:
-                    row.append(builder.vertex(s_c + g_l))
-                else:
-                    a_l = _udir(arc.point(arc.sweep * (l / n)), s_c)
-                    row.append(builder.vertex(s_c + _slerp(g_l, a_l, t / n)))
-        grid.append(row)
-    _grid_triangles(builder, grid, lambda t: s_c)
+    steps = np.arange(n + 1) / n
+    gp, gq = _udir(pts[list(retained)], s_c)
+    arc_row = arc.point(arc.sweep * steps)
+    grid = s_c + _slerp(_slerp(gp, gq, steps), _udir(arc_row, s_c), steps[:, None])
+    grid[n] = arc_row
+    grid[:, 0] = pts[retained[0]]
+    grid[:, n] = pts[retained[1]]
+    builder.patch(grid, _rect_triangles(n), s_c)
 
 
 def _spindle_patch(
@@ -358,37 +292,45 @@ def _spindle_patch(
     geodesic from one smoothed-edge endpoint to the other on the unit
     sphere around c; the sweep pinches at those two endpoints.
     """
-    p_idx, q_idx = retained
+    steps = np.arange(n + 1) / n
+    centers = arc.point(arc.sweep * steps)
+    centers[0] = pts[retained[0]]
+    centers[n] = pts[retained[1]]
     sp, sq = pts[smoothed[0]], pts[smoothed[1]]
-    centers: list[np.ndarray] = []
-    grid: list[list[int]] = []
-    for t in range(n + 1):
-        if t == 0:
-            c_t = pts[p_idx]
-        elif t == n:
-            c_t = pts[q_idx]
-        else:
-            c_t = arc.point(arc.sweep * (t / n))
-        centers.append(c_t)
-        row: list[int] = []
-        d0 = _udir(sp, c_t)
-        d1 = _udir(sq, c_t)
-        for s in range(n + 1):
-            if s == 0:
-                row.append(builder.vertex(sp))
-            elif s == n:
-                row.append(builder.vertex(sq))
-            else:
-                row.append(builder.vertex(c_t + _slerp(d0, d1, s / n)))
-        grid.append(row)
-    _grid_triangles(builder, grid, lambda t: centers[t])
+    d0 = _udir(sp, centers)[:, None]
+    d1 = _udir(sq, centers)[:, None]
+    grid = centers[:, None] + _slerp(d0, d1, steps)
+    grid[:, 0] = sp
+    grid[:, n] = sq
+    # row t of cells lies on the spheres around centers t and t + 1
+    builder.patch(grid, _rect_triangles(n), np.repeat(centers[:-1], 2 * n, axis=0))
 
 
-def _grid_triangles(builder: _Builder, grid: list[list[int]], ref_for_row) -> None:
-    rows = len(grid) - 1
-    cols = len(grid[0]) - 1
-    for t in range(rows):
-        ref = ref_for_row(t)
-        for l in range(cols):
-            builder.triangle(grid[t][l], grid[t + 1][l], grid[t + 1][l + 1], ref)
-            builder.triangle(grid[t][l], grid[t + 1][l + 1], grid[t][l + 1], ref)
+def _rect_triangles(n: int) -> np.ndarray:
+    """Two triangles per cell of a row-major (n + 1) x (n + 1) grid."""
+    idx = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)
+    a, b, c, d = idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]
+    return np.stack((a, b, c, a, c, d), axis=-1).reshape(-1, 3)
+
+
+def _fan_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each point of a row-major triangular grid whose row i holds i + 1 points."""
+    row = np.repeat(np.arange(n + 1), np.arange(1, n + 2))
+    return row, np.arange(len(row)) - row * (row + 1) // 2
+
+
+def _fan_triangles(n: int) -> np.ndarray:
+    """Triangles of `_fan_grid(n)`, in row-major order of the point (i, l) they hang from.
+
+    Point (i, l) with l < i carries the triangle it forms with (i, l + 1)
+    and (i - 1, l) and, for l < i - 1, the one to the right of that.
+    """
+    row, col = _fan_grid(n)
+    here = np.flatnonzero(col < row)
+    i, l = row[here], col[here]
+    above = here - i  # point (i - 1, l)
+    up = np.stack((here, here + 1, above), axis=1)
+    down = np.stack((above, here + 1, above + 1), axis=1)
+    keep = np.ones((len(here), 2), dtype=bool)
+    keep[:, 1] = l < i - 1
+    return np.stack((up, down), axis=1)[keep]

@@ -17,15 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySystem, NoIntersection
+from .errors import ArgumentError, EmptySystem, NoIntersection
 from .polytope import Arc, MeissnerPolyhedron
 
 __all__ = [
     "CHUNK",
     "BallSystem",
     "McResult",
-    "max_dist_point_to_arc",
-    "contains",
     "mc_volume",
     "support",
     "width_samples",
@@ -62,36 +60,6 @@ class McResult:
     hits: int
 
 
-def max_dist_point_to_arc(point: np.ndarray, arc: Arc) -> float:
-    """Largest distance from a point to any point of a circular arc.
-
-    The farthest point of the full circle sits at the parameter angle
-    opposite the projection of the query; if that angle falls outside
-    the arc's range the maximum moves to an endpoint.
-    """
-    w = np.asarray(point, dtype=float) - arc.center
-    wu = float(w @ arc.u)
-    wv = float(w @ arc.v)
-    w2 = float(w @ w)
-    r = arc.radius
-    rho = math.hypot(wu, wv)
-    t = math.atan2(-wv, -wu) % (2.0 * math.pi)
-    if rho == 0.0 or t <= arc.sweep:
-        return math.sqrt(w2 + r * r + 2.0 * r * rho)
-    d0 = w2 + r * r - 2.0 * r * wu
-    d1 = w2 + r * r - 2.0 * r * (wu * math.cos(arc.sweep) + wv * math.sin(arc.sweep))
-    return math.sqrt(max(d0, d1))
-
-
-def contains(system: BallSystem, point: np.ndarray) -> bool:
-    """Whether the point lies in every unit ball of the system."""
-    point = np.asarray(point, dtype=float)
-    d2 = ((system.centers - point) ** 2).sum(axis=1)
-    if float(d2.max()) > 1.0:
-        return False
-    return all(max_dist_point_to_arc(point, arc) <= 1.0 for arc in system.arcs)
-
-
 def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> McResult:
     """Rejection-sample the unit ball around the first point center.
 
@@ -102,7 +70,7 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     if len(system.centers) == 0:
         raise EmptySystem("no point centers to anchor the sampling ball")
     if samples < 1:
-        raise ValueError(f"sample count must be positive, got {samples}")
+        raise ArgumentError(f"sample count must be positive, got {samples}")
     base = system.centers[0]
     nchunks = (samples + CHUNK - 1) // CHUNK
 
@@ -137,7 +105,7 @@ def width_samples(
     if len(system.centers) == 0:
         raise EmptySystem("no point centers")
     if directions < 1:
-        raise ValueError(f"direction count must be positive, got {directions}")
+        raise ArgumentError(f"direction count must be positive, got {directions}")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     dirs = rng.normal(size=(directions, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

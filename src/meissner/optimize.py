@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import InfeasibleStart, NotAWheel, ValidationError
+from .errors import ArgumentError, InfeasibleStart, NotAWheel, ValidationError
 from .polytope import (
     DiameterGraph,
     VertexSet,
@@ -75,6 +75,7 @@ class RestartRecord:
     residual: float
     rounds: int
     evaluations: int
+    capped_rounds: int  # rounds Nelder-Mead ended at maxfev, not at its tolerances
     converged: bool
     validated: bool
     meets_tetrahedron_bound: bool
@@ -121,7 +122,7 @@ def optimize_pyramid(n: int, restarts: int = 1, seed: int = 0) -> OptimizationRe
     Restart 0 starts from the regular pyramid; later restarts perturb it.
     """
     if n < 3 or n % 2 == 0 or n > 19:
-        raise ValueError(f"base count must be odd and in [3, 19], got {n}")
+        raise ArgumentError(f"base count must be odd and in [3, 19], got {n}")
     k = (n - 1) // 2
     kernel = _pyramid_kernel(k)
     angles0 = _regular_angles(k)
@@ -228,7 +229,7 @@ class _Kernel:
                 continue
             try:
                 objective = self.exact(validate_vertex_set(candidate, tol=VALIDATION_TOL))
-            except (ValidationError, ValueError):
+            except ValidationError:
                 continue
             return objective, self.area(objective), candidate is pts, True
         objective = self.soft(self.squared(x))
@@ -316,7 +317,7 @@ def _search(
             projected = kernel.project(x)
             if projected is not None:
                 x = projected
-        final, rounds, evaluations, traj, best = _penalty_loop(x, kernel)
+        final, rounds, evaluations, capped_rounds, traj, best = _penalty_loop(x, kernel)
         if best is not None:
             objective, area, validated, final, residual = best
         else:
@@ -330,6 +331,7 @@ def _search(
                 residual=residual,
                 rounds=rounds,
                 evaluations=evaluations,
+                capped_rounds=capped_rounds,
                 converged=best is not None,
                 validated=validated,
                 meets_tetrahedron_bound=area >= TETRAHEDRON_AREA - 1e-6,
@@ -416,7 +418,9 @@ def _gauge_coords(points: np.ndarray) -> np.ndarray:
 _Best = tuple[float, float, bool, np.ndarray, float]
 
 
-def _penalty_loop(x: np.ndarray, kernel: _Kernel) -> tuple[np.ndarray, int, int, tuple[float, ...], _Best | None]:
+def _penalty_loop(
+    x: np.ndarray, kernel: _Kernel
+) -> tuple[np.ndarray, int, int, int, tuple[float, ...], _Best | None]:
     """Nelder-Mead rounds with a tenfold penalty ramp; keeps the best iterate.
 
     Nelder-Mead can tunnel through an infeasible valley into a spurious
@@ -426,12 +430,14 @@ def _penalty_loop(x: np.ndarray, kernel: _Kernel) -> tuple[np.ndarray, int, int,
     when it succeeds, then scored by `kernel.evaluate`, which rejects
     off-domain points; the best accepted iterate (the start competes
     too) is returned as (objective, area, validated, x, residual), after
-    the final point, the round count and the merit evaluation count.
+    the final point, the round count, the merit evaluation count and the
+    number of rounds cut off at `maxfev`.
     """
     mu = 1e2
     trajectory: list[float] = []
     rounds = 0
     evaluations = 0
+    capped_rounds = 0
     improved_at = 0
     best: _Best | None = None
 
@@ -462,6 +468,8 @@ def _penalty_loop(x: np.ndarray, kernel: _Kernel) -> tuple[np.ndarray, int, int,
             },
         )
         evaluations += result.nfev
+        # Nelder-Mead status 1: stopped at maxfev (maxiter is unlimited here)
+        capped_rounds += result.status == 1
         x = result.x
         restored = kernel.project(x)
         if restored is not None:
@@ -475,7 +483,7 @@ def _penalty_loop(x: np.ndarray, kernel: _Kernel) -> tuple[np.ndarray, int, int,
         if mu >= 1e8 and r <= FEASIBILITY_TOL and rounds - improved_at >= _STALL_ROUNDS:
             break
         mu = min(mu * 10.0, 1e8)
-    return x, rounds, evaluations, tuple(trajectory), best
+    return x, rounds, evaluations, capped_rounds, tuple(trajectory), best
 
 
 def _simplex(x: np.ndarray, scale: float) -> np.ndarray:

@@ -16,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     DiameterViolation,
     FaceCycleError,
     GeometryError,
@@ -191,10 +192,10 @@ def validate_vertex_set(points: np.ndarray, tol: float = DEFAULT_TOL) -> VertexS
     """Check diameter one and the extremal count of 2m - 2 unit distances."""
     pts = np.array(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (m, 3) array, got shape {pts.shape}")
+        raise ArgumentError(f"expected an (m, 3) array, got shape {pts.shape}")
     m = pts.shape[0]
     if m < 4:
-        raise ValueError(f"at least four points required, got {m}")
+        raise ArgumentError(f"at least four points required, got {m}")
     dist = _pairwise(pts)
     iu = np.triu_indices(m, 1)
     upper = dist[iu]
@@ -280,7 +281,7 @@ def build_meissner(vs: VertexSet, choice: SmoothingChoice | None = None) -> Meis
     if choice is None:
         choice = optimal_smoothing(pairs)
     elif len(choice.bits) != len(pairs):
-        raise ValueError(f"{len(choice.bits)} smoothing bits for {len(pairs)} pairs")
+        raise ArgumentError(f"{len(choice.bits)} smoothing bits for {len(pairs)} pairs")
     return MeissnerPolyhedron(vs, pairs, choice)
 
 

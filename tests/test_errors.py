@@ -1,0 +1,46 @@
+"""Library argument errors share one type inside the ValidationError family."""
+
+import numpy as np
+import pytest
+
+from meissner import (
+    ArgumentError,
+    BallSystem,
+    SmoothingChoice,
+    ValidationError,
+    build_meissner,
+    mc_volume,
+    optimize_pyramid,
+    regular_pyramid,
+    regular_tetrahedron,
+    tessellate,
+    validate_vertex_set,
+    width_samples,
+    write_mesh,
+)
+
+
+def test_argument_error_is_a_validation_error_and_a_value_error():
+    assert issubclass(ArgumentError, ValidationError)
+    assert issubclass(ArgumentError, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tmp: validate_vertex_set(np.zeros((4, 2))),
+        lambda tmp: validate_vertex_set(np.zeros((3, 3))),
+        lambda tmp: build_meissner(regular_tetrahedron(), SmoothingChoice((True,))),
+        lambda tmp: regular_pyramid(0),
+        lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 0, seed=0),
+        lambda tmp: width_samples(BallSystem.from_points(np.zeros((1, 3))), 0, seed=0),
+        lambda tmp: optimize_pyramid(4),
+        lambda tmp: tessellate(build_meissner(regular_tetrahedron()), 9),
+        lambda tmp: write_mesh(
+            tessellate(build_meissner(regular_tetrahedron()), 0), tmp / "x.stl", fmt="stl"
+        ),
+    ],
+)
+def test_bad_arguments_raise_argument_error(call, tmp_path):
+    with pytest.raises(ArgumentError):
+        call(tmp_path)

@@ -1,6 +1,5 @@
 """Tessellation: watertightness, convergence, and file output."""
 
-import math
 from collections import Counter
 
 import numpy as np
@@ -13,13 +12,14 @@ from meissner import (
     mesh_area,
     meissner_area,
     meissner_volume,
+    random_feasible_pyramid,
     regular_tetrahedron,
     reuleaux_area,
     tessellate,
     tessellate_reuleaux,
-    unit_sphere_mesh,
     write_mesh,
 )
+from meissner.montecarlo import BallSystem, _max_dist_sq
 from conftest import REULEAUX_TETRA_AREA
 
 
@@ -45,24 +45,6 @@ def signed_volume(mesh: TriangleMesh) -> float:
     )
 
 
-@pytest.mark.parametrize("depth", [0, 1, 2, 3])
-def test_unit_sphere_mesh(depth):
-    mesh = unit_sphere_mesh(depth)
-    assert len(mesh.vertices) == 10 * 4**depth + 2
-    assert len(mesh.faces) == 20 * 4**depth
-    assert_watertight(mesh)
-    norms = np.linalg.norm(mesh.vertices, axis=1)
-    assert norms == pytest.approx(1.0, abs=1e-12)
-    # inscribed, so the area approaches 4*pi from below
-    assert mesh_area(mesh) < 4.0 * math.pi
-
-
-def test_sphere_mesh_area_converges():
-    areas = [mesh_area(unit_sphere_mesh(d)) for d in range(4)]
-    assert areas == sorted(areas)
-    assert areas[3] == pytest.approx(4.0 * math.pi, rel=5e-3)
-
-
 def test_single_triangle_mesh():
     mesh = TriangleMesh(
         np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
@@ -85,18 +67,20 @@ def test_meissner_mesh_watertight(tetra_poly):
     assert set(np.unique(mesh.face_groups)) == set(range(10))
 
 
-def test_meissner_mesh_vertices_on_surface(tetra_poly):
-    from meissner.montecarlo import BallSystem, _max_dist_sq
-
-    mesh = tessellate(tetra_poly, 2)
-    system = BallSystem.from_meissner(tetra_poly)
-    far = np.zeros(len(mesh.vertices))
+def farthest_generator(system: BallSystem, pts: np.ndarray) -> np.ndarray:
+    far = np.zeros(len(pts))
     for c in system.centers:
-        far = np.maximum(far, ((mesh.vertices - c) ** 2).sum(axis=1))
+        far = np.maximum(far, ((pts - c) ** 2).sum(axis=1))
     for arc in system.arcs:
-        far = np.maximum(far, _max_dist_sq(arc, mesh.vertices))
+        far = np.maximum(far, _max_dist_sq(arc, pts))
+    return np.sqrt(far)
+
+
+def test_meissner_mesh_vertices_on_surface(tetra_poly):
+    mesh = tessellate(tetra_poly, 2)
     # every mesh vertex lies on the boundary: farthest generator at distance 1
-    assert np.sqrt(far) == pytest.approx(1.0, abs=1e-9)
+    far = farthest_generator(BallSystem.from_meissner(tetra_poly), mesh.vertices)
+    assert far == pytest.approx(1.0, abs=1e-9)
 
 
 def test_meissner_mesh_area_converges(tetra_poly):
@@ -176,4 +160,29 @@ def test_bad_arguments(tetra_poly, tmp_path):
     with pytest.raises(ValueError, match="refinement"):
         tessellate(tetra_poly, 9)
     with pytest.raises(ValueError, match="format"):
-        write_mesh(unit_sphere_mesh(0), tmp_path / "x.stl", fmt="stl")
+        write_mesh(tessellate(tetra_poly, 0), tmp_path / "x.stl", fmt="stl")
+
+
+@pytest.mark.parametrize("seed", [3, 17, 40])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_mesh_invariants_on_random_bodies(k, seed):
+    vs = random_feasible_pyramid(k, seed)
+    poly = build_meissner(vs)
+    for refinement in range(4):
+        n = 2**refinement
+        meshes = (
+            (tessellate(poly, refinement), 10 * n * n - 6 * n, BallSystem.from_meissner(poly)),
+            (
+                tessellate_reuleaux(vs, poly.pairs, refinement),
+                12 * n * n - 8 * n,
+                BallSystem.from_points(vs.points),
+            ),
+        )
+        for mesh, faces_per_pair, system in meshes:
+            assert_watertight(mesh)
+            assert len(mesh.faces) == (vs.m - 1) * faces_per_pair
+            # a closed triangulated sphere has 3F = 2E, so chi = 2 gives V = 2 + F/2
+            assert len(mesh.vertices) == 2 + len(mesh.faces) // 2
+            far = farthest_generator(system, mesh.vertices)
+            assert far == pytest.approx(1.0, abs=1e-9)
+            assert signed_volume(mesh) > 0.0

@@ -14,7 +14,7 @@ from meissner import (
     regular_tetrahedron,
     width_samples,
 )
-from meissner.montecarlo import contains, max_dist_point_to_arc, support
+from meissner.montecarlo import _inside, _max_dist_sq, support
 
 
 @pytest.fixture(scope="module")
@@ -33,20 +33,20 @@ def test_max_dist_point_to_arc_matches_brute_force(tetra_poly):
         arc = tetra_poly.retained_arc(i)
         ts = np.linspace(0.0, arc.sweep, 4001)
         samples = np.stack([arc.point(t) for t in ts])
-        for _ in range(20):
-            p = rng.normal(scale=1.5, size=3)
-            brute = float(np.max(np.linalg.norm(samples - p, axis=1)))
-            exact = max_dist_point_to_arc(p, arc)
-            assert brute <= exact + 1e-12
-            assert exact <= brute + 1e-6
+        pts = np.stack([rng.normal(scale=1.5, size=3) for _ in range(20)])
+        brute = np.array([np.max(np.linalg.norm(samples - p, axis=1)) for p in pts])
+        exact = np.sqrt(_max_dist_sq(arc, pts))
+        assert np.all(brute <= exact + 1e-12)
+        assert np.all(exact <= brute + 1e-6)
 
 
 def test_contains(tetra_poly, tetra_system):
     pts = tetra_poly.vertices.points
-    for p in pts:
-        assert contains(tetra_system, p)
-    assert contains(tetra_system, pts.mean(axis=0))
-    assert not contains(tetra_system, pts[0] + np.array([1.01, 0.0, 0.0]))
+    # the vertices lie on the boundary, where squared distances read up
+    # to 1 + 2.2e-16, so they are inside only up to rounding
+    assert _inside(tetra_system, pts, slack=1e-12).all()
+    probes = np.stack([pts.mean(axis=0), pts[0] + np.array([1.01, 0.0, 0.0])])
+    assert _inside(tetra_system, probes).tolist() == [True, False]
 
 
 def test_single_ball_is_exact():

@@ -125,6 +125,14 @@ def test_optimize_pyramid_n5():
     assert finite == sorted(finite)
     # the winning configuration is a genuine extremal set
     validate_vertex_set(report.best_points, tol=1e-6)
+    # every round of the regular start ends at the simplex tolerances
+    assert report.records[0].capped_rounds == 0
+
+
+def test_rounds_cut_off_at_maxfev_are_counted():
+    # the first penalty rounds of the regular n = 7 start run out of evaluations
+    rec = optimize_pyramid(7, restarts=1).records[0]
+    assert 1 <= rec.capped_rounds <= rec.rounds
 
 
 def test_optimize_meissner_tetrahedron_is_rigid():
