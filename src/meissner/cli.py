@@ -25,6 +25,7 @@ from .optimize import (
     optimize_pyramid,
 )
 from .polytope import (
+    MeissnerPolyhedron,
     SmoothingChoice,
     build_diameter_graph,
     build_meissner,
@@ -137,11 +138,10 @@ def _smoothing_choice(spec: str, count: int) -> SmoothingChoice | None:
     return SmoothingChoice(tuple(c == "1" for c in bits))
 
 
-def _load_meissner(path: str, smoothing: str):
-    vs = load_vertex_file(path, _tolerance())
-    pairs = find_dual_pairs(build_diameter_graph(vs), vs)
-    choice = _smoothing_choice(smoothing, len(pairs))
-    return build_meissner(vs, choice), pairs
+def _load_meissner(path: str, smoothing: str) -> MeissnerPolyhedron:
+    poly = build_meissner(load_vertex_file(path, _tolerance()))
+    choice = _smoothing_choice(smoothing, len(poly.pairs))
+    return poly if choice is None else MeissnerPolyhedron(poly.vertices, poly.pairs, choice)
 
 
 def _cmd_validate(args) -> int:
@@ -156,44 +156,35 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    poly, pairs = _load_meissner(args.file, args.smoothing)
-    rows = []
-    for i, pair in enumerate(pairs):
+    poly = _load_meissner(args.file, args.smoothing)
+    table = ["pair,e_i,e_j,dual_i,dual_j,theta,theta_dual,phi,phi_dual,alpha,f"]
+    for i, pair in enumerate(poly.pairs):
         g = pair.geometry
-        rows.append(
-            (
-                i,
-                pair.edge[0],
-                pair.edge[1],
-                pair.edge_dual[0],
-                pair.edge_dual[1],
-                g.lengths.theta,
-                g.lengths.theta_dual,
-                g.phi,
-                g.phi_dual,
-                g.alpha,
-                f_pair(poly.retained_lengths(i)),
-            )
+        row = (
+            i,
+            pair.edge[0],
+            pair.edge[1],
+            pair.edge_dual[0],
+            pair.edge_dual[1],
+            g.lengths.theta,
+            g.lengths.theta_dual,
+            g.phi,
+            g.phi_dual,
+            g.alpha,
+            f_pair(poly.retained_lengths(i)),
         )
-    area = meissner_area(poly)
-    volume = meissner_volume(poly)
-    r_area = reuleaux_area(poly.vertices, pairs)
-    header = "pair,e_i,e_j,dual_i,dual_j,theta,theta_dual,phi,phi_dual,alpha,f"
-    print(header)
-    for row in rows:
-        print(",".join(_fmt(v) for v in row))
+        table.append(",".join(_fmt(v) for v in row))
+    summary = [
+        f"meissner_area,{meissner_area(poly):.17g}",
+        f"meissner_volume,{meissner_volume(poly):.17g}",
+        f"reuleaux_area,{reuleaux_area(poly.vertices, poly.pairs):.17g}",
+    ]
+    print("\n".join(table))
     print(f"smoothing,{''.join('1' if b else '0' for b in poly.choice.bits)}")
-    print(f"meissner_area,{area:.17g}")
-    print(f"meissner_volume,{volume:.17g}")
-    print(f"reuleaux_area,{r_area:.17g}")
+    print("\n".join(summary))
     if args.csv:
-        lines = [header]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
-        lines.append(f"meissner_area,{area:.17g}")
-        lines.append(f"meissner_volume,{volume:.17g}")
-        lines.append(f"reuleaux_area,{r_area:.17g}")
         with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("\n".join(table + summary) + "\n")
     return 0
 
 
@@ -220,7 +211,7 @@ def _cmd_mc_check(args) -> int:
         raise ParseError(f"--samples must be positive, got {args.samples}")
     if args.threads < 1:
         raise ParseError(f"--threads must be positive, got {args.threads}")
-    poly, _ = _load_meissner(args.file, args.smoothing)
+    poly = _load_meissner(args.file, args.smoothing)
     system = BallSystem.from_meissner(poly)
     result = mc_volume(system, args.samples, args.seed, threads=args.threads)
     closed = meissner_volume(poly)
@@ -355,13 +346,13 @@ def _derivative_check() -> bool:
 def _cmd_mesh(args) -> int:
     if not 0 <= args.refine <= 8:
         raise ParseError(f"--refine must be in [0, 8], got {args.refine}")
-    poly, pairs = _load_meissner(args.file, args.smoothing)
+    poly = _load_meissner(args.file, args.smoothing)
     if args.body == "meissner":
         mesh = tessellate(poly, args.refine)
         closed = meissner_area(poly)
     else:
-        mesh = tessellate_reuleaux(poly.vertices, pairs, args.refine)
-        closed = reuleaux_area(poly.vertices, pairs)
+        mesh = tessellate_reuleaux(poly.vertices, poly.pairs, args.refine)
+        closed = reuleaux_area(poly.vertices, poly.pairs)
     write_mesh(mesh, args.out, args.format)
     area = mesh_area(mesh)
     print(f"vertices: {len(mesh.vertices)}")

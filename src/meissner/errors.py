@@ -16,7 +16,6 @@ __all__ = [
     "EmptySystem",
     "ParseError",
     "ValidationMismatch",
-    "NotAWheel",
     "InfeasibleStart",
 ]
 
@@ -30,7 +29,7 @@ class GeometryError(MeissnerError):
 
 
 class NoIntersection(GeometryError):
-    """Two circles on the unit sphere do not intersect."""
+    """The balls of a system have no common point."""
 
 
 class ValidationError(MeissnerError):
@@ -71,10 +70,6 @@ class ParseError(ValidationError):
 
 class ValidationMismatch(ValidationError):
     """Edges declared in a vertex file disagree with the computed graph."""
-
-
-class NotAWheel(ValidationError):
-    """The diameter graph is not a wheel, so pyramid analysis does not apply."""
 
 
 class InfeasibleStart(ValidationError):

@@ -178,8 +178,9 @@ def euler_characteristic(mesh: TriangleMesh) -> int:
     """V - E + F with edges counted once per undirected pair."""
     f = mesh.faces
     edges = np.concatenate([f[:, (0, 1)], f[:, (1, 2)], f[:, (2, 0)]])
-    edges = np.sort(edges, axis=1)
-    unique = np.unique(edges, axis=0)
+    edges = np.sort(edges, axis=1).astype(np.int64, copy=False)
+    # one int64 key per undirected edge; a 1-D unique is far cheaper than unique rows
+    unique = np.unique(edges[:, 0] * len(mesh.vertices) + edges[:, 1])
     return int(len(mesh.vertices) - len(unique) + len(f))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import ArgumentError, InfeasibleStart, NotAWheel, ValidationError
+from .errors import ArgumentError, InfeasibleStart, ValidationError
 from .polytope import (
     DiameterGraph,
     VertexSet,
@@ -26,7 +26,6 @@ from .polytope import (
     meissner_area,
     validate_vertex_set,
 )
-from .sphere import PairLengths, chord_to_arc, dihedral_angle
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -35,7 +34,6 @@ __all__ = [
     "OptimizationProblem",
     "RestartRecord",
     "OptimizationReport",
-    "pyramid_objective",
     "optimize_pyramid",
     "optimize_meissner",
     "random_feasible_pyramid",
@@ -90,28 +88,6 @@ class OptimizationReport:
     best_residual: float
     records: tuple[RestartRecord, ...]
     trajectory: tuple[float, ...]
-
-
-def pyramid_objective(vs: VertexSet) -> float:
-    """Sum over dual pairs of cos(theta(e')/2)*phi(e') with e' the apex edge.
-
-    Requires wheel combinatorics; the Meissner area of the pyramid is
-    then 2*pi - (pi/3) times this value, so larger is better.  The value
-    never exceeds 3*(sqrt(3)/2)*arccos(1/3), attained by tetrahedra.
-    """
-    graph = build_diameter_graph(vs)
-    hub = _wheel_hub(graph)
-    total = []
-    for e, e_dual in dual_pair_indices(graph):
-        apex, base = (e, e_dual) if hub in e else (e_dual, e)
-        if hub not in apex or hub in base:
-            raise NotAWheel(f"pair {(e, e_dual)} does not split into apex and base edges")
-        pts = vs.points
-        theta_apex = chord_to_arc(float(np.linalg.norm(pts[apex[0]] - pts[apex[1]])), vs.tol)
-        theta_base = chord_to_arc(float(np.linalg.norm(pts[base[0]] - pts[base[1]])), vs.tol)
-        phi_apex = dihedral_angle(PairLengths(theta_apex, theta_base))
-        total.append(math.cos(theta_apex / 2) * phi_apex)
-    return math.fsum(total)
 
 
 def optimize_pyramid(n: int, restarts: int = 1, seed: int = 0) -> OptimizationReport:
@@ -189,8 +165,7 @@ class _Kernel:
     j: np.ndarray
     floor: np.ndarray
     soft: Callable[[np.ndarray], float]  # squared distances -> soft objective
-    exact: Callable[[VertexSet], float]  # objective of a validated set
-    area: Callable[[float], float]  # area at an objective value
+    scale: float  # area = 2*pi - scale * objective
 
     def squared(self, x: np.ndarray) -> np.ndarray:
         pts = self.points(x)
@@ -215,25 +190,27 @@ class _Kernel:
     def evaluate(self, x: np.ndarray) -> tuple[float, float, bool, bool]:
         """Objective, area, strict-validity flag, on-domain flag.
 
-        Points that fail strict validation get a second chance after
-        merging coincident vertices: the collapse of a pyramid onto a
-        smaller wheel (the tetrahedron, in the limit) is then scored by
-        the closed form of the merged body.  The soft objective applied
-        to anything else no longer measures an area, so such points are
-        flagged off-domain and only ever reported for runs that found
-        nothing better.
+        Validated points are scored by the closed form `meissner_area`,
+        whatever their diameter graph, and their objective is read back
+        from the area.  Points that fail strict validation get a second
+        chance after merging coincident vertices: the collapse of a
+        pyramid onto a smaller wheel (the tetrahedron, in the limit) is
+        then scored by the closed form of the merged body.  The soft
+        objective applied to anything else no longer measures an area,
+        so such points are flagged off-domain and only ever reported for
+        runs that found nothing better.
         """
         pts = self.points(x)
         for candidate in (pts, _merged_distinct(pts)):
             if candidate is None or len(candidate) < 4:
                 continue
             try:
-                objective = self.exact(validate_vertex_set(candidate, tol=VALIDATION_TOL))
+                area = meissner_area(build_meissner(validate_vertex_set(candidate, tol=VALIDATION_TOL)))
             except ValidationError:
                 continue
-            return objective, self.area(objective), candidate is pts, True
+            return (2.0 * math.pi - area) / self.scale, area, candidate is pts, True
         objective = self.soft(self.squared(x))
-        return objective, self.area(objective), False, False
+        return objective, 2.0 * math.pi - self.scale * objective, False, False
 
 
 def _pyramid_kernel(k: int) -> _Kernel:
@@ -258,8 +235,8 @@ def _pyramid_kernel(k: int) -> _Kernel:
         partner.ravel() + 1,
         floor=np.r_[np.zeros((k - 1) * n), np.full(n, -np.inf)],
         soft=soft,
-        exact=pyramid_objective,
-        area=lambda objective: 2.0 * math.pi - (math.pi / 3.0) * objective,
+        # the smoothed apex edge of every pair has arc pi/3, so its gain is pi/3 * cos30 * phi
+        scale=math.pi / 3.0,
     )
 
 
@@ -296,8 +273,7 @@ def _general_kernel(graph: DiameterGraph) -> _Kernel:
         j,
         floor=np.r_[np.full(n_edges, -np.inf), np.zeros(len(pairs) - n_edges)],
         soft=soft,
-        exact=lambda vs: 2.0 * math.pi - meissner_area(build_meissner(vs)),
-        area=lambda objective: 2.0 * math.pi - objective,
+        scale=1.0,
     )
 
 
@@ -511,34 +487,3 @@ def _assemble_report(records, trajectories, points) -> OptimizationReport:
         trajectory=trajectories[best],
     )
 
-
-def _wheel_hub(graph: DiameterGraph) -> int:
-    degrees = graph.degrees()
-    m = graph.m
-    hubs = [i for i, d in enumerate(degrees) if d == m - 1]
-    if not hubs:
-        raise NotAWheel("no vertex is adjacent to all others")
-    hub = hubs[0]
-    rest = [i for i in range(m) if i != hub]
-    if any(degrees[i] != 3 for i in rest):
-        raise NotAWheel("base vertices must have degree 3")
-    adj = graph.adjacency()
-    base_adj = {i: sorted((adj[i] - {hub})) for i in rest}
-    if any(len(v) != 2 for v in base_adj.values()):
-        raise NotAWheel("base vertices must have exactly two base neighbors")
-    # base must be one single cycle
-    start = rest[0]
-    prev, cur = None, start
-    visited = 0
-    while True:
-        visited += 1
-        a, b = base_adj[cur]
-        nxt = b if a == prev else a
-        prev, cur = cur, nxt
-        if cur == start:
-            break
-        if visited > m:
-            raise NotAWheel("base neighbors do not close a cycle")
-    if visited != m - 1:
-        raise NotAWheel("base splits into more than one cycle")
-    return hub

@@ -131,7 +131,6 @@ class DualPairGeometry:
     phi: float
     phi_dual: float
     alpha: float
-    midpoint_distance: float
     arc: Arc
     arc_dual: Arc
 
@@ -321,12 +320,7 @@ def face_cycles(vs: VertexSet, graph: DiameterGraph) -> list[list[int]]:
 
 def surface_decomposition(poly: MeissnerPolyhedron) -> SurfaceDecomposition:
     """Per-patch areas: one spherical face per vertex, a wedge and a spindle per pair."""
-    vs = poly.vertices
-    graph = build_diameter_graph(vs)
-    patches: list[SurfacePatch] = []
-    for i, cycle in enumerate(face_cycles(vs, graph)):
-        angles = _face_interior_angles(vs.points, i, cycle)
-        patches.append(SurfacePatch("face", i, geodesic_polygon_area(angles)))
+    patches = [SurfacePatch("face", i, area) for i, area in enumerate(_face_areas(poly.vertices))]
     for i in range(len(poly.pairs)):
         lengths = poly.retained_lengths(i)
         patches.append(SurfacePatch("wedge", i, wedge_area(lengths)))
@@ -344,17 +338,16 @@ def direction_sphere_partition(poly: MeissnerPolyhedron) -> float:
     The faces and the rectangles R(theta, theta') of the dual pairs tile
     half the directions once, so the sum must be 2*pi.
     """
-    vs = poly.vertices
-    graph = build_diameter_graph(vs)
-    faces = [
+    rects = [rect_area(p.geometry.lengths.theta, p.geometry.lengths.theta_dual) for p in poly.pairs]
+    return math.fsum(_face_areas(poly.vertices)) + math.fsum(rects)
+
+
+def _face_areas(vs: VertexSet) -> list[float]:
+    """Geodesic area of the spherical face at each vertex."""
+    return [
         geodesic_polygon_area(_face_interior_angles(vs.points, i, cycle))
-        for i, cycle in enumerate(face_cycles(vs, graph))
+        for i, cycle in enumerate(face_cycles(vs, build_diameter_graph(vs)))
     ]
-    rects = [
-        rect_area(p.geometry.lengths.theta, p.geometry.lengths.theta_dual)
-        for p in poly.pairs
-    ]
-    return math.fsum(faces) + math.fsum(rects)
 
 
 def _pairwise(pts: np.ndarray) -> np.ndarray:
@@ -372,10 +365,9 @@ def _pair_geometry(vs: VertexSet, e: Edge, e_dual: Edge) -> DualPairGeometry:
     phi = dihedral_angle(lengths)
     phi_dual = dihedral_angle(lengths.swapped())
     alpha = wedge_angle(lengths)
-    d_mid = float(np.linalg.norm((x + y) / 2 - (xd + yd) / 2))
     arc = _edge_arc(x, y, xd, yd, vs.tol)
     arc_dual = _edge_arc(xd, yd, x, y, vs.tol)
-    return DualPairGeometry(lengths, phi, phi_dual, alpha, d_mid, arc, arc_dual)
+    return DualPairGeometry(lengths, phi, phi_dual, alpha, arc, arc_dual)
 
 
 def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol: float) -> Arc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DiameterViolation, GeometryError, NoIntersection
+from .errors import DiameterViolation, GeometryError
 
 __all__ = [
     "CLAMP_TOL",
@@ -21,8 +21,6 @@ __all__ = [
     "PairLengths",
     "chord_to_arc",
     "dihedral_angle",
-    "midpoint_distance",
-    "circle_intersection_angle",
     "wedge_angle",
     "rect_area",
     "wedge_area",
@@ -30,7 +28,6 @@ __all__ = [
     "f_pair",
     "f_partial_x",
     "geodesic_polygon_area",
-    "arc_polygon_area",
 ]
 
 CLAMP_TOL = 1e-9
@@ -82,41 +79,6 @@ def dihedral_angle(lengths: PairLengths) -> float:
     """Dihedral angle phi(e) of the first edge: sin(phi/2) = sin(theta'/2)/cos(theta/2)."""
     s = math.sin(lengths.theta_dual / 2) / math.cos(lengths.theta / 2)
     return 2.0 * math.asin(_clamped(s))
-
-
-def midpoint_distance(lengths: PairLengths) -> float:
-    """Distance cos(phi(e)/2)*cos(theta(e)/2) between the midpoints of a dual pair.
-
-    Symmetric in the two edges even though the formula is not visibly so.
-    """
-    phi = dihedral_angle(lengths)
-    return math.cos(phi / 2) * math.cos(lengths.theta / 2)
-
-
-def circle_intersection_angle(theta1: float, theta2: float, separation: float) -> float:
-    """Angle alpha at the first circle's center in a spherical circle crossing.
-
-    Solves cos(separation) = cos(theta1)cos(theta2) + sin(theta1)sin(theta2)cos(alpha)
-    for alpha, where theta1, theta2 are the spherical radii of two circles
-    on the unit sphere and separation is the angle between their centers.
-    Raises NoIntersection when the circles do not meet.
-    """
-    for value in (theta1, theta2):
-        if not -CLAMP_TOL <= value <= math.pi / 2 + CLAMP_TOL:
-            raise GeometryError(f"spherical radius {value!r} outside [0, pi/2]")
-    num = math.cos(separation) - math.cos(theta1) * math.cos(theta2)
-    denom = math.sin(theta1) * math.sin(theta2)
-    if denom < 1e-15:
-        # one circle degenerates to a point; tangency is the only contact
-        if abs(num) <= 1e-12:
-            return 0.0
-        raise NoIntersection(f"degenerate circle misses: radii {theta1!r}, {theta2!r}")
-    c = num / denom
-    if c > 1.0 + CLAMP_TOL or c < -1.0 - CLAMP_TOL:
-        raise NoIntersection(
-            f"circles of radii {theta1!r}, {theta2!r} at separation {separation!r} do not meet"
-        )
-    return math.acos(_clamped(c))
 
 
 def wedge_angle(lengths: PairLengths) -> float:
@@ -198,27 +160,3 @@ def geodesic_polygon_area(angles: list[float] | tuple[float, ...], tol: float = 
     if area < -tol:
         raise GeometryError(f"negative polygon area {area!r}")
     return max(area, 0.0)
-
-
-def arc_polygon_area(
-    turning_angles: list[float] | tuple[float, ...],
-    arcs: list[tuple[float, float]] | tuple[tuple[float, float], ...],
-    tol: float = 1e-9,
-) -> float:
-    """Gauss-Bonnet area of a spherical region bounded by circle arcs.
-
-    turning_angles are the exterior angles at the corners; arcs is a list
-    of (euclidean_radius, arc_length) pairs, one per boundary arc.  A
-    circle of euclidean radius r on the unit sphere has geodesic
-    curvature sqrt(1 - r^2)/r, so the area is
-    2*pi - sum(turning) - sum(curvature * length).
-    """
-    total = 2.0 * math.pi - math.fsum(turning_angles)
-    for radius, length in arcs:
-        if radius <= 0.0 or radius > 1.0 + CLAMP_TOL:
-            raise GeometryError(f"arc radius {radius!r} outside (0, 1]")
-        radius = min(radius, 1.0)
-        total -= math.sqrt(max(1.0 - radius * radius, 0.0)) / radius * length
-    if total < -tol:
-        raise GeometryError(f"negative region area {total!r}")
-    return max(total, 0.0)

@@ -7,7 +7,6 @@ import pytest
 
 from meissner import (
     InfeasibleStart,
-    NotAWheel,
     OptimizationProblem,
     TETRAHEDRON_AREA,
     TETRAHEDRON_VOLUME,
@@ -17,7 +16,6 @@ from meissner import (
     meissner_area,
     optimize_meissner,
     optimize_pyramid,
-    pyramid_objective,
     random_feasible_pyramid,
     regular_pyramid,
     regular_tetrahedron,
@@ -46,18 +44,24 @@ def test_tetrahedron_bound_constants():
     assert TETRAHEDRON_VOLUME == pytest.approx(TETRAHEDRON_AREA / 2 - math.pi / 3, abs=1e-15)
 
 
+def _pyramid_objective(vs):
+    """The pyramid search's objective of a wheel, (2*pi - area) / (pi/3)."""
+    return (2.0 * math.pi - meissner_area(build_meissner(vs))) * 3.0 / math.pi
+
+
 def test_pyramid_objective_regular_values():
-    assert pyramid_objective(regular_tetrahedron()) == pytest.approx(
-        PYRAMID_OBJECTIVE_MAX, abs=1e-12
-    )
-    assert pyramid_objective(regular_pyramid(2)) == pytest.approx(PYR2_OBJECTIVE, abs=1e-12)
-    assert pyramid_objective(regular_pyramid(3)) == pytest.approx(PYR3_OBJECTIVE, abs=1e-12)
+    # k = 1 is the regular tetrahedron
+    for k, expected in ((1, PYRAMID_OBJECTIVE_MAX), (2, PYR2_OBJECTIVE), (3, PYR3_OBJECTIVE)):
+        kernel = _pyramid_kernel(k)
+        angles = _regular_angles(k)
+        assert -kernel.merit(angles, 0.0) == pytest.approx(expected, abs=1e-12)
+        objective, _, validated, on_domain = kernel.evaluate(angles)
+        assert objective == pytest.approx(expected, abs=1e-12)
+        assert validated and on_domain
 
 
 def test_objective_ties_out_to_the_area(pyr2_poly):
-    from meissner import meissner_area
-
-    objective = pyramid_objective(pyr2_poly.vertices)
+    objective = -_pyramid_kernel(2).merit(_regular_angles(2), 0.0)
     assert meissner_area(pyr2_poly) == pytest.approx(
         2.0 * math.pi - math.pi / 3.0 * objective, abs=1e-12
     )
@@ -66,31 +70,21 @@ def test_objective_ties_out_to_the_area(pyr2_poly):
 def test_objective_is_gauge_invariant():
     rng = np.random.default_rng(21)
     vs = regular_pyramid(2)
-    base = pyramid_objective(vs)
+    base = meissner_area(build_meissner(vs))
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     if np.linalg.det(q) < 0:
         q[:, 0] = -q[:, 0]
     moved = validate_vertex_set(vs.points @ q.T + rng.normal(size=3))
-    assert pyramid_objective(moved) == pytest.approx(base, abs=1e-10)
+    assert meissner_area(build_meissner(moved)) == pytest.approx(base, abs=1e-10)
 
 
-def test_non_wheel_raises(tetra_vs):
-    # a fifth point with only two unit distances cannot be a wheel rim
-    pts = tetra_vs.points
-    mid = (pts[0] + pts[1]) / 2
-    axis = pts[1] - pts[0]
-    axis = axis / np.linalg.norm(axis)
-    u = pts[2] - mid
-    u = u - axis * (u @ axis)
-    r = np.linalg.norm(u)
-    u = u / r
-    w = np.cross(axis, u)
-    rel = pts[3] - mid
-    half = 0.5 * math.atan2(rel @ w, rel @ u)
-    extra = mid + r * (math.cos(half) * u + math.sin(half) * w)
-    vs5 = validate_vertex_set(np.vstack([pts, extra]))
-    with pytest.raises(NotAWheel):
-        pyramid_objective(vs5)
+def test_collapsed_wheel_is_scored_as_the_tetrahedron():
+    # base vertices paired onto a triangle: strict validation fails, the merged set is a tetrahedron
+    angles = _regular_angles(1).reshape(3, 2)[[0, 0, 1, 1, 2]].ravel()
+    objective, area, validated, on_domain = _pyramid_kernel(2).evaluate(angles)
+    assert objective == pytest.approx(PYRAMID_OBJECTIVE_MAX, abs=1e-12)
+    assert area == pytest.approx(TETRA_AREA, abs=1e-12)
+    assert not validated and on_domain
 
 
 def test_optimize_pyramid_rejects_bad_n():
@@ -157,7 +151,7 @@ def test_random_feasible_pyramid():
     for seed in (0, 1, 2):
         vs = random_feasible_pyramid(2, seed=seed)
         assert vs.m == 6
-        objective = pyramid_objective(vs)
+        objective = _pyramid_objective(vs)
         assert objective <= PYRAMID_OBJECTIVE_MAX + 1e-9
         # perturbations sit near, and generically below, the regular value
         assert abs(objective - PYR2_OBJECTIVE) < 0.05
@@ -240,7 +234,7 @@ def test_merit_kernels_at_feasible_points():
         base = vs.points[1:]
         angles = np.ravel(np.column_stack((np.arccos(base[:, 2]), np.arctan2(base[:, 1], base[:, 0]))))
         kernel = _pyramid_kernel(k)
-        assert -kernel.merit(angles, 0.0) == pytest.approx(pyramid_objective(vs), abs=1e-12)
+        assert -kernel.merit(angles, 0.0) == pytest.approx(_pyramid_objective(vs), abs=1e-12)
         assert kernel.merit(angles, 1.0) - kernel.merit(angles, 0.0) == pytest.approx(0.0, abs=1e-15)
     for graph, vs in _general_starts():
         coords = _gauge_coords(vs.points)

@@ -61,7 +61,6 @@ def test_tetrahedron_graph_and_pairs(tetra_vs, tetra_pairs):
         assert g.lengths.theta == pytest.approx(PI3, abs=1e-12)
         assert g.lengths.theta_dual == pytest.approx(PI3, abs=1e-12)
         assert g.phi == pytest.approx(ACOS_THIRD, abs=1e-12)
-        assert g.midpoint_distance == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
 
 
 def test_pair_count_is_m_minus_one(tetra_vs, pyr2_vs, pyr3_vs):

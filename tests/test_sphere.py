@@ -9,23 +9,17 @@ from hypothesis import strategies as st
 from meissner import (
     DiameterViolation,
     GeometryError,
-    NoIntersection,
     PairLengths,
     chord_to_arc,
     dihedral_angle,
     f_pair,
     f_partial_x,
-    midpoint_distance,
     rect_area,
     spindle_area,
     wedge_angle,
     wedge_area,
 )
-from meissner.sphere import (
-    arc_polygon_area,
-    circle_intersection_angle,
-    geodesic_polygon_area,
-)
+from meissner.sphere import geodesic_polygon_area
 
 from conftest import (
     ACOS_THIRD,
@@ -94,9 +88,7 @@ def test_rect_area_is_four_wedge_angles(x, y):
 @given(arc, arc)
 def test_pair_symmetries(x, y):
     lengths = PairLengths(x, y)
-    swapped = lengths.swapped()
-    assert abs(midpoint_distance(lengths) - midpoint_distance(swapped)) < 1e-14
-    assert abs(wedge_angle(lengths) - wedge_angle(swapped)) < 1e-14
+    assert abs(wedge_angle(lengths) - wedge_angle(lengths.swapped())) < 1e-14
 
 
 @given(arc, arc)
@@ -127,34 +119,6 @@ def test_f_partial_x_matches_finite_differences(x, y):
     assert abs(fd - exact) <= 1e-6 * max(1.0, abs(exact))
 
 
-def test_midpoint_distance_tetrahedron():
-    # perpendicular unit edges of the regular tetrahedron sit at 1/sqrt(2)
-    d = midpoint_distance(PairLengths(PI3, PI3))
-    assert d == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-15)
-
-
-def test_circle_intersection_angle_cases():
-    # equal circles touching at the equator midpoint
-    assert circle_intersection_angle(0.5, 0.5, 1.0) == pytest.approx(
-        math.acos((math.cos(1.0) - math.cos(0.5) ** 2) / math.sin(0.5) ** 2), abs=1e-14
-    )
-    # external tangency puts the contact point opposite the other center
-    assert circle_intersection_angle(0.3, 0.4, 0.7) == pytest.approx(math.pi, abs=2e-7)
-    # internal tangency puts it on the near side
-    assert circle_intersection_angle(0.4, 0.3, 0.1) == pytest.approx(0.0, abs=2e-7)
-    with pytest.raises(NoIntersection):
-        circle_intersection_angle(0.2, 0.2, 1.0)
-    with pytest.raises(GeometryError):
-        circle_intersection_angle(-0.2, 0.3, 0.1)
-
-
-def test_circle_intersection_degenerate_point():
-    # zero-radius circle only meets at exact tangency
-    assert circle_intersection_angle(0.0, 0.5, 0.5) == 0.0
-    with pytest.raises(NoIntersection):
-        circle_intersection_angle(0.0, 0.5, 0.8)
-
-
 def test_geodesic_polygon_area():
     # equilateral spherical triangle of the tetrahedron face normals
     area = geodesic_polygon_area([ACOS_THIRD] * 3)
@@ -163,17 +127,3 @@ def test_geodesic_polygon_area():
         geodesic_polygon_area([1.0, 2.0])
     with pytest.raises(GeometryError):
         geodesic_polygon_area([0.1, 0.1, 0.1])
-
-
-def test_arc_polygon_area_full_circle():
-    # a single full circle of euclidean radius r bounds a cap
-    for r in (0.2, 0.5, 0.9):
-        cap = arc_polygon_area([], [(r, 2.0 * math.pi * r)])
-        assert cap == pytest.approx(2.0 * math.pi * (1.0 - math.sqrt(1.0 - r * r)), abs=1e-12)
-
-
-def test_arc_polygon_area_rejects_bad_radius():
-    with pytest.raises(GeometryError):
-        arc_polygon_area([], [(1.5, 1.0)])
-    with pytest.raises(GeometryError):
-        arc_polygon_area([], [(0.0, 1.0)])
