@@ -188,35 +188,32 @@ def write_mesh(mesh: TriangleMesh, path: str | Path, fmt: str = "obj") -> None:
     """Write ASCII OBJ (with group markers) or PLY."""
     path = Path(path)
     if fmt == "obj":
-        lines = []
-        for p in mesh.vertices:
-            lines.append(f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-        current = -1
-        for face, grp in zip(mesh.faces, mesh.face_groups):
-            if grp != current:
-                lines.append(f"g {mesh.group_names[grp]}")
-                current = int(grp)
-            lines.append(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}")
-        path.write_text("\n".join(lines) + "\n")
+        parts = [_rows("v %.17g %.17g %.17g\n", mesh.vertices)]
+        groups = np.asarray(mesh.face_groups)
+        # one "g" line before each run of faces in the same group
+        starts = np.flatnonzero(np.diff(groups, prepend=-1))
+        for start, stop in zip(starts, np.r_[starts[1:], len(groups)]):
+            parts.append(f"g {mesh.group_names[groups[start]]}\n")
+            parts.append(_rows("f %d %d %d\n", mesh.faces[start:stop] + 1))
     elif fmt == "ply":
-        lines = [
-            "ply",
-            "format ascii 1.0",
-            f"element vertex {len(mesh.vertices)}",
-            "property double x",
-            "property double y",
-            "property double z",
-            f"element face {len(mesh.faces)}",
-            "property list uchar int vertex_indices",
-            "end_header",
+        parts = [
+            "ply\nformat ascii 1.0\n",
+            f"element vertex {len(mesh.vertices)}\n",
+            "property double x\nproperty double y\nproperty double z\n",
+            f"element face {len(mesh.faces)}\n",
+            "property list uchar int vertex_indices\nend_header\n",
+            _rows("%.17g %.17g %.17g\n", mesh.vertices),
+            _rows("3 %d %d %d\n", mesh.faces),
         ]
-        for p in mesh.vertices:
-            lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
-        for face in mesh.faces:
-            lines.append(f"3 {face[0]} {face[1]} {face[2]}")
-        path.write_text("\n".join(lines) + "\n")
     else:
         raise ArgumentError(f"unknown mesh format {fmt!r}")
+    # an empty OBJ is one empty line
+    path.write_text("".join(parts) or "\n")
+
+
+def _rows(line: str, array: np.ndarray) -> str:
+    """`line % row` for every row of a 2-D array, in one formatting call."""
+    return (line * len(array)) % tuple(np.ravel(array).tolist())
 
 
 def _grid_size(refinement: int) -> int:

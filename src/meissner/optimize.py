@@ -2,9 +2,11 @@
 
 Both searches maximize the total smoothing gain (equivalently minimize
 the closed-form surface area) under the unit-distance constraints of a
-diameter graph, using Nelder-Mead inside a quadratic penalty loop whose
-weight grows tenfold per round until the worst constraint residual
-drops below FEASIBILITY_TOL.
+diameter graph.  Each round of a quadratic penalty loop, whose weight
+grows tenfold per round until the worst constraint residual drops below
+FEASIBILITY_TOL, is solved by L-BFGS-B on the merit and its analytic
+gradient: the chain rule from the squared pair distances through the
+closed-form soft objective and penalty.
 """
 
 from __future__ import annotations
@@ -45,8 +47,13 @@ START_RESIDUAL_MAX = 0.1
 MERGE_TOL = 1e-5
 # 100x FEASIBILITY_TOL: iterates accepted as feasible, merged or not, must pass validation
 VALIDATION_TOL = 1e-6
+# objectives this close are one: restarts reaching the same body differ by rounding, ~1e-15
+TIE_TOL = 1e-12
 _MAX_ROUNDS = 18
 _STALL_ROUNDS = 3
+# a round ends when a step gains under 1e-10 relative or the projected gradient drops under 1e-8;
+# at ftol 1e-15, gtol 1e-10 the stiff mu = 1e8 rounds end in failed line searches instead
+_LBFGSB_OPTIONS = {"ftol": 1e-10, "gtol": 1e-8}
 _COS30 = math.cos(math.pi / 6)
 
 TETRAHEDRON_AREA = 2.0 * math.pi - (math.sqrt(3.0) / 2.0) * math.pi * math.acos(1.0 / 3.0)
@@ -73,7 +80,7 @@ class RestartRecord:
     residual: float
     rounds: int
     evaluations: int
-    capped_rounds: int  # rounds Nelder-Mead ended at maxfev, not at its tolerances
+    capped_rounds: int  # rounds whose solve missed its convergence test: a cap or a failed line search
     converged: bool
     validated: bool
     meets_tetrahedron_bound: bool
@@ -157,14 +164,18 @@ class _Kernel:
     Gram matrix loses short distances to cancellation.  Every pair is
     constrained; its violation (length minus one) is floored at `floor`,
     -inf for the equalities at distance one and 0 for the inequalities
-    at most one.
+    at most one.  Derivatives run through the same squared distances:
+    the soft objective returns its gradient with respect to them, and
+    `squared_jacobian` carries them to the parameters.
     """
 
     points: Callable[[np.ndarray], np.ndarray]  # parameters -> (m, 3) points
+    points_jacobian: Callable[[np.ndarray], np.ndarray]  # parameters -> (m, 3, parameters)
     i: np.ndarray
     j: np.ndarray
     floor: np.ndarray
-    soft: Callable[[np.ndarray], float]  # squared distances -> soft objective
+    # squared distances -> soft objective and its gradient in them
+    soft: Callable[[np.ndarray], tuple[float, np.ndarray]]
     scale: float  # area = 2*pi - scale * objective
 
     def squared(self, x: np.ndarray) -> np.ndarray:
@@ -172,20 +183,37 @@ class _Kernel:
         d = pts.take(self.i, axis=0) - pts.take(self.j, axis=0)
         return (d * d).sum(axis=1)
 
-    def merit(self, x: np.ndarray, mu: float) -> float:
-        """-objective + mu * penalty, the function Nelder-Mead minimizes."""
-        d2 = self.squared(x)
+    def squared_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Squared pair distances and their Jacobian, 2 d . (dp_i - dp_j)."""
+        pts, dpts = self.points(x), self.points_jacobian(x)
+        d = pts.take(self.i, axis=0) - pts.take(self.j, axis=0)
+        ddiff = dpts.take(self.i, axis=0) - dpts.take(self.j, axis=0)
+        return (d * d).sum(axis=1), 2.0 * np.einsum("rc,rcp->rp", d, ddiff)
+
+    def merit(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
+        """-objective + mu * penalty and its gradient, what L-BFGS-B minimizes."""
+        d2, jac = self.squared_jacobian(x)
         violation = np.maximum(d2 - 1.0, self.floor)
-        return -self.soft(d2) + mu * float(violation @ violation)
+        soft, dsoft = self.soft(d2)
+        # d(violation^2)/d(d2) = 2 * violation, also where the floor holds it at 0
+        return -soft + mu * float(violation @ violation), jac.T @ (2.0 * mu * violation - dsoft)
 
     def residual(self, x: np.ndarray) -> float:
         """Worst constraint violation, measured in distance."""
         return float(np.abs(np.maximum(np.sqrt(self.squared(x)) - 1.0, self.floor)).max())
 
     def project(self, x: np.ndarray) -> np.ndarray | None:
-        """Restore the equality constraints; None when Gauss-Newton fails."""
+        """Restore the equality constraints by Gauss-Newton; None when it fails."""
         eq = self.floor < 0.0
-        return _gauss_newton(x, lambda v: self.squared(v)[eq] - 1.0)
+        x = x.copy()
+        for _ in range(60):
+            d2, jac = self.squared_jacobian(x)
+            r = d2[eq] - 1.0
+            if float(np.abs(r).max()) <= 1e-13:
+                return x
+            step, *_ = np.linalg.lstsq(jac[eq], r, rcond=None)
+            x = x - step
+        return None
 
     def evaluate(self, x: np.ndarray) -> tuple[float, float, bool, bool]:
         """Objective, area, strict-validity flag, on-domain flag.
@@ -209,7 +237,7 @@ class _Kernel:
             except ValidationError:
                 continue
             return (2.0 * math.pi - area) / self.scale, area, candidate is pts, True
-        objective = self.soft(self.squared(x))
+        objective, _ = self.soft(self.squared(x))
         return objective, 2.0 * math.pi - self.scale * objective, False, False
 
 
@@ -224,13 +252,19 @@ def _pyramid_kernel(k: int) -> _Kernel:
     base = np.arange(n)
     partner = (base + np.arange(1, k + 1)[:, None]) % n
 
-    def soft(d2: np.ndarray) -> float:
-        phi = 2.0 * np.arcsin(np.minimum(np.sqrt(d2[:n]) / 2.0 / _COS30, 1.0))
-        return float(_COS30 * phi.sum())
+    def soft(d2: np.ndarray) -> tuple[float, np.ndarray]:
+        s = d2[:n]
+        phi = 2.0 * np.arcsin(np.minimum(np.sqrt(s) / 2.0 / _COS30, 1.0))
+        # d(cos30 * phi)/ds = 1 / (2 sqrt(s (1 - s/3))) inside the arcsine's range 0 < s < (2 cos30)^2 = 3
+        q = s * (1.0 - s / 3.0)
+        grad = np.zeros_like(d2)
+        np.divide(0.5, np.sqrt(np.maximum(q, 0.0)), out=grad[:n], where=q > 0.0)
+        return float(_COS30 * phi.sum()), grad
 
     # point 0 is the apex, base vertex b is point b + 1
     return _Kernel(
         _pyramid_points,
+        _pyramid_jacobian,
         np.tile(base + 1, k),
         partner.ravel() + 1,
         floor=np.r_[np.zeros((k - 1) * n), np.full(n, -np.inf)],
@@ -252,23 +286,43 @@ def _general_kernel(graph: DiameterGraph) -> _Kernel:
     # flat slots of the 3m - 6 free coordinates, see _gauge_coords
     gauge = np.r_[3, 6, 7, 9 : 3 * m]
 
+    jacobian = np.zeros((3 * m, len(gauge)))
+    jacobian[gauge, np.arange(len(gauge))] = 1.0
+    jacobian = jacobian.reshape(m, 3, len(gauge))
+    rows = np.arange(2)[:, None]
+
     def points(coords: np.ndarray) -> np.ndarray:
         flat = np.zeros(3 * m)
         flat[gauge] = coords
         return flat.reshape(m, 3)
 
-    def soft(d2: np.ndarray) -> float:
+    def soft(d2: np.ndarray) -> tuple[float, np.ndarray]:
         # smoothing gain f(retained, smoothed) of both orientations of
         # every pair, from half chords and half arcs; the pair takes the
         # better orientation
         half = np.sqrt(d2[ends]) / 2.0
-        half_arc = np.arcsin(np.minimum(half, 1.0))[::-1]
+        sin_arc = np.minimum(half, 1.0)[::-1]
+        half_arc = np.arcsin(sin_arc)
         cos_half = np.cos(half_arc)
-        f = 2.0 * half_arc * cos_half * 2.0 * np.arcsin(np.minimum(half / cos_half, 1.0))
-        return float(np.maximum(f[0], f[1]).sum())
+        t = half / cos_half
+        inner = np.arcsin(np.minimum(t, 1.0))
+        f = 2.0 * half_arc * cos_half * 2.0 * inner
+        # f = 4 a cos(a) asin(t), a = asin(h_smoothed), t = h_retained / cos(a);
+        # each derivative is 0 where its arcsine is clamped
+        dinner = np.divide(1.0, np.sqrt(np.maximum(1.0 - t * t, 0.0)), out=np.zeros_like(t), where=t < 1.0)
+        df_retained = 4.0 * half_arc * dinner
+        df_arc = 4.0 * (cos_half * inner - half_arc * sin_arc * inner + half_arc * sin_arc * t * dinner)
+        df_smoothed = np.divide(df_arc, cos_half, out=np.zeros_like(t), where=sin_arc < 1.0)
+        # dh/d(d2) = 1 / (8h); edge row e is retained in orientation e and smoothed in the other
+        dh = np.divide(1.0, 8.0 * half, out=np.zeros_like(half), where=half > 0.0)
+        pick = f[1] > f[0]
+        grad = np.zeros_like(d2)
+        grad[ends] = np.where(pick == rows, df_retained * dh, (df_smoothed * dh[::-1])[::-1])
+        return float(np.maximum(f[0], f[1]).sum()), grad
 
     return _Kernel(
         points,
+        lambda coords: jacobian,
         i,
         j,
         floor=np.r_[np.full(n_edges, -np.inf), np.zeros(len(pairs) - n_edges)],
@@ -337,6 +391,20 @@ def _pyramid_points(angles: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _pyramid_jacobian(angles: np.ndarray) -> np.ndarray:
+    """d(point)/d(rho, psi) of each base point; the apex is fixed."""
+    sin, cos = np.sin(angles), np.cos(angles)
+    n = len(angles) // 2
+    b = np.arange(n)
+    jac = np.zeros((n + 1, 3, 2 * n))
+    jac[b + 1, 0, 2 * b] = cos[0::2] * cos[1::2]
+    jac[b + 1, 1, 2 * b] = cos[0::2] * sin[1::2]
+    jac[b + 1, 2, 2 * b] = -sin[0::2]
+    jac[b + 1, 0, 2 * b + 1] = -sin[0::2] * sin[1::2]
+    jac[b + 1, 1, 2 * b + 1] = sin[0::2] * cos[1::2]
+    return jac
+
+
 def _merged_distinct(pts: np.ndarray) -> np.ndarray | None:
     """Drop vertices within MERGE_TOL of an earlier one; None when none merge."""
     reps: list[np.ndarray] = []
@@ -346,24 +414,6 @@ def _merged_distinct(pts: np.ndarray) -> np.ndarray | None:
     if len(reps) == len(pts):
         return None
     return np.array(reps)
-
-
-def _gauss_newton(v: np.ndarray, constraints, iters: int = 60) -> np.ndarray | None:
-    """Least-squares Newton iteration driving the constraint vector to zero."""
-    v = v.copy()
-    h = 1e-7
-    for _ in range(iters):
-        r = constraints(v)
-        if float(np.abs(r).max()) <= 1e-13:
-            return v
-        jac = np.empty((len(r), len(v)))
-        for j in range(len(v)):
-            vp = v.copy()
-            vp[j] += h
-            jac[:, j] = (constraints(vp) - r) / h
-        step, *_ = np.linalg.lstsq(jac, r, rcond=None)
-        v = v - step
-    return None
 
 
 def _gauge_coords(points: np.ndarray) -> np.ndarray:
@@ -397,17 +447,17 @@ _Best = tuple[float, float, bool, np.ndarray, float]
 def _penalty_loop(
     x: np.ndarray, kernel: _Kernel
 ) -> tuple[np.ndarray, int, int, int, tuple[float, ...], _Best | None]:
-    """Nelder-Mead rounds with a tenfold penalty ramp; keeps the best iterate.
+    """L-BFGS-B rounds with a tenfold penalty ramp; keeps the best iterate.
 
-    Nelder-Mead can tunnel through an infeasible valley into a spurious
-    branch of the constraint set where the soft objective stops meaning
-    anything, so the final simplex point is never trusted blindly.
-    Round results are restored to the equality manifold by projection
-    when it succeeds, then scored by `kernel.evaluate`, which rejects
-    off-domain points; the best accepted iterate (the start competes
-    too) is returned as (objective, area, validated, x, residual), after
-    the final point, the round count, the merit evaluation count and the
-    number of rounds cut off at `maxfev`.
+    A penalty round can end in a spurious branch of the constraint set
+    where the soft objective stops meaning anything, so its final point
+    is never trusted blindly.  Round results are restored to the
+    equality manifold by projection when it succeeds, then scored by
+    `kernel.evaluate`, which rejects off-domain points; the best accepted
+    iterate (the start competes too) is returned as (objective, area,
+    validated, x, residual), after the final point, the round count, the
+    merit evaluation count and the number of rounds whose solve missed
+    its convergence test.
     """
     mu = 1e2
     trajectory: list[float] = []
@@ -422,7 +472,7 @@ def _penalty_loop(
         if r > FEASIBILITY_TOL:
             return False
         obj, area, validated, on_domain = kernel.evaluate(v)
-        if on_domain and (best is None or obj > best[0] + 1e-12):
+        if on_domain and (best is None or obj > best[0] + TIE_TOL):
             best = (obj, area, validated, v.copy(), r)
             return True
         return False
@@ -430,22 +480,10 @@ def _penalty_loop(
     consider(x, kernel.residual(x))
     for _ in range(_MAX_ROUNDS):
         rounds += 1
-        result = minimize(
-            kernel.merit,
-            x,
-            args=(mu,),
-            method="Nelder-Mead",
-            options={
-                "maxfev": 600 * len(x),
-                "xatol": 1e-11,
-                "fatol": 1e-13,
-                "adaptive": True,
-                "initial_simplex": _simplex(x, 0.05),
-            },
-        )
+        result = minimize(kernel.merit, x, args=(mu,), jac=True, method="L-BFGS-B", options=_LBFGSB_OPTIONS)
         evaluations += result.nfev
-        # Nelder-Mead status 1: stopped at maxfev (maxiter is unlimited here)
-        capped_rounds += result.status == 1
+        # an iteration or evaluation cap, or a line search that found no descent
+        capped_rounds += not result.success
         x = result.x
         restored = kernel.project(x)
         if restored is not None:
@@ -454,7 +492,7 @@ def _penalty_loop(
         if consider(x, r):
             improved_at = rounds
         trajectory.append(best[0] if best is not None else -math.inf)
-        # ramp to full stiffness first, then keep restarting the simplex
+        # ramp to full stiffness first, then keep restarting the solve
         # until progress stalls
         if mu >= 1e8 and r <= FEASIBILITY_TOL and rounds - improved_at >= _STALL_ROUNDS:
             break
@@ -462,20 +500,12 @@ def _penalty_loop(
     return x, rounds, evaluations, capped_rounds, tuple(trajectory), best
 
 
-def _simplex(x: np.ndarray, scale: float) -> np.ndarray:
-    simplex = np.tile(x, (len(x) + 1, 1))
-    for i in range(len(x)):
-        simplex[i + 1, i] += scale
-    return simplex
-
-
 def _assemble_report(records, trajectories, points) -> OptimizationReport:
-    order = sorted(
-        range(len(records)),
-        key=lambda i: (records[i].converged, records[i].objective),
-        reverse=True,
+    """Converged restarts first, then the largest objective; ties go to the lowest restart."""
+    top = max(records, key=lambda r: (r.converged, r.objective))
+    best = next(
+        i for i, r in enumerate(records) if r.converged == top.converged and r.objective >= top.objective - TIE_TOL
     )
-    best = order[0]
     rec = records[best]
     return OptimizationReport(
         best_objective=rec.objective,

@@ -154,6 +154,43 @@ def test_write_ply_counts(tetra_poly, tmp_path):
     assert all(row.startswith("3 ") for row in body[len(mesh.vertices) :])
 
 
+def _reference_mesh_text(mesh: TriangleMesh, fmt: str) -> str:
+    """The mesh file written one vertex and one face at a time."""
+    if fmt == "obj":
+        lines = [f"v {p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in mesh.vertices]
+        current = -1
+        for face, grp in zip(mesh.faces, mesh.face_groups):
+            if grp != current:
+                lines.append(f"g {mesh.group_names[grp]}")
+                current = int(grp)
+            lines.append(f"f {face[0] + 1} {face[1] + 1} {face[2] + 1}")
+    else:
+        lines = [
+            "ply",
+            "format ascii 1.0",
+            f"element vertex {len(mesh.vertices)}",
+            "property double x",
+            "property double y",
+            "property double z",
+            f"element face {len(mesh.faces)}",
+            "property list uchar int vertex_indices",
+            "end_header",
+        ]
+        lines += [f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}" for p in mesh.vertices]
+        lines += [f"3 {face[0]} {face[1]} {face[2]}" for face in mesh.faces]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_write_mesh_matches_the_line_by_line_writer(tetra_poly, pyr2_poly, fmt, tmp_path):
+    for poly in (tetra_poly, pyr2_poly):
+        for refine in range(4):
+            mesh = tessellate(poly, refine)
+            path = tmp_path / f"mesh.{fmt}"
+            write_mesh(mesh, path, fmt=fmt)
+            assert path.read_bytes() == _reference_mesh_text(mesh, fmt).encode()
+
+
 def test_bad_arguments(tetra_poly, tmp_path):
     with pytest.raises(ValueError, match="refinement"):
         tessellate(tetra_poly, -1)

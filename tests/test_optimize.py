@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import meissner.optimize
 from meissner import (
     InfeasibleStart,
     OptimizationProblem,
+    RestartRecord,
     TETRAHEDRON_AREA,
     TETRAHEDRON_VOLUME,
     build_diameter_graph,
@@ -23,6 +26,7 @@ from meissner import (
 )
 from meissner.optimize import (
     FEASIBILITY_TOL,
+    _assemble_report,
     _gauge_coords,
     _general_kernel,
     _pyramid_kernel,
@@ -54,14 +58,14 @@ def test_pyramid_objective_regular_values():
     for k, expected in ((1, PYRAMID_OBJECTIVE_MAX), (2, PYR2_OBJECTIVE), (3, PYR3_OBJECTIVE)):
         kernel = _pyramid_kernel(k)
         angles = _regular_angles(k)
-        assert -kernel.merit(angles, 0.0) == pytest.approx(expected, abs=1e-12)
+        assert -kernel.merit(angles, 0.0)[0] == pytest.approx(expected, abs=1e-12)
         objective, _, validated, on_domain = kernel.evaluate(angles)
         assert objective == pytest.approx(expected, abs=1e-12)
         assert validated and on_domain
 
 
 def test_objective_ties_out_to_the_area(pyr2_poly):
-    objective = -_pyramid_kernel(2).merit(_regular_angles(2), 0.0)
+    objective = -_pyramid_kernel(2).merit(_regular_angles(2), 0.0)[0]
     assert meissner_area(pyr2_poly) == pytest.approx(
         2.0 * math.pi - math.pi / 3.0 * objective, abs=1e-12
     )
@@ -119,14 +123,44 @@ def test_optimize_pyramid_n5():
     assert finite == sorted(finite)
     # the winning configuration is a genuine extremal set
     validate_vertex_set(report.best_points, tol=1e-6)
-    # every round of the regular start ends at the simplex tolerances
+    # every round of the regular start ends at its convergence test
     assert report.records[0].capped_rounds == 0
 
 
-def test_rounds_cut_off_at_maxfev_are_counted():
-    # the first penalty rounds of the regular n = 7 start run out of evaluations
-    rec = optimize_pyramid(7, restarts=1).records[0]
-    assert 1 <= rec.capped_rounds <= rec.rounds
+def test_unconverged_rounds_are_counted(monkeypatch):
+    # cap the first penalty round at one iteration; the later rounds converge
+    results = []
+
+    def first_round_capped(*args, options, **kwargs):
+        if not results:
+            options = {**options, "maxiter": 1}
+        results.append(minimize(*args, options=options, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(meissner.optimize, "minimize", first_round_capped)
+    rec = optimize_pyramid(5).records[0]
+    assert [r.success for r in results] == [False] + [True] * (rec.rounds - 1)
+    assert rec.capped_rounds == 1
+
+
+def test_tied_restarts_report_the_lowest_index():
+    def record(restart, objective, converged=True):
+        area = 2.0 * math.pi - math.pi / 3.0 * objective
+        return RestartRecord(restart, objective, area, 0.0, 7, 100, 0, converged, converged, True)
+
+    def winner(records):
+        points = [np.full((4, 3), float(r.restart)) for r in records]
+        report = _assemble_report(records, [(r.objective,) for r in records], points)
+        assert report.best_objective == records[int(report.best_points[0, 0])].objective
+        return int(report.best_points[0, 0])
+
+    top = PYRAMID_OBJECTIVE_MAX
+    # one ulp apart: the same body reached by rounding-different paths
+    tied = [record(0, 1.0), record(1, top - 4.4e-16), record(2, top + 4.4e-16), record(3, top)]
+    assert winner(tied) == 1
+    assert winner(tied + [record(4, top + 1e-9)]) == 4
+    # a larger objective that did not converge never wins over a converged restart
+    assert winner([record(0, 1.0), record(1, top, converged=False)]) == 0
 
 
 def test_optimize_meissner_tetrahedron_is_rigid():
@@ -214,7 +248,7 @@ def _general_starts():
 def _check_kernel(kernel, x, reference):
     soft, penalty, residual = reference
     for mu in (0.0, 1.0, 1e4):
-        assert kernel.merit(x, mu) == pytest.approx(-soft + mu * penalty, rel=1e-12, abs=1e-12)
+        assert kernel.merit(x, mu)[0] == pytest.approx(-soft + mu * penalty, rel=1e-12, abs=1e-12)
     assert kernel.residual(x) == pytest.approx(residual, rel=1e-12, abs=1e-12)
 
 
@@ -234,14 +268,14 @@ def test_merit_kernels_at_feasible_points():
         base = vs.points[1:]
         angles = np.ravel(np.column_stack((np.arccos(base[:, 2]), np.arctan2(base[:, 1], base[:, 0]))))
         kernel = _pyramid_kernel(k)
-        assert -kernel.merit(angles, 0.0) == pytest.approx(_pyramid_objective(vs), abs=1e-12)
-        assert kernel.merit(angles, 1.0) - kernel.merit(angles, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert -kernel.merit(angles, 0.0)[0] == pytest.approx(_pyramid_objective(vs), abs=1e-12)
+        assert kernel.merit(angles, 1.0)[0] - kernel.merit(angles, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
     for graph, vs in _general_starts():
         coords = _gauge_coords(vs.points)
         kernel = _general_kernel(graph)
         expected = 2.0 * math.pi - meissner_area(build_meissner(vs))
-        assert -kernel.merit(coords, 0.0) == pytest.approx(expected, abs=1e-12)
-        assert kernel.merit(coords, 1.0) - kernel.merit(coords, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert -kernel.merit(coords, 0.0)[0] == pytest.approx(expected, abs=1e-12)
+        assert kernel.merit(coords, 1.0)[0] - kernel.merit(coords, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_optimizers_are_deterministic():
@@ -251,3 +285,38 @@ def test_optimizers_are_deterministic():
         assert first.records == second.records
         assert np.array_equal(first.best_points, second.best_points)
         assert all(r.evaluations > r.rounds for r in first.records)
+
+
+def _central_difference(fn, x, h=1e-6):
+    """Columns (fn(x + h e_p) - fn(x - h e_p)) / 2h, one per parameter."""
+    steps = h * np.eye(len(x))
+    return np.stack([(fn(x + e) - fn(x - e)) / (2.0 * h) for e in steps], axis=-1)
+
+
+def _perturbed_kernels():
+    """Each kernel at a perturbed point and at a stretched one, where inequalities are violated too."""
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 4):
+        near = _regular_angles(k) + 0.05 * rng.normal(size=4 * k + 2)
+        far = near.copy()
+        far[0::2] *= 2.0  # base points away from the apex axis: long base chords
+        yield _pyramid_kernel(k), (near, far)
+    sets = [regular_tetrahedron(), regular_pyramid(2)] + [random_feasible_pyramid(k, seed=k) for k in (1, 2, 3)]
+    for vs in sets:
+        near = _gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)
+        yield _general_kernel(build_diameter_graph(vs)), (near, 1.7 * near)
+
+
+def test_merit_gradient_and_jacobian_match_finite_differences():
+    for kernel, points in _perturbed_kernels():
+        inequality = kernel.floor == 0.0
+        assert not inequality.any() or (kernel.squared(points[1])[inequality] > 1.0).any()
+        for x in points:
+            d2, jac = kernel.squared_jacobian(x)
+            assert np.array_equal(d2, kernel.squared(x))
+            np.testing.assert_allclose(jac, _central_difference(kernel.squared, x), rtol=0, atol=1e-8)
+            assert kernel.residual(x) > 1e-3
+            for mu in (0.0, 1e2, 1e8):
+                _, grad = kernel.merit(x, mu)
+                expected = _central_difference(lambda v: kernel.merit(v, mu)[0], x)
+                np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-7 * max(1.0, np.abs(expected).max()))
