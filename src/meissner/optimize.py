@@ -1,24 +1,26 @@
 """Area minimization over extremal configurations with fixed combinatorics.
 
-Both searches maximize the total smoothing gain (equivalently minimize
-the closed-form surface area) under the unit-distance constraints of a
-diameter graph.  Each round of a quadratic penalty loop, whose weight
-grows tenfold per round until the worst constraint residual drops below
-FEASIBILITY_TOL, is solved by L-BFGS-B on the merit and its analytic
-gradient: the chain rule from the squared pair distances through the
-closed-form soft objective and penalty.
+One search maximizes the total smoothing gain, objective = 2*pi - area,
+under the unit-distance constraints of a diameter graph, over
+gauge-fixed vertex coordinates.  Wheel pyramids are one such graph:
+`optimize_pyramid` starts the same search from the regular pyramid.
+Each round of a quadratic penalty loop, whose weight grows tenfold per
+round until the worst constraint residual drops below FEASIBILITY_TOL,
+is solved by L-BFGS-B on the merit and its analytic gradient: the chain
+rule from the squared pair distances through the closed-form soft
+objective and penalty.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ArgumentError, InfeasibleStart, ValidationError
+from .generate import regular_pyramid
 from .polytope import (
     DiameterGraph,
     VertexSet,
@@ -47,6 +49,8 @@ START_RESIDUAL_MAX = 0.1
 MERGE_TOL = 1e-5
 # 100x FEASIBILITY_TOL: iterates accepted as feasible, merged or not, must pass validation
 VALIDATION_TOL = 1e-6
+# criterion 7's slack: a restart meets the tetrahedron bound within the validation tolerance
+BOUND_SLACK = 1e-6
 # objectives this close are one: restarts reaching the same body differ by rounding, ~1e-15
 TIE_TOL = 1e-12
 _MAX_ROUNDS = 18
@@ -54,7 +58,15 @@ _STALL_ROUNDS = 3
 # a round ends when a step gains under 1e-10 relative or the projected gradient drops under 1e-8;
 # at ftol 1e-15, gtol 1e-10 the stiff mu = 1e8 rounds end in failed line searches instead
 _LBFGSB_OPTIONS = {"ftol": 1e-10, "gtol": 1e-8}
-_COS30 = math.cos(math.pi / 6)
+# projection target in squared edge length, far inside FEASIBILITY_TOL and a few hundred ulps
+# above rounding; Gauss-Newton converges quadratically, so one still short after 60 steps has failed
+_PROJECT_TOL = 1e-13
+_PROJECT_STEPS = 60
+# the gauge frame needs the second start point this far from the first, and the third this far off their line
+_GAUGE_TOL = 1e-9
+# per-coordinate spread of random_feasible_pyramid: far enough from the
+# regular pyramid to vary every closed form, near enough to project back
+_PERTURBATION = 0.05
 
 TETRAHEDRON_AREA = 2.0 * math.pi - (math.sqrt(3.0) / 2.0) * math.pi * math.acos(1.0 / 3.0)
 TETRAHEDRON_VOLUME = TETRAHEDRON_AREA / 2.0 - math.pi / 3.0
@@ -100,20 +112,12 @@ class OptimizationReport:
 def optimize_pyramid(n: int, restarts: int = 1, seed: int = 0) -> OptimizationReport:
     """Search wheel pyramids with n base vertices for minimal Meissner area.
 
-    Base points stay on the unit sphere around the apex, parametrized by
-    spherical angles, so only the base diagonal constraints are penalized.
-    Restart 0 starts from the regular pyramid; later restarts perturb it.
+    The general search on the diameter graph of `regular_pyramid`,
+    which restart 0 starts from and later restarts perturb.
     """
     if n < 3 or n % 2 == 0 or n > 19:
         raise ArgumentError(f"base count must be odd and in [3, 19], got {n}")
-    k = (n - 1) // 2
-    kernel = _pyramid_kernel(k)
-    angles0 = _regular_angles(k)
-    if kernel.residual(angles0) > START_RESIDUAL_MAX:
-        raise InfeasibleStart("regular pyramid start violates its own constraints")
-    # widen the spread with the restart index; the interesting
-    # degenerate corners sit far from the regular configuration
-    return _search(kernel, angles0, restarts, seed, lambda run: min(0.03 + 0.02 * (run - 1), 0.3))
+    return optimize_meissner(OptimizationProblem.from_vertex_set(regular_pyramid((n - 1) // 2)), restarts, seed)
 
 
 def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int = 0) -> OptimizationReport:
@@ -123,60 +127,113 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
     axis, third in the xy plane); graph edges are equality constraints
     at distance one, non-edges inequality constraints at most one.  The
     objective for each dual pair takes the better smoothing orientation.
+    Restart 0 starts at the problem's start; restart r adds noise whose
+    spread grows with r, projected back onto the equalities.
     """
-    kernel = _general_kernel(problem.graph)
+    if restarts < 1:
+        raise ArgumentError(f"restarts must be positive, got {restarts}")
+    kernel = _Kernel(problem.graph)
     x0 = _gauge_coords(np.array(problem.start, dtype=float))
     if kernel.residual(x0) > START_RESIDUAL_MAX:
         raise InfeasibleStart("start configuration violates the distance constraints")
-    return _search(kernel, x0, restarts, seed, lambda run: min(0.01 + 0.01 * (run - 1), 0.1))
+    records: list[RestartRecord] = []
+    trajectories: list[tuple[float, ...]] = []
+    points: list[np.ndarray] = []
+    for run in range(restarts):
+        if run == 0:
+            x = x0.copy()
+        else:
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(run,))))
+            x = x0 + min(0.01 + 0.01 * (run - 1), 0.1) * rng.normal(size=x0.shape)
+            projected = kernel.project(x)
+            if projected is not None:
+                x = projected
+        final, rounds, evaluations, capped_rounds, traj, best = _penalty_loop(x, kernel)
+        if best is not None:
+            objective, area, validated, final, residual = best
+        else:
+            objective, area, validated, _ = kernel.evaluate(final)
+            residual = kernel.residual(final)
+        records.append(
+            RestartRecord(
+                restart=run,
+                objective=objective,
+                area=area,
+                residual=residual,
+                rounds=rounds,
+                evaluations=evaluations,
+                capped_rounds=capped_rounds,
+                converged=best is not None,
+                validated=validated,
+                meets_tetrahedron_bound=area >= TETRAHEDRON_AREA - BOUND_SLACK,
+            )
+        )
+        trajectories.append(traj)
+        points.append(kernel.points(final))
+    return _assemble_report(records, trajectories, points)
 
 
-def random_feasible_pyramid(k: int, seed: int, scale: float = 0.05) -> VertexSet:
+def random_feasible_pyramid(k: int, seed: int) -> VertexSet:
     """Random extremal wheel pyramid near the regular one.
 
-    Perturbs the spherical angles and projects back onto the diagonal
-    constraints by Gauss-Newton, so the result validates at the default
-    tolerance.
+    Perturbs the gauge coordinates of `regular_pyramid(k)` and projects
+    them back onto the edge constraints by Gauss-Newton, so the result
+    validates at the default tolerance.
     """
-    n = 2 * k + 1
-    kernel = _pyramid_kernel(k)
+    regular = regular_pyramid(k)
+    kernel = _Kernel(build_diameter_graph(regular))
+    x0 = _gauge_coords(regular.points)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     for _ in range(20):
-        angles = _regular_angles(k) + scale * rng.normal(size=2 * n)
-        angles = kernel.project(angles)
-        if angles is None:
+        x = kernel.project(x0 + _PERTURBATION * rng.normal(size=x0.shape))
+        if x is None:
             continue
         try:
-            return validate_vertex_set(_pyramid_points(angles))
+            return validate_vertex_set(kernel.points(x))
         except ValidationError:
             continue
     raise InfeasibleStart(f"no feasible perturbed pyramid found for k={k}, seed={seed}")
 
 
-@dataclass(frozen=True, slots=True)
 class _Kernel:
-    """Merit, residual, projection and scoring of one problem.
+    """Merit, residual, projection and scoring of one diameter graph.
 
-    Every evaluation gathers the point pairs (i, j) in one difference and
-    reads the soft objective and every constraint from the resulting
-    squared distances.  Those come from direct differences, not from a
-    Gram matrix: restarts collapse toward coincident vertices, where a
-    Gram matrix loses short distances to cancellation.  Every pair is
-    constrained; its violation (length minus one) is floored at `floor`,
-    -inf for the equalities at distance one and 0 for the inequalities
-    at most one.  Derivatives run through the same squared distances:
-    the soft objective returns its gradient with respect to them, and
-    `squared_jacobian` carries them to the parameters.
+    The parameters are the 3m - 6 gauge-fixed coordinates (see
+    `_gauge_coords`).  Every evaluation gathers all point pairs (i, j),
+    graph edges first, in one difference and reads the soft objective and
+    every constraint from the resulting squared distances.  Those come
+    from direct differences, not from a Gram matrix: restarts collapse
+    toward coincident vertices, where a Gram matrix loses short distances
+    to cancellation.  Every pair is constrained; its violation (length
+    minus one) is floored at `floor`, -inf for the equalities at distance
+    one and 0 for the inequalities at most one.  Derivatives run through
+    the same squared distances: the soft objective returns its gradient
+    with respect to them, and `squared_jacobian` carries them to the
+    parameters.
     """
 
-    points: Callable[[np.ndarray], np.ndarray]  # parameters -> (m, 3) points
-    points_jacobian: Callable[[np.ndarray], np.ndarray]  # parameters -> (m, 3, parameters)
-    i: np.ndarray
-    j: np.ndarray
-    floor: np.ndarray
-    # squared distances -> soft objective and its gradient in them
-    soft: Callable[[np.ndarray], tuple[float, np.ndarray]]
-    scale: float  # area = 2*pi - scale * objective
+    def __init__(self, graph: DiameterGraph):
+        m, n_edges = graph.m, len(graph.edges)
+        non_edges = [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in graph.edges]
+        pairs = list(graph.edges) + non_edges
+        position = {pair: p for p, pair in enumerate(pairs)}
+        self.i, self.j = np.array(pairs).T
+        self.floor = np.r_[np.full(n_edges, -np.inf), np.zeros(len(pairs) - n_edges)]
+        # row 0: each dual pair's first edge, row 1: its dual
+        self.ends = np.array([[position[e] for e in pair] for pair in dual_pair_indices(graph)]).T
+        # flat slots of the free coordinates, see _gauge_coords
+        self.gauge = np.r_[3, 6, 7, 9 : 3 * m]
+        select = np.zeros((3 * m, len(self.gauge)))
+        select[self.gauge, np.arange(len(self.gauge))] = 1.0
+        select = select.reshape(m, 3, len(self.gauge))
+        # the points are linear in the parameters, so d(p_i - p_j)/dx is constant
+        self.pair_jacobian = select[self.i] - select[self.j]
+        self.m = m
+
+    def points(self, x: np.ndarray) -> np.ndarray:
+        flat = np.zeros(3 * self.m)
+        flat[self.gauge] = x
+        return flat.reshape(self.m, 3)
 
     def squared(self, x: np.ndarray) -> np.ndarray:
         pts = self.points(x)
@@ -184,11 +241,37 @@ class _Kernel:
         return (d * d).sum(axis=1)
 
     def squared_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Squared pair distances and their Jacobian, 2 d . (dp_i - dp_j)."""
-        pts, dpts = self.points(x), self.points_jacobian(x)
+        """Squared pair distances and their Jacobian, 2 d . d(p_i - p_j)/dx."""
+        pts = self.points(x)
         d = pts.take(self.i, axis=0) - pts.take(self.j, axis=0)
-        ddiff = dpts.take(self.i, axis=0) - dpts.take(self.j, axis=0)
-        return (d * d).sum(axis=1), 2.0 * np.einsum("rc,rcp->rp", d, ddiff)
+        return (d * d).sum(axis=1), 2.0 * np.einsum("rc,rcp->rp", d, self.pair_jacobian)
+
+    def soft(self, d2: np.ndarray) -> tuple[float, np.ndarray]:
+        """Soft objective of the squared distances and its gradient in them.
+
+        The smoothing gain f(retained, smoothed) of both orientations of
+        every dual pair, from half chords and half arcs; the pair takes
+        the better orientation.
+        """
+        half = np.sqrt(d2[self.ends]) / 2.0
+        sin_arc = np.minimum(half, 1.0)[::-1]
+        half_arc = np.arcsin(sin_arc)
+        cos_half = np.cos(half_arc)
+        t = half / cos_half
+        inner = np.arcsin(np.minimum(t, 1.0))
+        f = 2.0 * half_arc * cos_half * 2.0 * inner
+        # f = 4 a cos(a) asin(t), a = asin(h_smoothed), t = h_retained / cos(a);
+        # each derivative is 0 where its arcsine is clamped
+        dinner = np.divide(1.0, np.sqrt(np.maximum(1.0 - t * t, 0.0)), out=np.zeros_like(t), where=t < 1.0)
+        df_retained = 4.0 * half_arc * dinner
+        df_arc = 4.0 * (cos_half * inner - half_arc * sin_arc * inner + half_arc * sin_arc * t * dinner)
+        df_smoothed = np.divide(df_arc, cos_half, out=np.zeros_like(t), where=sin_arc < 1.0)
+        # dh/d(d2) = 1 / (8h); edge row e is retained in orientation e and smoothed in the other
+        dh = np.divide(1.0, 8.0 * half, out=np.zeros_like(half), where=half > 0.0)
+        pick = f[1] > f[0]
+        grad = np.zeros_like(d2)
+        grad[self.ends] = np.where(pick == np.arange(2)[:, None], df_retained * dh, (df_smoothed * dh[::-1])[::-1])
+        return float(np.maximum(f[0], f[1]).sum()), grad
 
     def merit(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
         """-objective + mu * penalty and its gradient, what L-BFGS-B minimizes."""
@@ -206,10 +289,10 @@ class _Kernel:
         """Restore the equality constraints by Gauss-Newton; None when it fails."""
         eq = self.floor < 0.0
         x = x.copy()
-        for _ in range(60):
+        for _ in range(_PROJECT_STEPS):
             d2, jac = self.squared_jacobian(x)
             r = d2[eq] - 1.0
-            if float(np.abs(r).max()) <= 1e-13:
+            if float(np.abs(r).max()) <= _PROJECT_TOL:
                 return x
             step, *_ = np.linalg.lstsq(jac[eq], r, rcond=None)
             x = x - step
@@ -236,173 +319,9 @@ class _Kernel:
                 area = meissner_area(build_meissner(validate_vertex_set(candidate, tol=VALIDATION_TOL)))
             except ValidationError:
                 continue
-            return (2.0 * math.pi - area) / self.scale, area, candidate is pts, True
+            return 2.0 * math.pi - area, area, candidate is pts, True
         objective, _ = self.soft(self.squared(x))
-        return objective, 2.0 * math.pi - self.scale * objective, False, False
-
-
-def _pyramid_kernel(k: int) -> _Kernel:
-    """Base chords of every step 1..k; row s - 1 joins base vertex b to b + s.
-
-    The step-k chords are the base edges of the diameter graph, the
-    shorter steps its base non-edges, and the step-1 chords fix the
-    dihedral angles at the apex edges, which the soft objective sums.
-    """
-    n = 2 * k + 1
-    base = np.arange(n)
-    partner = (base + np.arange(1, k + 1)[:, None]) % n
-
-    def soft(d2: np.ndarray) -> tuple[float, np.ndarray]:
-        s = d2[:n]
-        phi = 2.0 * np.arcsin(np.minimum(np.sqrt(s) / 2.0 / _COS30, 1.0))
-        # d(cos30 * phi)/ds = 1 / (2 sqrt(s (1 - s/3))) inside the arcsine's range 0 < s < (2 cos30)^2 = 3
-        q = s * (1.0 - s / 3.0)
-        grad = np.zeros_like(d2)
-        np.divide(0.5, np.sqrt(np.maximum(q, 0.0)), out=grad[:n], where=q > 0.0)
-        return float(_COS30 * phi.sum()), grad
-
-    # point 0 is the apex, base vertex b is point b + 1
-    return _Kernel(
-        _pyramid_points,
-        _pyramid_jacobian,
-        np.tile(base + 1, k),
-        partner.ravel() + 1,
-        floor=np.r_[np.zeros((k - 1) * n), np.full(n, -np.inf)],
-        soft=soft,
-        # the smoothed apex edge of every pair has arc pi/3, so its gain is pi/3 * cos30 * phi
-        scale=math.pi / 3.0,
-    )
-
-
-def _general_kernel(graph: DiameterGraph) -> _Kernel:
-    """Every point pair in gauge-fixed coordinates, graph edges first."""
-    m, n_edges = graph.m, len(graph.edges)
-    non_edges = [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in graph.edges]
-    pairs = list(graph.edges) + non_edges
-    position = {pair: p for p, pair in enumerate(pairs)}
-    i, j = np.array(pairs).T
-    # row 0: each dual pair's first edge, row 1: its dual
-    ends = np.array([[position[e] for e in pair] for pair in dual_pair_indices(graph)]).T
-    # flat slots of the 3m - 6 free coordinates, see _gauge_coords
-    gauge = np.r_[3, 6, 7, 9 : 3 * m]
-
-    jacobian = np.zeros((3 * m, len(gauge)))
-    jacobian[gauge, np.arange(len(gauge))] = 1.0
-    jacobian = jacobian.reshape(m, 3, len(gauge))
-    rows = np.arange(2)[:, None]
-
-    def points(coords: np.ndarray) -> np.ndarray:
-        flat = np.zeros(3 * m)
-        flat[gauge] = coords
-        return flat.reshape(m, 3)
-
-    def soft(d2: np.ndarray) -> tuple[float, np.ndarray]:
-        # smoothing gain f(retained, smoothed) of both orientations of
-        # every pair, from half chords and half arcs; the pair takes the
-        # better orientation
-        half = np.sqrt(d2[ends]) / 2.0
-        sin_arc = np.minimum(half, 1.0)[::-1]
-        half_arc = np.arcsin(sin_arc)
-        cos_half = np.cos(half_arc)
-        t = half / cos_half
-        inner = np.arcsin(np.minimum(t, 1.0))
-        f = 2.0 * half_arc * cos_half * 2.0 * inner
-        # f = 4 a cos(a) asin(t), a = asin(h_smoothed), t = h_retained / cos(a);
-        # each derivative is 0 where its arcsine is clamped
-        dinner = np.divide(1.0, np.sqrt(np.maximum(1.0 - t * t, 0.0)), out=np.zeros_like(t), where=t < 1.0)
-        df_retained = 4.0 * half_arc * dinner
-        df_arc = 4.0 * (cos_half * inner - half_arc * sin_arc * inner + half_arc * sin_arc * t * dinner)
-        df_smoothed = np.divide(df_arc, cos_half, out=np.zeros_like(t), where=sin_arc < 1.0)
-        # dh/d(d2) = 1 / (8h); edge row e is retained in orientation e and smoothed in the other
-        dh = np.divide(1.0, 8.0 * half, out=np.zeros_like(half), where=half > 0.0)
-        pick = f[1] > f[0]
-        grad = np.zeros_like(d2)
-        grad[ends] = np.where(pick == rows, df_retained * dh, (df_smoothed * dh[::-1])[::-1])
-        return float(np.maximum(f[0], f[1]).sum()), grad
-
-    return _Kernel(
-        points,
-        lambda coords: jacobian,
-        i,
-        j,
-        floor=np.r_[np.full(n_edges, -np.inf), np.zeros(len(pairs) - n_edges)],
-        soft=soft,
-        scale=1.0,
-    )
-
-
-def _search(
-    kernel: _Kernel, x0: np.ndarray, restarts: int, seed: int, spread: Callable[[int], float]
-) -> OptimizationReport:
-    """Restart 0 starts at x0, restart r from x0 plus spread(r) noise, projected."""
-    records: list[RestartRecord] = []
-    trajectories: list[tuple[float, ...]] = []
-    points: list[np.ndarray] = []
-    for run in range(restarts):
-        if run == 0:
-            x = x0.copy()
-        else:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(run,))))
-            x = x0 + spread(run) * rng.normal(size=x0.shape)
-            projected = kernel.project(x)
-            if projected is not None:
-                x = projected
-        final, rounds, evaluations, capped_rounds, traj, best = _penalty_loop(x, kernel)
-        if best is not None:
-            objective, area, validated, final, residual = best
-        else:
-            objective, area, validated, _ = kernel.evaluate(final)
-            residual = kernel.residual(final)
-        records.append(
-            RestartRecord(
-                restart=run,
-                objective=objective,
-                area=area,
-                residual=residual,
-                rounds=rounds,
-                evaluations=evaluations,
-                capped_rounds=capped_rounds,
-                converged=best is not None,
-                validated=validated,
-                meets_tetrahedron_bound=area >= TETRAHEDRON_AREA - 1e-6,
-            )
-        )
-        trajectories.append(traj)
-        points.append(kernel.points(final))
-    return _assemble_report(records, trajectories, points)
-
-
-def _regular_angles(k: int) -> np.ndarray:
-    n = 2 * k + 1
-    rho = math.asin(1.0 / (2.0 * math.sin(math.pi * k / n)))
-    angles = np.empty(2 * n)
-    angles[0::2] = rho
-    angles[1::2] = [2.0 * math.pi * i / n for i in range(n)]
-    return angles
-
-
-def _pyramid_points(angles: np.ndarray) -> np.ndarray:
-    """Apex at the origin, then base points at polar angle rho, azimuth psi."""
-    sin, cos = np.sin(angles), np.cos(angles)
-    pts = np.zeros((len(angles) // 2 + 1, 3))
-    pts[1:, 0] = sin[0::2] * cos[1::2]
-    pts[1:, 1] = sin[0::2] * sin[1::2]
-    pts[1:, 2] = cos[0::2]
-    return pts
-
-
-def _pyramid_jacobian(angles: np.ndarray) -> np.ndarray:
-    """d(point)/d(rho, psi) of each base point; the apex is fixed."""
-    sin, cos = np.sin(angles), np.cos(angles)
-    n = len(angles) // 2
-    b = np.arange(n)
-    jac = np.zeros((n + 1, 3, 2 * n))
-    jac[b + 1, 0, 2 * b] = cos[0::2] * cos[1::2]
-    jac[b + 1, 1, 2 * b] = cos[0::2] * sin[1::2]
-    jac[b + 1, 2, 2 * b] = -sin[0::2]
-    jac[b + 1, 0, 2 * b + 1] = -sin[0::2] * sin[1::2]
-    jac[b + 1, 1, 2 * b + 1] = sin[0::2] * cos[1::2]
-    return jac
+        return objective, 2.0 * math.pi - objective, False, False
 
 
 def _merged_distinct(pts: np.ndarray) -> np.ndarray | None:
@@ -421,12 +340,12 @@ def _gauge_coords(points: np.ndarray) -> np.ndarray:
     pts = points - points[0]
     e1 = pts[1]
     n1 = np.linalg.norm(e1)
-    if n1 < 1e-9:
+    if n1 < _GAUGE_TOL:
         raise InfeasibleStart("first two start points coincide")
     e1 = e1 / n1
     helper = pts[2] - (pts[2] @ e1) * e1
     n2 = np.linalg.norm(helper)
-    if n2 < 1e-9:
+    if n2 < _GAUGE_TOL:
         # collinear start; any frame orthogonal to e1 works
         helper = np.eye(3)[int(np.argmin(np.abs(e1)))]
         helper = helper - (helper @ e1) * e1

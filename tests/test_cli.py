@@ -1,5 +1,7 @@
 """End-to-end command line tests, exercised in process through main()."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -227,6 +229,9 @@ def test_pyramid_command(tmp_path, capsys):
     assert rows[0] == "restart,objective,area,residual,rounds,converged,validated,meets_bound"
     assert len(rows) == 2
     assert rows[1].startswith("0,")
+    # the objective column is the smoothing gain, 2*pi - area
+    objective, area = map(float, rows[1].split(",")[1:3])
+    assert objective + area == pytest.approx(2.0 * math.pi, abs=1e-12)
 
     code, _, err = run(capsys, "pyramid", "--n", "4")
     assert code == 2

@@ -6,10 +6,12 @@ import pytest
 from meissner import (
     ArgumentError,
     BallSystem,
+    OptimizationProblem,
     SmoothingChoice,
     ValidationError,
     build_meissner,
     mc_volume,
+    optimize_meissner,
     optimize_pyramid,
     regular_pyramid,
     regular_tetrahedron,
@@ -39,6 +41,8 @@ def test_argument_error_is_a_validation_error_and_a_value_error():
         lambda tmp: write_mesh(
             tessellate(build_meissner(regular_tetrahedron()), 0), tmp / "x.stl", fmt="stl"
         ),
+        lambda tmp: optimize_pyramid(5, restarts=0),
+        lambda tmp: optimize_meissner(OptimizationProblem.from_vertex_set(regular_tetrahedron()), restarts=0),
     ],
 )
 def test_bad_arguments_raise_argument_error(call, tmp_path):

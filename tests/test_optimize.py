@@ -28,19 +28,18 @@ from meissner.optimize import (
     FEASIBILITY_TOL,
     _assemble_report,
     _gauge_coords,
-    _general_kernel,
-    _pyramid_kernel,
-    _regular_angles,
+    _Kernel,
 )
 
 from conftest import (
+    PI3,
     PYR2_OBJECTIVE,
     PYR3_OBJECTIVE,
     PYRAMID_OBJECTIVE_MAX,
     TETRA_AREA,
 )
 
-F_TRIPLE = 3.34907011285623054  # total smoothing gain of the tetrahedron
+F_TRIPLE = 3.34907011285623054  # total smoothing gain of the tetrahedron, PI3 * PYRAMID_OBJECTIVE_MAX
 
 
 def test_tetrahedron_bound_constants():
@@ -48,27 +47,25 @@ def test_tetrahedron_bound_constants():
     assert TETRAHEDRON_VOLUME == pytest.approx(TETRAHEDRON_AREA / 2 - math.pi / 3, abs=1e-15)
 
 
-def _pyramid_objective(vs):
-    """The pyramid search's objective of a wheel, (2*pi - area) / (pi/3)."""
-    return (2.0 * math.pi - meissner_area(build_meissner(vs))) * 3.0 / math.pi
+def _kernel_at_regular_pyramid(k):
+    vs = regular_pyramid(k)
+    return _Kernel(build_diameter_graph(vs)), _gauge_coords(vs.points)
 
 
 def test_pyramid_objective_regular_values():
-    # k = 1 is the regular tetrahedron
+    # k = 1 is the regular tetrahedron; every smoothed apex edge has arc pi/3
     for k, expected in ((1, PYRAMID_OBJECTIVE_MAX), (2, PYR2_OBJECTIVE), (3, PYR3_OBJECTIVE)):
-        kernel = _pyramid_kernel(k)
-        angles = _regular_angles(k)
-        assert -kernel.merit(angles, 0.0)[0] == pytest.approx(expected, abs=1e-12)
-        objective, _, validated, on_domain = kernel.evaluate(angles)
-        assert objective == pytest.approx(expected, abs=1e-12)
+        kernel, x = _kernel_at_regular_pyramid(k)
+        assert -kernel.merit(x, 0.0)[0] == pytest.approx(PI3 * expected, abs=1e-12)
+        objective, _, validated, on_domain = kernel.evaluate(x)
+        assert objective == pytest.approx(PI3 * expected, abs=1e-12)
         assert validated and on_domain
 
 
 def test_objective_ties_out_to_the_area(pyr2_poly):
-    objective = -_pyramid_kernel(2).merit(_regular_angles(2), 0.0)[0]
-    assert meissner_area(pyr2_poly) == pytest.approx(
-        2.0 * math.pi - math.pi / 3.0 * objective, abs=1e-12
-    )
+    kernel, x = _kernel_at_regular_pyramid(2)
+    objective = -kernel.merit(x, 0.0)[0]
+    assert meissner_area(pyr2_poly) == pytest.approx(2.0 * math.pi - objective, abs=1e-12)
 
 
 def test_objective_is_gauge_invariant():
@@ -83,10 +80,12 @@ def test_objective_is_gauge_invariant():
 
 
 def test_collapsed_wheel_is_scored_as_the_tetrahedron():
-    # base vertices paired onto a triangle: strict validation fails, the merged set is a tetrahedron
-    angles = _regular_angles(1).reshape(3, 2)[[0, 0, 1, 1, 2]].ravel()
-    objective, area, validated, on_domain = _pyramid_kernel(2).evaluate(angles)
-    assert objective == pytest.approx(PYRAMID_OBJECTIVE_MAX, abs=1e-12)
+    # base vertices paired onto a triangle: strict validation fails, the merged set is a tetrahedron;
+    # the first three points are distinct, so the gauge frame is defined
+    collapsed = regular_pyramid(1).points[[0, 1, 2, 3, 1, 2]]
+    kernel = _Kernel(build_diameter_graph(regular_pyramid(2)))
+    objective, area, validated, on_domain = kernel.evaluate(_gauge_coords(collapsed))
+    assert objective == pytest.approx(F_TRIPLE, abs=1e-12)
     assert area == pytest.approx(TETRA_AREA, abs=1e-12)
     assert not validated and on_domain
 
@@ -99,7 +98,7 @@ def test_optimize_pyramid_rejects_bad_n():
 
 def test_optimize_pyramid_n3_hits_the_corner():
     report = optimize_pyramid(3)
-    assert report.best_objective == pytest.approx(PYRAMID_OBJECTIVE_MAX, abs=1e-9)
+    assert report.best_objective == pytest.approx(F_TRIPLE, abs=1e-9)
     assert report.best_area == pytest.approx(TETRA_AREA, abs=1e-9)
     rec = report.records[0]
     assert rec.converged and rec.validated and rec.meets_tetrahedron_bound
@@ -112,10 +111,8 @@ def test_optimize_pyramid_n5():
         assert rec.converged
         assert rec.residual <= FEASIBILITY_TOL
         assert rec.area >= TETRAHEDRON_AREA - 1e-6
-    assert report.best_objective >= PYR2_OBJECTIVE - 1e-9
-    assert report.best_area == pytest.approx(
-        2.0 * math.pi - math.pi / 3.0 * report.best_objective, abs=1e-9
-    )
+    assert report.best_objective >= PI3 * PYR2_OBJECTIVE - 1e-9
+    assert report.best_area == 2.0 * math.pi - report.best_objective
     assert report.best_volume == pytest.approx(
         report.best_area / 2.0 - math.pi / 3.0, abs=1e-12
     )
@@ -145,7 +142,7 @@ def test_unconverged_rounds_are_counted(monkeypatch):
 
 def test_tied_restarts_report_the_lowest_index():
     def record(restart, objective, converged=True):
-        area = 2.0 * math.pi - math.pi / 3.0 * objective
+        area = 2.0 * math.pi - objective
         return RestartRecord(restart, objective, area, 0.0, 7, 100, 0, converged, converged, True)
 
     def winner(records):
@@ -154,7 +151,7 @@ def test_tied_restarts_report_the_lowest_index():
         assert report.best_objective == records[int(report.best_points[0, 0])].objective
         return int(report.best_points[0, 0])
 
-    top = PYRAMID_OBJECTIVE_MAX
+    top = F_TRIPLE
     # one ulp apart: the same body reached by rounding-different paths
     tied = [record(0, 1.0), record(1, top - 4.4e-16), record(2, top + 4.4e-16), record(3, top)]
     assert winner(tied) == 1
@@ -185,38 +182,16 @@ def test_random_feasible_pyramid():
     for seed in (0, 1, 2):
         vs = random_feasible_pyramid(2, seed=seed)
         assert vs.m == 6
-        objective = _pyramid_objective(vs)
-        assert objective <= PYRAMID_OBJECTIVE_MAX + 1e-9
+        objective = 2.0 * math.pi - meissner_area(build_meissner(vs))
+        assert objective <= F_TRIPLE + 1e-9
         # perturbations sit near, and generically below, the regular value
-        assert abs(objective - PYR2_OBJECTIVE) < 0.05
+        assert abs(objective - PI3 * PYR2_OBJECTIVE) < PI3 * 0.05
 
 
 def _soft_f(c_retained, c_smoothed):
     y = 2.0 * math.asin(min(max(c_smoothed / 2.0, 0.0), 1.0))
     cos_half = math.cos(y / 2.0)
     return y * cos_half * 2.0 * math.asin(min(max(c_retained / 2.0, 0.0) / cos_half, 1.0))
-
-
-def _reference_pyramid(angles, k):
-    """Soft objective, penalty and residual of the pyramid search, by loops."""
-    n = 2 * k + 1
-    base = [
-        (math.sin(rho) * math.cos(psi), math.sin(rho) * math.sin(psi), math.cos(rho))
-        for rho, psi in zip(angles[0::2], angles[1::2])
-    ]
-    soft = penalty = residual = 0.0
-    for step in range(1, k + 1):
-        for b in range(n):
-            c = math.dist(base[b], base[(b + step) % n])
-            if step == 1:
-                soft += math.cos(math.pi / 6) * 2.0 * math.asin(min(c / 2.0 / math.cos(math.pi / 6), 1.0))
-            if step == k:  # the base edges of the diameter graph
-                penalty += (c * c - 1.0) ** 2
-                residual = max(residual, abs(c - 1.0))
-            else:
-                penalty += max(0.0, c * c - 1.0) ** 2
-                residual = max(residual, c - 1.0)
-    return soft, penalty, residual
 
 
 def _reference_general(coords, graph):
@@ -254,25 +229,15 @@ def _check_kernel(kernel, x, reference):
 
 def test_merit_kernels_match_the_loop_reference():
     rng = np.random.default_rng(5)
-    for k in (1, 2, 3, 4):
-        angles = _regular_angles(k) + 0.05 * rng.normal(size=4 * k + 2)
-        _check_kernel(_pyramid_kernel(k), angles, _reference_pyramid(angles, k))
     for graph, vs in _general_starts():
         coords = _gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)
-        _check_kernel(_general_kernel(graph), coords, _reference_general(coords, graph))
+        _check_kernel(_Kernel(graph), coords, _reference_general(coords, graph))
 
 
 def test_merit_kernels_at_feasible_points():
-    for k in (1, 2, 3, 4):
-        vs = random_feasible_pyramid(k, seed=k)
-        base = vs.points[1:]
-        angles = np.ravel(np.column_stack((np.arccos(base[:, 2]), np.arctan2(base[:, 1], base[:, 0]))))
-        kernel = _pyramid_kernel(k)
-        assert -kernel.merit(angles, 0.0)[0] == pytest.approx(_pyramid_objective(vs), abs=1e-12)
-        assert kernel.merit(angles, 1.0)[0] - kernel.merit(angles, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
     for graph, vs in _general_starts():
         coords = _gauge_coords(vs.points)
-        kernel = _general_kernel(graph)
+        kernel = _Kernel(graph)
         expected = 2.0 * math.pi - meissner_area(build_meissner(vs))
         assert -kernel.merit(coords, 0.0)[0] == pytest.approx(expected, abs=1e-12)
         assert kernel.merit(coords, 1.0)[0] - kernel.merit(coords, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
@@ -296,15 +261,10 @@ def _central_difference(fn, x, h=1e-6):
 def _perturbed_kernels():
     """Each kernel at a perturbed point and at a stretched one, where inequalities are violated too."""
     rng = np.random.default_rng(11)
-    for k in (1, 2, 3, 4):
-        near = _regular_angles(k) + 0.05 * rng.normal(size=4 * k + 2)
-        far = near.copy()
-        far[0::2] *= 2.0  # base points away from the apex axis: long base chords
-        yield _pyramid_kernel(k), (near, far)
     sets = [regular_tetrahedron(), regular_pyramid(2)] + [random_feasible_pyramid(k, seed=k) for k in (1, 2, 3)]
     for vs in sets:
         near = _gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)
-        yield _general_kernel(build_diameter_graph(vs)), (near, 1.7 * near)
+        yield _Kernel(build_diameter_graph(vs)), (near, 1.7 * near)
 
 
 def test_merit_gradient_and_jacobian_match_finite_differences():
