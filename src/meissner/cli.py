@@ -27,15 +27,13 @@ from .optimize import (
 from .polytope import (
     MeissnerPolyhedron,
     SmoothingChoice,
-    build_diameter_graph,
     build_meissner,
     enumerate_smoothings,
-    find_dual_pairs,
     meissner_area,
     meissner_volume,
     reuleaux_area,
 )
-from .sphere import EDGE_ARC_MAX, PairLengths, f_pair, f_partial_x
+from .sphere import f_property_check
 
 __all__ = ["main", "entry"]
 
@@ -145,12 +143,12 @@ def _load_meissner(path: str, smoothing: str) -> MeissnerPolyhedron:
 
 
 def _cmd_validate(args) -> int:
-    vs = load_vertex_file(args.file, _tolerance())
-    pairs = find_dual_pairs(build_diameter_graph(vs), vs)
+    poly = build_meissner(load_vertex_file(args.file, _tolerance()))
+    vs = poly.vertices
     print(f"points: {vs.m}")
     print(f"unit distances: {vs.diameter_count}")
     print(f"max distance: {vs.max_distance:.17g}")
-    print(f"dual pairs: {len(pairs)}")
+    print(f"dual pairs: {len(poly.pairs)}")
     print("valid extremal set")
     return 0
 
@@ -171,7 +169,7 @@ def _cmd_analyze(args) -> int:
             g.phi,
             g.phi_dual,
             g.alpha,
-            f_pair(poly.retained_lengths(i)),
+            g.gain[poly.choice.bits[i]],
         )
         table.append(",".join(_fmt(v) for v in row))
     summary = [
@@ -189,9 +187,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    vs = load_vertex_file(args.file, _tolerance())
-    pairs = find_dual_pairs(build_diameter_graph(vs), vs)
-    table = enumerate_smoothings(vs, pairs)
+    poly = build_meissner(load_vertex_file(args.file, _tolerance()))
+    table = enumerate_smoothings(poly.vertices, poly.pairs)
     best = min(range(len(table)), key=lambda i: table[i][1])
     lines = ["bits,area"]
     for choice, area in table:
@@ -289,58 +286,17 @@ def _cmd_search(args) -> int:
 def _cmd_f_table(args) -> int:
     if args.grid < 2:
         raise ParseError(f"--grid must be at least 2, got {args.grid}")
-    grid = args.grid
-    xs = [EDGE_ARC_MAX * i / (grid - 1) for i in range(grid)]
-    values = [[f_pair(PairLengths(x, y)) for x in xs] for y in xs]
+    xs, values, checks = f_property_check(args.grid)
     lines = ["x,y,f"]
     for yi, y in enumerate(xs):
         for xi, x in enumerate(xs):
-            lines.append(f"{x:.17g},{y:.17g},{values[yi][xi]:.17g}")
+            lines.append(f"{x:.17g},{y:.17g},{values[yi, xi]:.17g}")
     with open(args.csv, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    checks = {
-        "increasing_x": all(
-            values[yi][xi + 1] >= values[yi][xi] - 1e-12
-            for yi in range(grid)
-            for xi in range(grid - 1)
-        ),
-        "increasing_y": all(
-            values[yi + 1][xi] >= values[yi][xi] - 1e-12
-            for yi in range(grid - 1)
-            for xi in range(grid)
-        ),
-        "convex_x": all(
-            values[yi][xi + 1] - 2 * values[yi][xi] + values[yi][xi - 1] >= -1e-12
-            for yi in range(grid)
-            for xi in range(1, grid - 1)
-        ),
-        "convex_y": all(
-            values[yi + 1][xi] - 2 * values[yi][xi] + values[yi - 1][xi] >= -1e-12
-            for yi in range(1, grid - 1)
-            for xi in range(grid)
-        ),
-        "swap_dominance": all(
-            values[yi][xi] >= values[xi][yi] - 1e-12
-            for yi in range(grid)
-            for xi in range(yi + 1)
-        ),
-        "derivative_match": _derivative_check(),
-    }
     for name, ok in checks.items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    print(f"wrote {grid * grid} rows to {args.csv}")
+    print(f"wrote {args.grid * args.grid} rows to {args.csv}")
     return 0 if all(checks.values()) else 1
-
-
-def _derivative_check() -> bool:
-    h = 1e-6
-    for x in (0.1, 0.5, 0.9):
-        for y in (0.2, 0.6, 1.0):
-            fd = (f_pair(PairLengths(x + h, y)) - f_pair(PairLengths(x - h, y))) / (2 * h)
-            exact = f_partial_x(PairLengths(x, y))
-            if abs(fd - exact) > 1e-6 * max(1.0, abs(exact)):
-                return False
-    return True
 
 
 def _cmd_mesh(args) -> int:

@@ -31,6 +31,12 @@ __all__ = [
 
 CHUNK = 1 << 16
 _BALL_VOLUME = 4.0 * math.pi / 3.0
+# support candidates are computed on the balls' boundaries and land outside them by rounding
+_SUPPORT_SLACK = 1e-9
+# squared center distance below which two spheres coincide and share no circle
+_COINCIDENT_SQ = 1e-30
+# a direction whose part off the centers' axis is under this meets a level circle with no single top
+_NORM_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,6 +77,8 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
         raise EmptySystem("no point centers to anchor the sampling ball")
     if samples < 1:
         raise ArgumentError(f"sample count must be positive, got {samples}")
+    if threads < 1:
+        raise ArgumentError(f"thread count must be positive, got {threads}")
     base = system.centers[0]
     nchunks = (samples + CHUNK - 1) // CHUNK
 
@@ -140,7 +148,7 @@ def support(system: BallSystem, direction: np.ndarray) -> float:
     if tops:
         cands.append(np.stack(tops))
     pts = np.concatenate(cands, axis=0)
-    ok = _inside(system, pts, slack=1e-9)
+    ok = _inside(system, pts, slack=_SUPPORT_SLACK)
     if not ok.any():
         raise NoIntersection("no feasible support candidate; the balls may not intersect")
     return float((pts[ok] @ u).max())
@@ -160,13 +168,13 @@ def _circle_top(c1: np.ndarray, c2: np.ndarray, u: np.ndarray) -> np.ndarray | N
     """Highest point along u of the unit spheres' intersection circle."""
     d = c2 - c1
     d2 = float(d @ d)
-    if d2 >= 4.0 or d2 < 1e-30:
+    if d2 >= 4.0 or d2 < _COINCIDENT_SQ:
         return None
     radius = math.sqrt(1.0 - 0.25 * d2)
     axial = float(u @ d) / d2
     perp = u - axial * d
     norm = float(np.linalg.norm(perp))
-    if norm < 1e-12:
+    if norm < _NORM_FLOOR:
         return None
     return (c1 + c2) / 2.0 + radius / norm * perp
 

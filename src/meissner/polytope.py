@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -63,6 +63,12 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+# a vector shorter than this is rounding noise on unit-scale coordinates and has no direction
+_NORM_FLOOR = 1e-12
+# an arc endpoint at distance one from both sphere centers lies on their bisector plane
+_ARC_PLANE_SLACK = 1e-6
+# an outward axis or an angular gap between a face's neighbors under this leaves their order open
+_FACE_CYCLE_TOL = 1e-9
 
 Edge = tuple[int, int]
 
@@ -95,13 +101,6 @@ class DiameterGraph:
             adj[j].add(i)
         return adj
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.m
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
 
 @dataclass(frozen=True, slots=True)
 class Arc:
@@ -118,14 +117,10 @@ class Arc:
         offset = np.multiply.outer(np.cos(t), self.u) + np.multiply.outer(np.sin(t), self.v)
         return self.center + self.radius * offset
 
-    @property
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.point(0.0), self.point(self.sweep)
-
 
 @dataclass(frozen=True, slots=True)
 class DualPairGeometry:
-    """Derived angles and arcs of one dual edge pair."""
+    """Derived angles, arcs and smoothing gains of one dual edge pair."""
 
     lengths: PairLengths
     phi: float
@@ -133,6 +128,7 @@ class DualPairGeometry:
     alpha: float
     arc: Arc
     arc_dual: Arc
+    gain: tuple[float, float]  # f by smoothing bit: (f_pair(lengths.swapped()), f_pair(lengths))
 
 
 @dataclass(frozen=True, slots=True)
@@ -263,15 +259,12 @@ def optimal_smoothing(pairs: tuple[DualEdgePair, ...]) -> SmoothingChoice:
 def enumerate_smoothings(
     vs: VertexSet, pairs: tuple[DualEdgePair, ...]
 ) -> list[tuple[SmoothingChoice, float]]:
-    """All 2^(m-1) smoothings with their closed-form areas."""
+    """All 2^(m-1) smoothings, areas summed from the pairs' gains; pair i's bit is bit i of the row index."""
     n = len(pairs)
     if n > 20:
         raise TooManyPairs(f"{n} pairs gives 2^{n} smoothings; refusing beyond 20")
-    out = []
-    for mask in range(1 << n):
-        choice = SmoothingChoice(tuple(bool((mask >> i) & 1) for i in range(n)))
-        out.append((choice, meissner_area(MeissnerPolyhedron(vs, pairs, choice))))
-    return out
+    rows = [bits[::-1] for bits in product((False, True), repeat=n)]
+    return [(SmoothingChoice(bits), _smoothed_area(pairs, bits)) for bits in rows]
 
 
 def build_meissner(vs: VertexSet, choice: SmoothingChoice | None = None) -> MeissnerPolyhedron:
@@ -286,9 +279,7 @@ def build_meissner(vs: VertexSet, choice: SmoothingChoice | None = None) -> Meis
 
 def meissner_area(poly: MeissnerPolyhedron) -> float:
     """Surface area 2*pi - sum of f over the smoothed pairs."""
-    return 2.0 * math.pi - math.fsum(
-        f_pair(poly.retained_lengths(i)) for i in range(len(poly.pairs))
-    )
+    return _smoothed_area(poly.pairs, poly.choice.bits)
 
 
 def meissner_volume(poly: MeissnerPolyhedron) -> float:
@@ -350,6 +341,10 @@ def _face_areas(vs: VertexSet) -> list[float]:
     ]
 
 
+def _smoothed_area(pairs: tuple[DualEdgePair, ...], bits: tuple[bool, ...]) -> float:
+    return 2.0 * math.pi - math.fsum(p.geometry.gain[b] for p, b in zip(pairs, bits))
+
+
 def _pairwise(pts: np.ndarray) -> np.ndarray:
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -362,28 +357,30 @@ def _pair_geometry(vs: VertexSet, e: Edge, e_dual: Edge) -> DualPairGeometry:
     theta = chord_to_arc(float(np.linalg.norm(y - x)), vs.tol)
     theta_dual = chord_to_arc(float(np.linalg.norm(yd - xd)), vs.tol)
     lengths = PairLengths(theta, theta_dual)
+    swapped = lengths.swapped()
     phi = dihedral_angle(lengths)
-    phi_dual = dihedral_angle(lengths.swapped())
+    phi_dual = dihedral_angle(swapped)
     alpha = wedge_angle(lengths)
-    arc = _edge_arc(x, y, xd, yd, vs.tol)
-    arc_dual = _edge_arc(xd, yd, x, y, vs.tol)
-    return DualPairGeometry(lengths, phi, phi_dual, alpha, arc, arc_dual)
+    arc = _edge_arc(x, y, xd, yd)
+    arc_dual = _edge_arc(xd, yd, x, y)
+    gain = (f_pair(swapped), f_pair(lengths))
+    return DualPairGeometry(lengths, phi, phi_dual, alpha, arc, arc_dual, gain)
 
 
-def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol: float) -> Arc:
+def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> Arc:
     """Arc from a to b on the circle of points at distance one from c1 and c2."""
     center = (c1 + c2) / 2.0
     axis = c2 - c1
     axis_norm = float(np.linalg.norm(axis))
-    if axis_norm < 1e-12:
+    if axis_norm < _NORM_FLOOR:
         raise GeometryError("coincident sphere centers give no circle")
     axis = axis / axis_norm
     ra = a - center
-    if abs(float(ra @ axis)) > 1e-6:
+    if abs(float(ra @ axis)) > _ARC_PLANE_SLACK:
         raise GeometryError("arc endpoint off the circle plane")
     radial = ra - (ra @ axis) * axis
     radius = float(np.linalg.norm(radial))
-    if radius < 1e-12:
+    if radius < _NORM_FLOOR:
         raise GeometryError("arc endpoint on the circle axis")
     u = radial / radius
     v = np.cross(axis, u)
@@ -401,7 +398,7 @@ def _face_cycle(pts: np.ndarray, neighbors: list[int], i: int) -> list[int]:
         raise FaceCycleError(f"vertex {i} has only {len(neighbors)} neighbors")
     axis = pts[neighbors].mean(axis=0) - x
     norm = float(np.linalg.norm(axis))
-    if norm < 1e-9:
+    if norm < _FACE_CYCLE_TOL:
         raise FaceCycleError(f"neighbors of vertex {i} have no outward axis")
     axis = axis / norm
     smallest = int(np.argmin(np.abs(axis)))
@@ -414,7 +411,7 @@ def _face_cycle(pts: np.ndarray, neighbors: list[int], i: int) -> list[int]:
     ]
     angles.sort()
     for (a1, n1), (a2, n2) in zip(angles, angles[1:] + [(angles[0][0] + 2 * math.pi, angles[0][1])]):
-        if a2 - a1 < 1e-9:
+        if a2 - a1 < _FACE_CYCLE_TOL:
             raise FaceCycleError(f"neighbors {n1} and {n2} of vertex {i} are angularly coincident")
     return [n for _, n in angles]
 
@@ -434,7 +431,7 @@ def _face_interior_angles(pts: np.ndarray, i: int, cycle: list[int]) -> list[flo
         tp = prev - (prev @ b) * b
         tn = nxt - (nxt @ b) * b
         np_, nn = np.linalg.norm(tp), np.linalg.norm(tn)
-        if np_ < 1e-12 or nn < 1e-12:
+        if np_ < _NORM_FLOOR or nn < _NORM_FLOOR:
             raise GeometryError(f"degenerate corner at vertex {i}")
         c = float(tp @ tn) / (np_ * nn)
         angles.append(math.acos(min(1.0, max(-1.0, c))))

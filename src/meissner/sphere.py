@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DiameterViolation, GeometryError
 
 __all__ = [
@@ -27,12 +29,17 @@ __all__ = [
     "spindle_area",
     "f_pair",
     "f_partial_x",
+    "f_property_check",
     "geodesic_polygon_area",
 ]
 
 CLAMP_TOL = 1e-9
 EDGE_ARC_MAX = math.pi / 3
 DIHEDRAL_MAX = math.acos(1.0 / 3.0)
+# f is increasing, convex and swap-dominant exactly; its O(1) grid values may break that by rounding
+_F_GRID_SLACK = 1e-12
+# central differences at step 1e-6 carry about 1e-10 of rounding, well inside this
+_F_DERIVATIVE_TOL = 1e-6
 
 
 def _clamped(value: float, tol: float = CLAMP_TOL) -> float:
@@ -146,6 +153,31 @@ def f_partial_x(lengths: PairLengths) -> float:
     if rad < 1e-12:
         raise GeometryError(f"pair {lengths!r} on the admissible boundary")
     return y * math.cos(x / 2) * math.cos(y / 2) / math.sqrt(rad)
+
+
+def f_property_check(grid: int) -> tuple[list[float], np.ndarray, dict[str, bool]]:
+    """Tabulate f on a grid x grid lattice of [0, pi/3]^2 and check its properties.
+
+    Returns the angles xs, values[yi, xi] = f(xs[xi], xs[yi]) and six named
+    verdicts: f increasing and convex along each axis, f(x, y) >= f(y, x)
+    for y >= x, and f_partial_x matching central differences of f on a
+    fixed 3 x 3 set and on every tenth interior point of a 200-point grid.
+    """
+    xs = [EDGE_ARC_MAX * i / (grid - 1) for i in range(grid)]
+    values = np.array([[f_pair(PairLengths(x, y)) for x in xs] for y in xs])
+    fine = np.linspace(0.0, EDGE_ARC_MAX, 200)[5:-5:10]
+    points = [(x, y) for x in (0.1, 0.5, 0.9) for y in (0.2, 0.6, 1.0)] + [(x, y) for x in fine for y in fine]
+    h = 1e-6
+    fd = np.array([f_pair(PairLengths(x + h, y)) - f_pair(PairLengths(x - h, y)) for x, y in points]) / (2 * h)
+    exact = np.array([f_partial_x(PairLengths(x, y)) for x, y in points])
+    return xs, values, {
+        "increasing_x": bool((np.diff(values, axis=1) >= -_F_GRID_SLACK).all()),
+        "increasing_y": bool((np.diff(values, axis=0) >= -_F_GRID_SLACK).all()),
+        "convex_x": bool((np.diff(values, 2, axis=1) >= -_F_GRID_SLACK).all()),
+        "convex_y": bool((np.diff(values, 2, axis=0) >= -_F_GRID_SLACK).all()),
+        "swap_dominance": bool(((values - values.T)[np.tril_indices(grid)] >= -_F_GRID_SLACK).all()),
+        "derivative_match": bool((abs(fd - exact) <= _F_DERIVATIVE_TOL * np.maximum(1.0, abs(exact))).all()),
+    }
 
 
 def geodesic_polygon_area(angles: list[float] | tuple[float, ...], tol: float = 1e-9) -> float:

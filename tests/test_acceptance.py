@@ -17,7 +17,6 @@ from meissner import (
     direction_sphere_partition,
     enumerate_smoothings,
     f_pair,
-    f_partial_x,
     find_dual_pairs,
     build_diameter_graph,
     mc_volume,
@@ -36,6 +35,7 @@ from meissner import (
     width_samples,
 )
 from meissner.montecarlo import BallSystem
+from meissner.sphere import f_property_check
 from conftest import PI3, TETRA_AREA
 
 
@@ -123,34 +123,12 @@ def test_criterion_5_smoothing_rule(pyr2_vs):
 
 
 def test_criterion_6_f_property_grid():
-    grid = 200
-    xs = np.linspace(0.0, PI3, grid)
-    values = np.array([[f_pair(PairLengths(x, y)) for x in xs] for y in xs])
-
-    increasing = (np.diff(values, axis=1) >= -1e-12).all() and (
-        np.diff(values, axis=0) >= -1e-12
-    ).all()
-    convex = (np.diff(values, 2, axis=1) >= -1e-12).all() and (
-        np.diff(values, 2, axis=0) >= -1e-12
-    ).all()
-    swap = all(
-        values[yi][xi] >= values[xi][yi] - 1e-12
-        for yi in range(grid)
-        for xi in range(yi + 1)
-    )
-
-    h = 1e-6
-    worst_rel = 0.0
-    for x in xs[5:-5:10]:
-        for y in xs[5:-5:10]:
-            fd = (f_pair(PairLengths(x + h, y)) - f_pair(PairLengths(x - h, y))) / (2 * h)
-            exact = f_partial_x(PairLengths(x, y))
-            worst_rel = max(worst_rel, abs(fd - exact) / max(1.0, abs(exact)))
-
+    # the 200-point grid; the 1e-12 slack and the 1e-6 derivative tolerance are sphere's
+    _, values, verdicts = f_property_check(200)
     report(
         6,
-        increasing and convex and swap and worst_rel <= 1e-6,
-        f"monotone {increasing}, convex {convex}, swap {swap}, derivative err {worst_rel:.2e}",
+        values.shape == (200, 200) and all(verdicts.values()),
+        ", ".join(f"{name} {ok}" for name, ok in verdicts.items()),
     )
 
 

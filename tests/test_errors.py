@@ -35,6 +35,8 @@ def test_argument_error_is_a_validation_error_and_a_value_error():
         lambda tmp: build_meissner(regular_tetrahedron(), SmoothingChoice((True,))),
         lambda tmp: regular_pyramid(0),
         lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 0, seed=0),
+        lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 10, seed=0, threads=0),
+        lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 10, seed=0, threads=-3),
         lambda tmp: width_samples(BallSystem.from_points(np.zeros((1, 3))), 0, seed=0),
         lambda tmp: optimize_pyramid(4),
         lambda tmp: tessellate(build_meissner(regular_tetrahedron()), 9),

@@ -22,12 +22,13 @@ from meissner import (
     meissner_area,
     meissner_volume,
     optimal_smoothing,
+    random_feasible_pyramid,
     regular_tetrahedron,
     reuleaux_area,
     surface_decomposition,
     validate_vertex_set,
 )
-from meissner.sphere import dihedral_angle
+from meissner.sphere import dihedral_angle, f_pair
 
 from conftest import (
     ACOS_THIRD,
@@ -54,7 +55,7 @@ def test_tetrahedron_validates(tetra_vs):
 def test_tetrahedron_graph_and_pairs(tetra_vs, tetra_pairs):
     graph = build_diameter_graph(tetra_vs)
     assert len(graph.edges) == 6
-    assert graph.degrees() == [3, 3, 3, 3]
+    assert np.bincount(np.ravel(graph.edges)).tolist() == [3, 3, 3, 3]
     assert len(tetra_pairs) == 3
     for pair in tetra_pairs:
         g = pair.geometry
@@ -128,6 +129,21 @@ def test_optimal_smoothing_is_argmin(pyr2_vs):
     assert best_area == pytest.approx(PYR2_AREA, abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_smoothing_table_matches_each_built_body(k, seed):
+    vs = random_feasible_pyramid(k, seed)
+    pairs = find_dual_pairs(build_diameter_graph(vs), vs)
+    for pair in pairs:
+        lengths = pair.geometry.lengths
+        assert pair.geometry.gain[True] == f_pair(lengths)
+        assert pair.geometry.gain[False] == f_pair(lengths.swapped())
+    table = enumerate_smoothings(vs, pairs)
+    assert len(table) == 2 ** (vs.m - 1)
+    for choice, area in table:
+        assert area == meissner_area(build_meissner(vs, choice))
+
+
 def test_flipping_any_bit_never_improves(pyr2_vs):
     pairs = find_dual_pairs(build_diameter_graph(pyr2_vs), pyr2_vs)
     choice = optimal_smoothing(pairs)
@@ -165,7 +181,7 @@ def test_retained_arc_geometry(tetra_poly, pyr2_poly):
             lengths = poly.retained_lengths(i)
             assert arc.radius == pytest.approx(math.cos(lengths.theta_dual / 2), abs=1e-12)
             assert arc.sweep == pytest.approx(dihedral_angle(lengths.swapped()), abs=1e-12)
-            a, b = arc.endpoints
+            a, b = arc.point(0.0), arc.point(arc.sweep)
             e = poly.retained_edge(i)
             d_a = min(np.linalg.norm(a - pts[e[0]]), np.linalg.norm(a - pts[e[1]]))
             d_b = min(np.linalg.norm(b - pts[e[0]]), np.linalg.norm(b - pts[e[1]]))

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,8 @@ from meissner import (
     wedge_angle,
     wedge_area,
 )
-from meissner.sphere import geodesic_polygon_area
+from meissner import sphere
+from meissner.sphere import f_property_check, geodesic_polygon_area
 
 from conftest import (
     ACOS_THIRD,
@@ -127,3 +129,27 @@ def test_geodesic_polygon_area():
         geodesic_polygon_area([1.0, 2.0])
     with pytest.raises(GeometryError):
         geodesic_polygon_area([0.1, 0.1, 0.1])
+
+
+@pytest.mark.parametrize(
+    "dent, failing",
+    [
+        (1e-4, {"convex_x", "convex_y"}),
+        (-1e-4, {"convex_x", "convex_y", "swap_dominance"}),
+        (-1.0, {"increasing_x", "increasing_y", "convex_x", "convex_y", "swap_dominance"}),
+    ],
+)
+def test_f_property_check_flags_one_dented_value(monkeypatch, dent, failing):
+    xs, clean, verdicts = f_property_check(12)
+    assert all(verdicts.values())
+    # an interior grid point with y > x, where f(x, y) > f(y, x)
+    target = (xs[3], xs[7])
+
+    def dented(lengths):
+        value = f_pair(lengths)
+        return value + dent if (lengths.theta, lengths.theta_dual) == target else value
+
+    monkeypatch.setattr(sphere, "f_pair", dented)
+    _, values, verdicts = f_property_check(12)
+    assert np.flatnonzero(values != clean).tolist() == [7 * 12 + 3]
+    assert {name for name, ok in verdicts.items() if not ok} == failing
