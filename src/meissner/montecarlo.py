@@ -2,9 +2,13 @@
 
 A body is represented by its generating centers: a finite point set
 plus circular arcs, the body being the intersection of all unit balls
-centered there.  Membership therefore reduces to one farthest-distance
-computation per arc, and the volume estimate needs no geometry beyond
-that.  Sampling is chunked, with each chunk driven by its own
+centered there.  Membership therefore reduces to one distance per point
+center and one farthest-distance computation per arc, the arcs tested
+only on the points inside every point ball.  The volume estimate
+samples the axis box of the point centers' ball polytope, which holds
+the body; it samples the unit ball around the first point center
+instead when that ball is the smaller region, or when the balls share
+no point.  Sampling is chunked, with each chunk driven by its own
 counter-based generator keyed by (seed, chunk index), so results are
 reproducible bit for bit regardless of how chunks are scheduled.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -37,6 +42,7 @@ _SUPPORT_SLACK = 1e-9
 _COINCIDENT_SQ = 1e-30
 # a direction whose part off the centers' axis is under this meets a level circle with no single top
 _NORM_FLOOR = 1e-12
+_AXES = np.concatenate((np.eye(3), -np.eye(3)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,7 +73,15 @@ class McResult:
 
 
 def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> McResult:
-    """Rejection-sample the unit ball around the first point center.
+    """Rejection-sample the axis box of the point centers' ball polytope.
+
+    The box comes from `support` of the point centers alone in the six
+    axis directions, widened by the support slack; arcs only cut that
+    polytope down, so the box holds the body, and bodies on the same
+    centers share one sample stream.  When the box is no smaller than
+    the unit ball around the first point center, or the balls share no
+    point, that ball is sampled instead.  Volume and standard error scale
+    with the volume of the sampled region.
 
     Deterministic for fixed (samples, seed): the sample stream is a pure
     function of the chunk index, so the thread count cannot change the
@@ -80,19 +94,24 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     if threads < 1:
         raise ArgumentError(f"thread count must be positive, got {threads}")
     base = system.centers[0]
+    box = _sampling_box(system.centers)
+    region = _BALL_VOLUME if box is None else float(np.prod(box[1]))
     nchunks = (samples + CHUNK - 1) // CHUNK
 
     def run(chunk: int) -> int:
         n = min(CHUNK, samples - chunk * CHUNK)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk,))))
         q = rng.random((3, n))
-        z = 1.0 - 2.0 * q[0]
-        azimuth = 2.0 * math.pi * q[1]
-        radius = np.cbrt(q[2])
-        s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-        pts = base + radius[:, None] * np.stack(
-            (s * np.cos(azimuth), s * np.sin(azimuth), z), axis=1
-        )
+        if box is not None:
+            pts = box[0] + box[1] * q.T
+        else:
+            z = 1.0 - 2.0 * q[0]
+            azimuth = 2.0 * math.pi * q[1]
+            radius = np.cbrt(q[2])
+            s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+            pts = base + radius[:, None] * np.stack(
+                (s * np.cos(azimuth), s * np.sin(azimuth), z), axis=1
+            )
         return int(np.count_nonzero(_inside(system, pts)))
 
     if threads > 1:
@@ -101,8 +120,8 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     else:
         hits = sum(run(c) for c in range(nchunks))
     p = hits / samples
-    volume = _BALL_VOLUME * p
-    std_error = _BALL_VOLUME * math.sqrt(p * (1.0 - p) / samples)
+    volume = region * p
+    std_error = region * math.sqrt(p * (1.0 - p) / samples)
     return McResult(volume, std_error, samples, seed, hits)
 
 
@@ -117,76 +136,141 @@ def width_samples(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     dirs = rng.normal(size=(directions, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    widths = [support(system, u) + support(system, -u) for u in dirs]
-    return min(widths), max(widths)
+    h = support(system, np.concatenate((dirs, -dirs)))
+    widths = h[:directions] + h[directions:]
+    return float(widths.min()), float(widths.max())
 
 
-def support(system: BallSystem, direction: np.ndarray) -> float:
-    """Support function of the body in a unit direction.
+def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
+    """Support function of the body in unit directions.
 
-    The support point of an intersection of unit balls is either on a
-    sphere patch (center + direction for the generating center), on a
-    sharp edge (a generator arc, or the intersection circle of two of
-    the spheres), or at a corner, which for these bodies is always a
-    generating point.  All such candidates are screened against the
-    ball constraints with a small slack; the best survivor is exact up
-    to that slack.
+    Takes one direction, shape (3,), and returns a float, or n directions,
+    shape (n, 3), and returns shape (n,).  The support point of an
+    intersection of unit balls is on a sphere patch (center + direction
+    for the generating center), on a sharp edge (a generator arc, or the
+    intersection circle of two of the spheres), or at a corner: a
+    generating point or a point where three of the spheres meet
+    (Kupitz, Martini and Perles).  All such candidates, for all
+    directions at once, are screened against the ball constraints with a
+    small slack; the best survivor is exact up to that slack.
     """
     u = np.asarray(direction, dtype=float)
+    dirs = u.reshape(-1, 3)
     centers = system.centers
-    cands = [centers + u, centers]
-    for arc in system.arcs:
-        pts = arc.point(_arc_criticals(arc, u))
-        cands.append(pts + u)
-        cands.append(pts)
-    tops = []
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            top = _circle_top(centers[i], centers[j], u)
-            if top is not None:
-                tops.append(top)
-    if tops:
-        cands.append(np.stack(tops))
-    pts = np.concatenate(cands, axis=0)
-    ok = _inside(system, pts, slack=_SUPPORT_SLACK)
-    if not ok.any():
+    cands = [centers + dirs[:, None], _circle_tops(centers, dirs)]
+    if system.arcs:
+        pts = _arc_critical_points(system.arcs, dirs)
+        cands += [pts + dirs[:, None], pts]
+    pts = np.concatenate(cands, axis=1)
+    n, k = pts.shape[:2]
+    # corners do not move with the direction, so they are screened once
+    corners = np.concatenate((centers, _sphere_corners(centers)))
+    ok = _inside(system, np.concatenate((pts.reshape(-1, 3), corners)), slack=_SUPPORT_SLACK)
+    ok = np.concatenate(
+        (ok[: n * k].reshape(n, k), np.broadcast_to(ok[n * k :], (n, len(corners)))), axis=1
+    )
+    if not ok.any(axis=1).all():
         raise NoIntersection("no feasible support candidate; the balls may not intersect")
-    return float((pts[ok] @ u).max())
+    heights = np.concatenate((np.einsum("nkj,nj->nk", pts, dirs), dirs @ corners.T), axis=1)
+    h = np.where(ok, heights, -np.inf).max(axis=1)
+    return float(h[0]) if u.ndim == 1 else h
 
 
-def _arc_criticals(arc: Arc, u: np.ndarray) -> np.ndarray:
-    """Parameters where u . arc.point(t) can be extremal on [0, sweep]."""
-    ts = [0.0, arc.sweep]
-    peak = math.atan2(float(u @ arc.v), float(u @ arc.u)) % (2.0 * math.pi)
-    for t in (peak, (peak + math.pi) % (2.0 * math.pi)):
-        if t < arc.sweep:
-            ts.append(t)
-    return np.array(ts)
+def _sampling_box(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Low corner and edge lengths of the axis box around the centers' ball polytope.
 
-
-def _circle_top(c1: np.ndarray, c2: np.ndarray, u: np.ndarray) -> np.ndarray | None:
-    """Highest point along u of the unit spheres' intersection circle."""
-    d = c2 - c1
-    d2 = float(d @ d)
-    if d2 >= 4.0 or d2 < _COINCIDENT_SQ:
+    None when the polytope is empty or the box is no smaller than a unit ball.
+    """
+    try:
+        h = support(BallSystem(centers, ()), _AXES)
+    except NoIntersection:
         return None
-    radius = math.sqrt(1.0 - 0.25 * d2)
-    axial = float(u @ d) / d2
-    perp = u - axial * d
-    norm = float(np.linalg.norm(perp))
-    if norm < _NORM_FLOOR:
-        return None
-    return (c1 + c2) / 2.0 + radius / norm * perp
+    lo = -h[3:] - _SUPPORT_SLACK
+    size = h[:3] + _SUPPORT_SLACK - lo
+    return (lo, size) if float(np.prod(size)) < _BALL_VOLUME else None
+
+
+def _arc_critical_points(arcs: tuple[Arc, ...], dirs: np.ndarray) -> np.ndarray:
+    """Per direction, the points of every arc where u . arc.point(t) can be extremal.
+
+    Shape (n, 4 * len(arcs), 3): both endpoints, then the peak and the
+    trough of the arc's circle, each replaced by the start point when it
+    falls off the arc.
+    """
+    center = np.array([a.center for a in arcs])
+    au = np.array([a.u for a in arcs])
+    av = np.array([a.v for a in arcs])
+    radius = np.array([a.radius for a in arcs])
+    sweep = np.array([a.sweep for a in arcs])
+    peak = np.arctan2(dirs @ av.T, dirs @ au.T) % (2.0 * math.pi)
+    trough = (peak + math.pi) % (2.0 * math.pi)
+    ts = np.stack(
+        (
+            np.zeros_like(peak),
+            np.broadcast_to(sweep, peak.shape),
+            np.where(peak < sweep, peak, 0.0),
+            np.where(trough < sweep, trough, 0.0),
+        ),
+        axis=-1,
+    )[..., None]
+    offset = np.cos(ts) * au[:, None] + np.sin(ts) * av[:, None]
+    pts = center[:, None] + radius[:, None, None] * offset
+    return pts.reshape(len(dirs), -1, 3)
+
+
+def _circle_tops(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Highest point along each direction of every pair's intersection circle.
+
+    Shape (n, pairs, 3); NaN, which `_inside` rejects, where there is no
+    such point: the two spheres must meet in a circle, and the direction
+    must not be parallel to the centers' axis.
+    """
+    i, j = np.triu_indices(len(centers), 1)
+    d = centers[j] - centers[i]
+    d2 = np.einsum("pj,pj->p", d, d)
+    meets = (d2 < 4.0) & (d2 >= _COINCIDENT_SQ)
+    radius = np.sqrt(1.0 - 0.25 * np.where(meets, d2, 0.0))
+    axial = (dirs @ d.T) / np.where(meets, d2, 1.0)
+    perp = dirs[:, None] - axial[..., None] * d
+    norm = np.linalg.norm(perp, axis=-1)
+    ok = meets & (norm >= _NORM_FLOOR)
+    tops = (centers[i] + centers[j]) / 2.0 + (radius / np.where(ok, norm, 1.0))[..., None] * perp
+    return np.where(ok[..., None], tops, np.nan)
+
+
+def _sphere_corners(centers: np.ndarray) -> np.ndarray:
+    """The points where three of the unit spheres meet, two per triple that meets."""
+    i, j, k = np.array(list(combinations(range(len(centers)), 3)), dtype=np.intp).reshape(-1, 3).T
+    a = centers[j] - centers[i]
+    b = centers[k] - centers[i]
+    normal = np.cross(a, b)
+    nn = np.einsum("tj,tj->t", normal, normal)
+    # circumcenter of the triple, relative to centers[i]; collinear triples have none
+    rel = (
+        np.einsum("tj,tj->t", a, a)[:, None] * np.cross(b, normal)
+        + np.einsum("tj,tj->t", b, b)[:, None] * np.cross(normal, a)
+    ) / (2.0 * np.where(nn > 0.0, nn, 1.0))[:, None]
+    rise_sq = 1.0 - np.einsum("tj,tj->t", rel, rel)
+    meets = (nn > 0.0) & (rise_sq >= 0.0)
+    mid = centers[i][meets] + rel[meets]
+    rise = (np.sqrt(rise_sq[meets]) / np.sqrt(nn[meets]))[:, None] * normal[meets]
+    return np.concatenate((mid + rise, mid - rise))
 
 
 def _inside(system: BallSystem, pts: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    """Membership; the arcs are tested only on the points inside every point ball."""
     limit = (1.0 + slack) ** 2
     mask = np.ones(len(pts), dtype=bool)
     for c in system.centers:
         d = pts - c
         mask &= np.einsum("ij,ij->i", d, d) <= limit
-    for arc in system.arcs:
-        mask &= _max_dist_sq(arc, pts) <= limit
+    if system.arcs:
+        rows = np.flatnonzero(mask)
+        survivors = pts[rows]
+        keep = np.ones(len(rows), dtype=bool)
+        for arc in system.arcs:
+            keep &= _max_dist_sq(arc, survivors) <= limit
+        mask[rows] = keep
     return mask
 
 
@@ -196,8 +280,10 @@ def _max_dist_sq(arc: Arc, pts: np.ndarray) -> np.ndarray:
     wv = w @ arc.v
     w2 = np.einsum("ij,ij->i", w, w)
     r = arc.radius
-    rho = np.hypot(wu, wv)
-    t = np.arctan2(-wv, -wu) % (2.0 * math.pi)
+    # at a fraction of the cost of hypot and %: rho to within an ulp, t mod 2*pi exactly
+    rho = np.sqrt(wu * wu + wv * wv)
+    t = np.arctan2(-wv, -wu)
+    t = np.where(t < 0.0, t + 2.0 * math.pi, t)
     far = w2 + r * r + 2.0 * r * rho
     d0 = w2 + r * r - 2.0 * r * wu
     d1 = w2 + r * r - 2.0 * r * (wu * math.cos(arc.sweep) + wv * math.sin(arc.sweep))

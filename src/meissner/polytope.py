@@ -65,8 +65,9 @@ __all__ = [
 DEFAULT_TOL = 1e-9
 # a vector shorter than this is rounding noise on unit-scale coordinates and has no direction
 _NORM_FLOOR = 1e-12
-# an arc endpoint at distance one from both sphere centers lies on their bisector plane
-_ARC_PLANE_SLACK = 1e-6
+# an endpoint within tol of distance one from both centers c1, c2 lies within 2*tol/|c2 - c1|
+# of their bisector plane; twice that bound leaves room for rounding
+_ARC_PLANE_SLACK_PER_TOL = 4.0
 # an outward axis or an angular gap between a face's neighbors under this leaves their order open
 _FACE_CYCLE_TOL = 1e-9
 
@@ -361,14 +362,17 @@ def _pair_geometry(vs: VertexSet, e: Edge, e_dual: Edge) -> DualPairGeometry:
     phi = dihedral_angle(lengths)
     phi_dual = dihedral_angle(swapped)
     alpha = wedge_angle(lengths)
-    arc = _edge_arc(x, y, xd, yd)
-    arc_dual = _edge_arc(xd, yd, x, y)
+    arc = _edge_arc(x, y, xd, yd, vs.tol)
+    arc_dual = _edge_arc(xd, yd, x, y, vs.tol)
     gain = (f_pair(swapped), f_pair(lengths))
     return DualPairGeometry(lengths, phi, phi_dual, alpha, arc, arc_dual, gain)
 
 
-def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> Arc:
-    """Arc from a to b on the circle of points at distance one from c1 and c2."""
+def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol: float) -> Arc:
+    """Arc from a to b on the circle of points at distance one from c1 and c2.
+
+    a and b lie within tol of distance one from both centers.
+    """
     center = (c1 + c2) / 2.0
     axis = c2 - c1
     axis_norm = float(np.linalg.norm(axis))
@@ -376,7 +380,7 @@ def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray) -> A
         raise GeometryError("coincident sphere centers give no circle")
     axis = axis / axis_norm
     ra = a - center
-    if abs(float(ra @ axis)) > _ARC_PLANE_SLACK:
+    if abs(float(ra @ axis)) > _ARC_PLANE_SLACK_PER_TOL * tol / axis_norm:
         raise GeometryError("arc endpoint off the circle plane")
     radial = ra - (ra @ axis) * axis
     radius = float(np.linalg.norm(radial))

@@ -173,6 +173,18 @@ def test_tolerance_env(tmp_path, capsys, monkeypatch):
     assert run(capsys, "validate", str(path))[0] == 2
 
 
+def test_analyze_at_a_loose_tolerance(tmp_path, capsys, monkeypatch):
+    # seed 0's set validates at 1e-5 but has an arc endpoint 1.1e-6 off its circle's plane
+    pts = regular_tetrahedron().points + np.random.default_rng(0).normal(scale=4e-7, size=(4, 3))
+    path = tmp_path / "noisy.txt"
+    path.write_text("4\n" + "\n".join(" ".join(f"{c:.17g}" for c in p) for p in pts) + "\n")
+    monkeypatch.setenv("MEISSNER_TOL", "1e-5")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    values = dict(line.split(",", 1) for line in out.splitlines()[5:])
+    assert float(values["meissner_volume"]) == pytest.approx(TETRA_VOLUME, abs=1e-4)
+
+
 def test_f_table(tmp_path, capsys):
     csv = tmp_path / "f.csv"
     code, out, _ = run(capsys, "f-table", "--grid", "12", "--csv", str(csv))

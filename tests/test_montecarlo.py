@@ -1,20 +1,39 @@
 """Rejection sampling oracle and direction width sampling."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meissner import (
+    Arc,
     BallSystem,
     EmptySystem,
+    NoIntersection,
     build_meissner,
     mc_volume,
     meissner_volume,
+    random_feasible_pyramid,
+    regular_pyramid,
     regular_tetrahedron,
+    tessellate,
+    tessellate_reuleaux,
     width_samples,
 )
-from meissner.montecarlo import _inside, _max_dist_sq, support
+from meissner.montecarlo import (
+    _COINCIDENT_SQ,
+    _NORM_FLOOR,
+    _SUPPORT_SLACK,
+    _inside,
+    _max_dist_sq,
+    _sampling_box,
+    _sphere_corners,
+    support,
+)
+from conftest import triangle_center_set
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +141,153 @@ def test_width_of_a_single_ball():
     lo, hi = width_samples(system, 50, seed=0)
     assert lo == pytest.approx(2.0, abs=1e-12)
     assert hi == pytest.approx(2.0, abs=1e-12)
+
+
+def _reference_arc_criticals(arc: Arc, u: np.ndarray) -> np.ndarray:
+    """Parameters where u . arc.point(t) can be extremal on [0, sweep]."""
+    ts = [0.0, arc.sweep]
+    peak = math.atan2(float(u @ arc.v), float(u @ arc.u)) % (2.0 * math.pi)
+    for t in (peak, (peak + math.pi) % (2.0 * math.pi)):
+        if t < arc.sweep:
+            ts.append(t)
+    return np.array(ts)
+
+
+def _reference_circle_top(c1: np.ndarray, c2: np.ndarray, u: np.ndarray) -> np.ndarray | None:
+    """Highest point along u of the unit spheres' intersection circle."""
+    d = c2 - c1
+    d2 = float(d @ d)
+    if d2 >= 4.0 or d2 < _COINCIDENT_SQ:
+        return None
+    radius = math.sqrt(1.0 - 0.25 * d2)
+    axial = float(u @ d) / d2
+    perp = u - axial * d
+    norm = float(np.linalg.norm(perp))
+    if norm < _NORM_FLOOR:
+        return None
+    return (c1 + c2) / 2.0 + radius / norm * perp
+
+
+def _reference_corners(centers: np.ndarray) -> list[np.ndarray]:
+    """Points where three unit spheres meet, one triple of centers at a time."""
+    corners = []
+    for i, j, k in combinations(range(len(centers)), 3):
+        a, b = centers[j] - centers[i], centers[k] - centers[i]
+        normal = np.cross(a, b)
+        nn = float(normal @ normal)
+        if nn == 0.0:
+            continue
+        rel = (float(a @ a) * np.cross(b, normal) + float(b @ b) * np.cross(normal, a)) / (2.0 * nn)
+        rise_sq = 1.0 - float(rel @ rel)
+        if rise_sq < 0.0:
+            continue
+        rise = math.sqrt(rise_sq) / math.sqrt(nn) * normal
+        corners += [centers[i] + rel + rise, centers[i] + rel - rise]
+    return corners
+
+
+def _reference_support(system: BallSystem, u: np.ndarray, corners: list[np.ndarray]) -> float:
+    """Support in one direction, its candidates built one arc and one point pair at a time."""
+    centers = system.centers
+    cands = [centers + u, centers] + [c[None] for c in corners]
+    for arc in system.arcs:
+        pts = arc.point(_reference_arc_criticals(arc, u))
+        cands.append(pts + u)
+        cands.append(pts)
+    tops = []
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            top = _reference_circle_top(centers[i], centers[j], u)
+            if top is not None:
+                tops.append(top)
+    if tops:
+        cands.append(np.stack(tops))
+    pts = np.concatenate(cands, axis=0)
+    ok = _inside(system, pts, slack=_SUPPORT_SLACK)
+    if not ok.any():
+        raise NoIntersection("no feasible support candidate")
+    return float((pts[ok] @ u).max())
+
+
+def test_batched_support_matches_the_per_direction_reference(tetra_vs):
+    point_sets = [tetra_vs, regular_pyramid(2), regular_pyramid(3)]
+    point_sets += [random_feasible_pyramid(k, 0) for k in range(1, 6)]
+    systems = [BallSystem.from_points(np.array([[0.3, -0.2, 0.1]]))]
+    for vs in point_sets:
+        systems += [BallSystem.from_meissner(build_meissner(vs)), BallSystem.from_points(vs.points)]
+    pts = tetra_vs.points
+    edge_axis = (pts[0] + pts[1]) / 2.0 - (pts[2] + pts[3]) / 2.0
+    dirs = np.random.default_rng(23).normal(size=(200, 3))
+    dirs = np.concatenate((np.eye(3), -np.eye(3), [edge_axis, -edge_axis], dirs))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    for system in systems:
+        batched = support(system, dirs)
+        assert batched.shape == (len(dirs),)
+        corners = _reference_corners(system.centers)
+        reference = np.array([_reference_support(system, u, corners) for u in dirs])
+        assert np.abs(batched - reference).max() <= 1e-15
+        single = support(system, dirs[7])
+        assert isinstance(single, float)
+        assert abs(single - reference[7]) <= 1e-15
+
+
+def test_sphere_corners_of_the_tetrahedron(tetra_vs):
+    # each triple's spheres meet at the fourth vertex and at its mirror image
+    # through the triple's plane, which lies outside the fourth ball
+    corners = _sphere_corners(tetra_vs.points)
+    assert corners.shape == (8, 3)
+    dist = np.linalg.norm(corners[:, None] - tetra_vs.points[None], axis=-1)
+    assert (np.count_nonzero(np.abs(dist - 1.0) <= 1e-12, axis=1) >= 3).all()
+    vertices = corners[_inside(BallSystem.from_points(tetra_vs.points), corners, slack=1e-12)]
+    assert np.abs(np.sort(vertices, axis=0) - np.sort(tetra_vs.points, axis=0)).max() <= 1e-15
+
+
+def test_disjoint_balls_have_no_support_and_no_volume():
+    system = BallSystem.from_points(np.array([[0.0, 0.0, 0.0], [2.5, 0.0, 0.0]]))
+    with pytest.raises(NoIntersection):
+        support(system, np.eye(3))
+    result = mc_volume(system, 1000, seed=0)
+    assert (result.hits, result.volume, result.std_error) == (0, 0.0, 0.0)
+
+
+def test_sampling_box_holds_a_body_whose_corners_are_not_centers():
+    # a unit triangle and its centroid: the body's top and bottom are where
+    # the triangle's three spheres meet, at height sqrt(2/3), not at a center
+    system = BallSystem.from_points(triangle_center_set())
+    top = math.sqrt(2.0 / 3.0)
+    up = np.array([0.0, 0.0, 1.0])
+    assert support(system, np.stack((up, -up))) == pytest.approx([top, top], abs=1e-12)
+    lo, size = _sampling_box(system.centers)
+    assert (lo[2], size[2]) == pytest.approx((-top, 2.0 * top), abs=1e-8)
+    # uniform points of the first center's ball that the body keeps
+    rng = np.random.default_rng(1)
+    pts = rng.uniform(-1.0, 1.0, size=(400_000, 3))
+    pts = system.centers[0] + pts[np.einsum("ij,ij->i", pts, pts) <= 1.0]
+    kept = pts[_inside(system, pts)]
+    assert len(kept) > 10_000
+    assert (kept >= lo).all() and (kept <= lo + size).all()
+    p = len(kept) / len(pts)
+    ball = 4.0 * math.pi / 3.0 * p
+    ball_se = 4.0 * math.pi / 3.0 * math.sqrt(p * (1.0 - p) / len(pts))
+    result = mc_volume(system, 1 << 18, seed=3)
+    assert abs(result.volume - ball) <= 5.0 * math.hypot(result.std_error, ball_se)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10_000))
+def test_random_pyramids_have_constant_width_inside_the_sampling_box(k, seed):
+    vs = random_feasible_pyramid(k, seed)
+    poly = build_meissner(vs)
+    narrowest, widest = width_samples(BallSystem.from_meissner(poly), 64, seed=seed)
+    assert 1.0 - 1e-6 <= narrowest <= widest <= 1.0 + 1e-6
+    lo, size = _sampling_box(vs.points)
+    for mesh in (tessellate(poly, 2), tessellate_reuleaux(vs, poly.pairs, 2)):
+        assert (mesh.vertices >= lo).all() and (mesh.vertices <= lo + size).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_estimate_brackets_closed_form_on_random_pyramids(k, seed):
+    poly = build_meissner(random_feasible_pyramid(k, seed))
+    result = mc_volume(BallSystem.from_meissner(poly), 1 << 16, seed=seed)
+    assert abs(result.volume - meissner_volume(poly)) <= 5.0 * result.std_error

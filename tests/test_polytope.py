@@ -9,6 +9,7 @@ import pytest
 from meissner import (
     ValidationError,
     DiameterViolation,
+    GeometryError,
     NotExtremal,
     SmoothingChoice,
     WrongPairCount,
@@ -28,6 +29,7 @@ from meissner import (
     surface_decomposition,
     validate_vertex_set,
 )
+from meissner.polytope import _edge_arc
 from meissner.sphere import dihedral_angle, f_pair
 
 from conftest import (
@@ -230,6 +232,28 @@ def test_tolerance_threshold():
     with pytest.raises(ValidationError):
         validate_vertex_set(pts)
     assert validate_vertex_set(pts, tol=1e-6).diameter_count == 6
+
+
+def noisy_tetrahedron(seed: int) -> np.ndarray:
+    """Regular tetrahedron with 4e-7 noise: inside tol=1e-5, outside the default."""
+    return regular_tetrahedron().points + np.random.default_rng(seed).normal(scale=4e-7, size=(4, 3))
+
+
+def test_arcs_of_sets_validated_at_a_loose_tolerance():
+    # an arc endpoint sits up to 2 * tol / |c2 - c1| off its circle's plane,
+    # so a fixed plane slack of 1e-6 rejected 99 of these 200 sets
+    for seed in range(200):
+        poly = build_meissner(validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5))
+        assert meissner_volume(poly) == pytest.approx(TETRA_VOLUME, abs=1e-4)
+
+
+def test_arc_endpoint_off_the_plane_is_rejected(tetra_vs):
+    a, b, c1, c2 = tetra_vs.points
+    slack = 4.0 * 1e-9 / float(np.linalg.norm(c2 - c1))
+    axis = (c2 - c1) / np.linalg.norm(c2 - c1)
+    _edge_arc(a + 0.5 * slack * axis, b, c1, c2, 1e-9)
+    with pytest.raises(GeometryError, match="off the circle plane"):
+        _edge_arc(a + 2.0 * slack * axis, b, c1, c2, 1e-9)
 
 
 def test_extra_point_breaks_pair_count(tetra_vs):
