@@ -1,17 +1,21 @@
 """Watertight triangle meshes of Meissner and Reuleaux polyhedra.
 
-Every patch (the fan of a spherical face, one half of a wedge, a
-spindle) is a structured grid with dyadic parameters, evaluated and
-triangulated in one pass.  Vertices are merged by exact coordinates,
-with no tolerance, so the mesh closes only because neighboring patches
-produce bitwise equal points on every curve they share.  That holds
-because both sides evaluate a shared curve through the same expressions
-on the same floats: `_slerp` reproduces its endpoints exactly and is
-symmetric under a <-> b, t <-> 1 - t, which is exact for the dyadic
-parameters l / 2**refinement, and dot products are summed in one fixed
-order whatever the array shape.  Points that other expressions would
-only approximate are snapped: grid corners to the polytope vertices,
-and each wedge's arc row to the arc's own points.
+Every patch (a fan triangle of a spherical face, one half of a wedge, a
+spindle) is a structured grid with dyadic parameters.  Each kind of
+patch is evaluated for the whole body at once, one grid per patch kind:
+all fan triangles of all faces go through one `_slerp` chain, all wedge
+halves through another and all spindles through a third, and the
+triangles of every patch are indexed in one array.  Vertices are merged
+by exact coordinates, with no tolerance, so the mesh closes only because
+neighboring patches produce bitwise equal points on every curve they
+share.  That holds because both sides evaluate a shared curve through
+the same elementwise expressions on the same floats: `_slerp` reproduces
+its endpoints exactly and is symmetric under a <-> b, t <-> 1 - t, which
+is exact for the dyadic parameters l / 2**refinement, and dot and cross
+products are computed in one fixed order whatever the array shape.
+Points that other expressions would only approximate are snapped: grid
+corners to the polytope vertices, and each wedge's arc row to the arc's
+own points.
 """
 
 from __future__ import annotations
@@ -27,8 +31,11 @@ from .polytope import (
     DualEdgePair,
     MeissnerPolyhedron,
     VertexSet,
+    _cross,
+    _dot,
+    _face_rings,
+    _udir,
     build_diameter_graph,
-    face_cycles,
 )
 
 __all__ = [
@@ -40,6 +47,9 @@ __all__ = [
     "write_mesh",
 ]
 
+# unit directions to a face's neighbors that sum to less than this leave its fan apex undefined
+_APEX_FLOOR = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class TriangleMesh:
@@ -49,128 +59,64 @@ class TriangleMesh:
     face_groups: np.ndarray  # (F,) index into group_names
 
 
-class _Builder:
-    def __init__(self) -> None:
-        self.group_names: list[str] = []
-        self._points: list[np.ndarray] = []
-        self._triangles: list[np.ndarray] = []
-        self._refs: list[np.ndarray] = []
-        self._groups: list[np.ndarray] = []
-        self._count = 0
-
-    def group(self, name: str) -> None:
-        self.group_names.append(name)
-
-    def patch(self, points: np.ndarray, tris: np.ndarray, outward_ref: np.ndarray) -> None:
-        """Add a grid of points and its triangles, indexed into the flattened grid.
-
-        On build, each triangle is wound so its normal points away from
-        outward_ref, one point for the patch or one per triangle.
-        """
-        points = points.reshape(-1, 3)
-        self._points.append(points)
-        self._triangles.append(tris + self._count)
-        self._refs.append(np.broadcast_to(outward_ref, tris.shape))
-        self._groups.append(np.full(len(tris), len(self.group_names) - 1))
-        self._count += len(points)
-
-    def build(self) -> TriangleMesh:
-        """Merge equal points, drop collapsed triangles and fix the winding."""
-        points = np.concatenate(self._points)
-        _, first, ids = np.unique(points, axis=0, return_index=True, return_inverse=True)
-        # number the vertices in order of first appearance
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        tris = rank[ids.ravel()][np.concatenate(self._triangles)]
-        a, b, c = tris.T
-        keep = (a != b) & (b != c) & (a != c)
-        tris = tris[keep]
-        vertices = points[first[order]]
-        pa, pb, pc = vertices[tris.T]
-        normal = np.cross(pb - pa, pc - pa)
-        centroid = (pa + pb + pc) / 3.0
-        inward = _dot(normal, centroid - np.concatenate(self._refs)[keep]) < 0.0
-        tris[inward] = tris[inward][:, (0, 2, 1)]
-        return TriangleMesh(
-            vertices,
-            tris,
-            tuple(self.group_names),
-            np.concatenate(self._groups)[keep],
-        )
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot product over the last axis, summed in the same order for every shape."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
-
-
-def _udir(p: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    d = p - origin
-    return d / np.sqrt(_dot(d, d))[..., None]
-
-
-def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Great-circle interpolation of unit vectors a, b (..., 3) at parameters t (...).
-
-    Exactly reproduces the endpoints at t = 0 and t = 1, and evaluates
-    symmetrically: _slerp(a, b, t) and _slerp(b, a, 1 - t) give bitwise
-    equal results, which the watertight gluing relies on.
-    """
-    t = np.asarray(t, dtype=float)[..., None]
-    cross = np.cross(a, b)
-    omega = np.arctan2(np.sqrt(_dot(cross, cross)), _dot(a, b))[..., None]
-    degenerate = omega < 1e-12
-    s = np.sin(np.where(degenerate, 1.0, omega))
-    blend = (np.sin((1.0 - t) * omega) * a + np.sin(t * omega) * b) / s
-    out = np.where(degenerate, a, blend)
-    out = np.where(t == 1.0, b, out)
-    return np.where(t == 0.0, a, out)
-
-
 def tessellate(poly: MeissnerPolyhedron, refinement: int) -> TriangleMesh:
     """Triangulate the Meissner surface at grid resolution 2**refinement.
 
     Groups are named face_<vertex>, wedge_<pair> and spindle_<pair>.
     """
-    n = _grid_size(refinement)
+    steps = _steps(refinement)
     vs = poly.vertices
-    builder = _Builder()
-    _face_patches(builder, vs, n)
-    for i in range(len(poly.pairs)):
-        retained = poly.retained_edge(i)
-        smoothed = poly.smoothed_edge(i)
-        arc = poly.retained_arc(i)
-        builder.group(f"wedge_{i}")
-        for s_idx in smoothed:
-            _wedge_half(builder, vs.points, retained, s_idx, arc, n)
-        builder.group(f"spindle_{i}")
-        _spindle_patch(builder, vs.points, retained, smoothed, arc, n)
-    return builder.build()
+    pts = vs.points
+    count = len(poly.pairs)
+    retained = np.array([poly.retained_edge(i) for i in range(count)])
+    smoothed = np.array([poly.smoothed_edge(i) for i in range(count)])
+    rows = _arc_rows([poly.retained_arc(i) for i in range(count)], steps)
+    # per pair: the wedge half on each smoothed-edge sphere, then the spindle
+    halves = _wedge_halves(pts, smoothed.ravel(), retained.repeat(2, axis=0), rows.repeat(2, axis=0), steps)
+    spindles, spindle_refs = _spindles(pts, retained, smoothed, rows, steps)
+    grids = np.concatenate((halves.reshape(count, 2, -1, 3), spindles[:, None]), axis=1)
+    refs = np.concatenate(
+        (np.broadcast_to(pts[smoothed][:, :, None], (count, 2) + spindle_refs.shape[1:]), spindle_refs[:, None]),
+        axis=1,
+    )
+    names = [f"face_{i}" for i in range(vs.m)]
+    names += [f"{kind}_{i}" for i in range(count) for kind in ("wedge", "spindle")]
+    groups = vs.m + np.repeat(np.arange(2 * count), (2, 1) * count)
+    return _build(
+        names,
+        _face_fans(vs, steps),
+        (grids.reshape(3 * count, -1, 3), _rect_triangles(len(steps) - 1), refs.reshape(3 * count, -1, 3), groups),
+    )
 
 
 def tessellate_reuleaux(
     vs: VertexSet, pairs: tuple[DualEdgePair, ...], refinement: int
 ) -> TriangleMesh:
     """Triangulate the unsmoothed ball polytope: faces plus both wedges per pair."""
-    n = _grid_size(refinement)
-    builder = _Builder()
-    _face_patches(builder, vs, n)
-    for i, pair in enumerate(pairs):
-        builder.group(f"wedge_{i}")
-        for s_idx in pair.edge_dual:
-            _wedge_half(builder, vs.points, pair.edge, s_idx, pair.geometry.arc, n)
-        builder.group(f"wedge_dual_{i}")
-        for s_idx in pair.edge:
-            _wedge_half(builder, vs.points, pair.edge_dual, s_idx, pair.geometry.arc_dual, n)
-    return builder.build()
+    steps = _steps(refinement)
+    pts = vs.points
+    edge = np.array([p.edge for p in pairs]).reshape(-1, 2)
+    dual = np.array([p.edge_dual for p in pairs]).reshape(-1, 2)
+    rows = _arc_rows([a for p in pairs for a in (p.geometry.arc, p.geometry.arc_dual)], steps)
+    # per pair: the edge's half on each dual-edge sphere, then the dual edge's on each edge sphere
+    spheres = np.concatenate((dual, edge), axis=1).ravel()
+    retained = np.stack((edge, edge, dual, dual), axis=1).reshape(-1, 2)
+    halves = _wedge_halves(pts, spheres, retained, rows.repeat(2, axis=0), steps)
+    names = [f"face_{i}" for i in range(vs.m)]
+    names += [f"{kind}_{i}" for i in range(len(pairs)) for kind in ("wedge", "wedge_dual")]
+    groups = vs.m + np.arange(2 * len(pairs)).repeat(2)
+    return _build(
+        names,
+        _face_fans(vs, steps),
+        (halves, _rect_triangles(len(steps) - 1), pts[spheres][:, None], groups),
+    )
 
 
 def mesh_area(mesh: TriangleMesh) -> float:
     """Total area of the triangles."""
     v = mesh.vertices
     a, b, c = v[mesh.faces[:, 0]], v[mesh.faces[:, 1]], v[mesh.faces[:, 2]]
-    cross = np.cross(b - a, c - a)
+    cross = _cross(b - a, c - a)
     return float(0.5 * np.linalg.norm(cross, axis=1).sum())
 
 
@@ -216,92 +162,158 @@ def _rows(line: str, array: np.ndarray) -> str:
     return (line * len(array)) % tuple(np.ravel(array).tolist())
 
 
-def _grid_size(refinement: int) -> int:
+def _steps(refinement: int) -> np.ndarray:
+    """The dyadic grid parameters l / 2**refinement, l = 0 .. 2**refinement."""
     if not 0 <= refinement <= 8:
         raise ArgumentError(f"refinement {refinement} outside [0, 8]")
-    return 1 << refinement
+    n = 1 << refinement
+    return np.arange(n + 1) / n
 
 
-def _face_patches(builder: _Builder, vs: VertexSet, n: int) -> None:
-    """Each spherical face as a fan of geodesic triangles around an interior apex.
+def _build(group_names: list[str], *kinds: tuple[np.ndarray, ...]) -> TriangleMesh:
+    """Merge equal points, drop collapsed triangles and fix the winding.
 
-    Fan triangle j is a triangular grid whose row i runs from
-    slerp(apex, u_j, i/n) to slerp(apex, u_j+1, i/n), with u_j the unit
-    direction to the j-th neighbor; its last row samples the polygon
+    Each kind is (grids, tris, refs, groups) for p same-shaped patches:
+    grids (p, k, 3), the triangles of one patch indexed into its k
+    points, the outward reference of each patch or of each of its
+    triangles, and each patch's index into group_names.  Patches enter
+    in order, and each triangle is wound so its normal points away from
+    its reference.
+    """
+    points, tris, refs, groups = [], [], [], []
+    count = 0
+    for grid, local, ref, group in kinds:
+        p, k = grid.shape[:2]
+        points.append(grid.reshape(-1, 3))
+        tris.append((local + (count + k * np.arange(p))[:, None, None]).reshape(-1, 3))
+        refs.append(np.broadcast_to(ref, (p, len(local), 3)).reshape(-1, 3))
+        groups.append(np.repeat(group, len(local)))
+        count += p * k
+    points = np.concatenate(points)
+    # runs of equal points in lexicographic order; the sort is stable, so each run starts at its first point
+    order = np.lexsort(points.T[::-1])
+    ranked = points[order]
+    new = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    first = order[new]
+    # number the vertices in order of first appearance
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    vertex = np.empty_like(order)
+    vertex[order] = rank[np.cumsum(new) - 1]
+    tris = vertex[np.concatenate(tris)]
+    a, b, c = tris.T
+    keep = (a != b) & (b != c) & (a != c)
+    tris = tris[keep]
+    vertices = points[np.sort(first)]
+    pa, pb, pc = vertices[tris.T]
+    normal = _cross(pb - pa, pc - pa)
+    centroid = (pa + pb + pc) / 3.0
+    inward = _dot(normal, centroid - np.concatenate(refs)[keep]) < 0.0
+    tris[inward] = tris[inward][:, (0, 2, 1)]
+    return TriangleMesh(vertices, tris, tuple(group_names), np.concatenate(groups)[keep])
+
+
+def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Great-circle interpolation of unit vectors a, b (..., 3) at parameters t (...).
+
+    Exactly reproduces the endpoints at t = 0 and t = 1, and evaluates
+    symmetrically: _slerp(a, b, t) and _slerp(b, a, 1 - t) give bitwise
+    equal results, which the watertight gluing relies on.
+    """
+    t = np.asarray(t, dtype=float)[..., None]
+    cross = _cross(a, b)
+    omega = np.arctan2(np.sqrt(_dot(cross, cross)), _dot(a, b))[..., None]
+    degenerate = omega < 1e-12
+    s = np.sin(np.where(degenerate, 1.0, omega))
+    blend = (np.sin((1.0 - t) * omega) * a + np.sin(t * omega) * b) / s
+    out = np.where(degenerate, a, blend)
+    out = np.where(t == 1.0, b, out)
+    return np.where(t == 0.0, a, out)
+
+
+def _face_fans(vs: VertexSet, steps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """All fan triangles of all spherical faces, face by face in cyclic order.
+
+    Each face is a fan of geodesic triangles around an interior apex.
+    Fan triangle e is a triangular grid whose row i runs from
+    slerp(apex, u_e, i/n) to slerp(apex, u_e+1, i/n), with u_e the unit
+    direction to the e-th neighbor; its last row samples the polygon
     edge itself, with the two corners snapped to the polytope vertices.
+    Returns them as a patch kind for `_build`.
     """
     pts = vs.points
-    cycles = face_cycles(vs, build_diameter_graph(vs))
+    owner, ring, after = _face_rings(pts, build_diameter_graph(vs))
+    x = pts[owner]
+    units = _udir(pts[ring], x)
+    # summed slot by slot, in cycle order
+    centroid = np.zeros((vs.m, 3))
+    np.add.at(centroid, owner, units)
+    norm = np.sqrt(_dot(centroid, centroid))
+    if (norm < _APEX_FLOOR).any():
+        raise GeometryError(f"face {np.argmax(norm < _APEX_FLOOR)} has no interior point")
+    apex = centroid / norm[:, None]
+    n = len(steps) - 1
+    spokes = _slerp(apex[owner][:, None], units[:, None], steps)
     row, col = _fan_grid(n)
-    tris = _fan_triangles(n)
-    for i, cycle in enumerate(cycles):
-        builder.group(f"face_{i}")
-        x = pts[i]
-        units = _udir(pts[cycle], x)
-        centroid = units.sum(axis=0)
-        norm = float(np.linalg.norm(centroid))
-        if norm < 1e-9:
-            raise GeometryError(f"face {i} has no interior point")
-        left = _slerp(centroid / norm, units[:, None], np.arange(n + 1) / n)
-        right = np.roll(left, -1, axis=0)
-        grid = x + _slerp(left[:, row], right[:, row], col / np.maximum(row, 1))
-        # grid points (n, 0) and (n, n) of every fan triangle
-        grid[:, -1 - n] = pts[cycle]
-        grid[:, -1] = pts[np.roll(cycle, -1)]
-        offsets = len(row) * np.arange(len(cycle))[:, None, None]
-        builder.patch(grid, (tris + offsets).reshape(-1, 3), x)
+    grids = x[:, None] + _slerp(spokes[:, row], spokes[after][:, row], col / np.maximum(row, 1))
+    # grid points (n, 0) and (n, n) of every fan triangle
+    grids[:, -1 - n] = pts[ring]
+    grids[:, -1] = pts[ring[after]]
+    return grids, _fan_triangles(n), x[:, None], owner
 
 
-def _wedge_half(
-    builder: _Builder,
-    pts: np.ndarray,
-    retained: tuple[int, int],
-    sphere_idx: int,
-    arc: Arc,
-    n: int,
-) -> None:
-    """Lune between the geodesic and the edge arc on one supporting sphere.
+def _arc_rows(arcs: list[Arc], steps: np.ndarray) -> np.ndarray:
+    """Each arc's points at its sweep times steps, elementwise as `Arc.point` computes them."""
+    center = np.array([a.center for a in arcs])
+    u = np.array([a.u for a in arcs])
+    v = np.array([a.v for a in arcs])
+    radius = np.array([a.radius for a in arcs])
+    t = np.array([a.sweep for a in arcs])[:, None] * steps
+    offset = np.cos(t)[..., None] * u[:, None] + np.sin(t)[..., None] * v[:, None]
+    return center[:, None] + radius[:, None, None] * offset
 
-    Row t blends from the geodesic (t = 0) to the arc (t = n); the arc
-    row is the arc's own points so both halves emit identical floats.
+
+def _wedge_halves(
+    pts: np.ndarray, spheres: np.ndarray, retained: np.ndarray, rows: np.ndarray, steps: np.ndarray
+) -> np.ndarray:
+    """Lunes between the geodesic and the edge arc, one per supporting sphere.
+
+    Half h lies on the sphere around pts[spheres[h]], between the
+    geodesic from one end of the retained edge retained[h] to the other
+    and the edge arc sampled in rows[h].  Row t blends from the geodesic
+    (t = 0) to the arc (t = n); the arc row is the arc's own points so
+    both halves of a wedge emit identical floats.
     """
-    s_c = pts[sphere_idx]
-    steps = np.arange(n + 1) / n
-    gp, gq = _udir(pts[list(retained)], s_c)
-    arc_row = arc.point(arc.sweep * steps)
-    grid = s_c + _slerp(_slerp(gp, gq, steps), _udir(arc_row, s_c), steps[:, None])
-    grid[n] = arc_row
-    grid[:, 0] = pts[retained[0]]
-    grid[:, n] = pts[retained[1]]
-    builder.patch(grid, _rect_triangles(n), s_c)
+    n = len(steps) - 1
+    s_c = pts[spheres][:, None]
+    geodesic = _slerp(_udir(pts[retained[:, :1]], s_c), _udir(pts[retained[:, 1:]], s_c), steps)
+    grids = s_c[:, None] + _slerp(geodesic[:, None], _udir(rows, s_c)[:, None], steps[:, None])
+    grids[:, n] = rows
+    grids[:, :, 0] = pts[retained[:, :1]]
+    grids[:, :, n] = pts[retained[:, 1:]]
+    return grids.reshape(len(spheres), -1, 3)
 
 
-def _spindle_patch(
-    builder: _Builder,
-    pts: np.ndarray,
-    retained: tuple[int, int],
-    smoothed: tuple[int, int],
-    arc: Arc,
-    n: int,
-) -> None:
-    """Surface swept by geodesic profiles as the ball center runs along the arc.
+def _spindles(
+    pts: np.ndarray, retained: np.ndarray, smoothed: np.ndarray, rows: np.ndarray, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Surfaces swept by geodesic profiles as the ball center runs along each retained arc.
 
-    For each center c on the retained edge's arc, the profile is the
-    geodesic from one smoothed-edge endpoint to the other on the unit
-    sphere around c; the sweep pinches at those two endpoints.
+    For each center c in rows[s], the profile is the geodesic from one
+    smoothed-edge endpoint to the other on the unit sphere around c; the
+    sweep pinches at those two endpoints.  Returns the grids and the
+    outward reference of each of their triangles.
     """
-    steps = np.arange(n + 1) / n
-    centers = arc.point(arc.sweep * steps)
-    centers[0] = pts[retained[0]]
-    centers[n] = pts[retained[1]]
-    sp, sq = pts[smoothed[0]], pts[smoothed[1]]
-    d0 = _udir(sp, centers)[:, None]
-    d1 = _udir(sq, centers)[:, None]
-    grid = centers[:, None] + _slerp(d0, d1, steps)
-    grid[:, 0] = sp
-    grid[:, n] = sq
+    n = len(steps) - 1
+    centers = rows.copy()
+    centers[:, 0] = pts[retained[:, 0]]
+    centers[:, n] = pts[retained[:, 1]]
+    sp, sq = pts[smoothed[:, :1]], pts[smoothed[:, 1:]]
+    grids = centers[:, :, None] + _slerp(_udir(sp, centers)[:, :, None], _udir(sq, centers)[:, :, None], steps)
+    grids[:, :, 0] = sp
+    grids[:, :, n] = sq
     # row t of cells lies on the spheres around centers t and t + 1
-    builder.patch(grid, _rect_triangles(n), np.repeat(centers[:-1], 2 * n, axis=0))
+    return grids.reshape(len(rows), -1, 3), np.repeat(centers[:, :-1], 2 * n, axis=1)
 
 
 def _rect_triangles(n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ArgumentError, EmptySystem, NoIntersection
-from .polytope import Arc, MeissnerPolyhedron
+from .polytope import Arc, MeissnerPolyhedron, _cross
 
 __all__ = [
     "CHUNK",
@@ -243,12 +243,12 @@ def _sphere_corners(centers: np.ndarray) -> np.ndarray:
     i, j, k = np.array(list(combinations(range(len(centers)), 3)), dtype=np.intp).reshape(-1, 3).T
     a = centers[j] - centers[i]
     b = centers[k] - centers[i]
-    normal = np.cross(a, b)
+    normal = _cross(a, b)
     nn = np.einsum("tj,tj->t", normal, normal)
     # circumcenter of the triple, relative to centers[i]; collinear triples have none
     rel = (
-        np.einsum("tj,tj->t", a, a)[:, None] * np.cross(b, normal)
-        + np.einsum("tj,tj->t", b, b)[:, None] * np.cross(normal, a)
+        np.einsum("tj,tj->t", a, a)[:, None] * _cross(b, normal)
+        + np.einsum("tj,tj->t", b, b)[:, None] * _cross(normal, a)
     ) / (2.0 * np.where(nn > 0.0, nn, 1.0))[:, None]
     rise_sq = 1.0 - np.einsum("tj,tj->t", rel, rel)
     meets = (nn > 0.0) & (rise_sq >= 0.0)

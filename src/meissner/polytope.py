@@ -207,13 +207,9 @@ def validate_vertex_set(points: np.ndarray, tol: float = DEFAULT_TOL) -> VertexS
 
 def build_diameter_graph(vs: VertexSet) -> DiameterGraph:
     """Edges of the unit-distance graph, sorted lexicographically."""
-    dist = _pairwise(vs.points)
-    edges = [
-        (i, j)
-        for i in range(vs.m)
-        for j in range(i + 1, vs.m)
-        if abs(dist[i, j] - 1.0) <= vs.tol
-    ]
+    i, j = np.triu_indices(vs.m, 1)
+    unit = np.abs(_pairwise(vs.points)[i, j] - 1.0) <= vs.tol
+    edges = list(zip(i[unit].tolist(), j[unit].tolist()))
     if len(edges) != 2 * vs.m - 2:
         raise NotExtremal(f"{len(edges)} unit distances, expected {2 * vs.m - 2}")
     return DiameterGraph(vs.m, tuple(edges))
@@ -306,8 +302,8 @@ def reuleaux_area(vs: VertexSet, pairs: tuple[DualEdgePair, ...]) -> float:
 
 def face_cycles(vs: VertexSet, graph: DiameterGraph) -> list[list[int]]:
     """Neighbors of each vertex in cyclic order around the outward axis."""
-    adj = graph.adjacency()
-    return [_face_cycle(vs.points, sorted(adj[i]), i) for i in range(vs.m)]
+    owner, ring, _ = _face_rings(vs.points, graph)
+    return _by_vertex(owner, ring)
 
 
 def surface_decomposition(poly: MeissnerPolyhedron) -> SurfaceDecomposition:
@@ -335,11 +331,22 @@ def direction_sphere_partition(poly: MeissnerPolyhedron) -> float:
 
 
 def _face_areas(vs: VertexSet) -> list[float]:
-    """Geodesic area of the spherical face at each vertex."""
-    return [
-        geodesic_polygon_area(_face_interior_angles(vs.points, i, cycle))
-        for i, cycle in enumerate(face_cycles(vs, build_diameter_graph(vs)))
-    ]
+    """Geodesic area of the spherical face at each vertex, all interior angles in one pass."""
+    pts = vs.points
+    owner, ring, after = _face_rings(pts, build_diameter_graph(vs))
+    units = _udir(pts[ring], pts[owner])
+    before = np.empty_like(after)
+    before[after] = np.arange(len(after))
+    prev, nxt = units[before], units[after]
+    # the two sides of each corner, as tangents of the unit sphere at the corner
+    tp = prev - _dot(prev, units)[:, None] * units
+    tn = nxt - _dot(nxt, units)[:, None] * units
+    np_, nn = np.sqrt(_dot(tp, tp)), np.sqrt(_dot(tn, tn))
+    degenerate = (np_ < _NORM_FLOOR) | (nn < _NORM_FLOOR)
+    if degenerate.any():
+        raise GeometryError(f"degenerate corner at vertex {owner[np.argmax(degenerate)]}")
+    angles = np.arccos(np.clip(_dot(tp, tn) / (np_ * nn), -1.0, 1.0))
+    return [geodesic_polygon_area(corners) for corners in _by_vertex(owner, angles)]
 
 
 def _smoothed_area(pairs: tuple[DualEdgePair, ...], bits: tuple[bool, ...]) -> float:
@@ -387,7 +394,7 @@ def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol:
     if radius < _NORM_FLOOR:
         raise GeometryError("arc endpoint on the circle axis")
     u = radial / radius
-    v = np.cross(axis, u)
+    v = _cross(axis, u)
     rb = b - center
     t = math.atan2(float(rb @ v), float(rb @ u))
     if t < 0.0:
@@ -396,47 +403,76 @@ def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol:
     return Arc(center, radius, u, v, t)
 
 
-def _face_cycle(pts: np.ndarray, neighbors: list[int], i: int) -> list[int]:
-    x = pts[i]
-    if len(neighbors) < 3:
-        raise FaceCycleError(f"vertex {i} has only {len(neighbors)} neighbors")
-    axis = pts[neighbors].mean(axis=0) - x
-    norm = float(np.linalg.norm(axis))
-    if norm < _FACE_CYCLE_TOL:
-        raise FaceCycleError(f"neighbors of vertex {i} have no outward axis")
-    axis = axis / norm
-    smallest = int(np.argmin(np.abs(axis)))
-    t1 = np.cross(axis, np.eye(3)[smallest])
-    t1 = t1 / np.linalg.norm(t1)
-    t2 = np.cross(axis, t1)
-    angles = [
-        (math.atan2(float((pts[n] - x) @ t2), float((pts[n] - x) @ t1)), n)
-        for n in neighbors
-    ]
-    angles.sort()
-    for (a1, n1), (a2, n2) in zip(angles, angles[1:] + [(angles[0][0] + 2 * math.pi, angles[0][1])]):
-        if a2 - a1 < _FACE_CYCLE_TOL:
-            raise FaceCycleError(f"neighbors {n1} and {n2} of vertex {i} are angularly coincident")
-    return [n for _, n in angles]
+def _face_rings(pts: np.ndarray, graph: DiameterGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every vertex's neighbors in cyclic order around its outward axis, all vertices in one pass.
+
+    Each vertex gets a frame around the axis from it to its neighbors'
+    mean, and its neighbors are sorted by angle in that frame.  Returns
+    flat arrays over the (vertex, neighbor) slots, vertex by vertex and
+    each in cyclic order: the vertex, the neighbor, and the slot of the
+    next neighbor around the same vertex.
+    """
+    m = graph.m
+    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    owner, nbr = np.concatenate((edges, edges[:, ::-1])).T
+    order = np.lexsort((nbr, owner))
+    owner, nbr = owner[order], nbr[order]
+    degree = np.bincount(owner, minlength=m)
+    # neighbors summed one at a time in ascending order
+    total = np.zeros((m, 3))
+    np.add.at(total, owner, pts[nbr])
+    axis = total / np.maximum(degree, 1)[:, None] - pts
+    norm = np.sqrt(_dot(axis, axis))
+    flat = norm < _FACE_CYCLE_TOL
+    axis = np.where(flat[:, None], 1.0, axis / np.where(flat, 1.0, norm)[:, None])
+    t1 = _cross(axis, np.eye(3)[np.argmin(np.abs(axis), axis=1)])
+    t1 = t1 / np.sqrt(_dot(t1, t1))[:, None]
+    t2 = _cross(axis, t1)
+    d = pts[nbr] - pts[owner]
+    # + 0.0 turns a zero coordinate into +0.0, so a neighbor on the cut behind the frame reads +pi
+    angle = np.arctan2(_dot(d, t2[owner]) + 0.0, _dot(d, t1[owner]) + 0.0)
+    # by vertex, then angle, ties by neighbor index
+    order = np.lexsort((nbr, angle, owner))
+    ring, angle = nbr[order], angle[order]
+    start = (np.cumsum(degree) - degree)[owner]
+    slot = np.arange(len(owner)) - start
+    last = slot + 1 == degree[owner]
+    after = np.where(last, start, start + slot + 1)
+    gap = angle[after] + np.where(last, 2 * math.pi, 0.0) - angle
+    short = degree < 3
+    coincident = gap < _FACE_CYCLE_TOL
+    bad = short | flat | (np.bincount(owner, weights=coincident, minlength=m) > 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if short[i]:
+            raise FaceCycleError(f"vertex {i} has only {degree[i]} neighbors")
+        if flat[i]:
+            raise FaceCycleError(f"neighbors of vertex {i} have no outward axis")
+        e = int(np.argmax(coincident & (owner == i)))
+        raise FaceCycleError(f"neighbors {ring[e]} and {ring[after[e]]} of vertex {i} are angularly coincident")
+    return owner, ring, after
 
 
-def _face_interior_angles(pts: np.ndarray, i: int, cycle: list[int]) -> list[float]:
-    x = pts[i]
-    units = []
-    for n in cycle:
-        d = pts[n] - x
-        units.append(d / np.linalg.norm(d))
-    k = len(units)
-    angles = []
-    for j in range(k):
-        b = units[j]
-        prev = units[j - 1]
-        nxt = units[(j + 1) % k]
-        tp = prev - (prev @ b) * b
-        tn = nxt - (nxt @ b) * b
-        np_, nn = np.linalg.norm(tp), np.linalg.norm(tn)
-        if np_ < _NORM_FLOOR or nn < _NORM_FLOOR:
-            raise GeometryError(f"degenerate corner at vertex {i}")
-        c = float(tp @ tn) / (np_ * nn)
-        angles.append(math.acos(min(1.0, max(-1.0, c))))
-    return angles
+def _by_vertex(owner: np.ndarray, values: np.ndarray) -> list[list]:
+    """Split values over the slots of `_face_rings` into one list per vertex."""
+    bounds = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(owner)]
+    values = values.tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, summed in the same order for every shape."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product over the last axis, bitwise equal to `np.cross` without its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
+def _udir(p: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Unit direction from origin to p over the last axis."""
+    d = p - origin
+    return d / np.sqrt(_dot(d, d))[..., None]

@@ -7,8 +7,10 @@ import pytest
 
 from meissner import (
     TriangleMesh,
+    build_diameter_graph,
     build_meissner,
     euler_characteristic,
+    face_cycles,
     mesh_area,
     meissner_area,
     meissner_volume,
@@ -223,3 +225,31 @@ def test_mesh_invariants_on_random_bodies(k, seed):
             far = farthest_generator(system, mesh.vertices)
             assert far == pytest.approx(1.0, abs=1e-9)
             assert signed_volume(mesh) > 0.0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_mesh_groups_and_convergence_on_random_bodies(k):
+    vs = random_feasible_pyramid(k, 0)
+    poly = build_meissner(vs)
+    degrees = [len(c) for c in face_cycles(vs, build_diameter_graph(vs))]
+    faces = [f"face_{i}" for i in range(vs.m)]
+    # pair groups' triangles in units of n^2 - n: a wedge half or a spindle loses two of its 2n^2 per row at its pinched sides
+    families = (
+        (lambda r: tessellate(poly, r), ("wedge", "spindle"), (4, 2), meissner_area(poly)),
+        (lambda r: tessellate_reuleaux(vs, poly.pairs, r), ("wedge", "wedge_dual"), (4, 4), reuleaux_area(vs, poly.pairs)),
+    )
+    for mesh_at, kinds, sizes, exact in families:
+        names = faces + [f"{kind}_{i}" for i in range(vs.m - 1) for kind in kinds]
+        errors = {}
+        for refinement in range(6):
+            n = 2**refinement
+            mesh = mesh_at(refinement)
+            assert mesh.group_names == tuple(names)
+            # groups in order, one run each: a fan of n * n triangles per neighbor, then the pairs' patches
+            assert (np.diff(mesh.face_groups) >= 0).all()
+            per_group = [d * n * n for d in degrees] + [s * (n * n - n) for _ in range(vs.m - 1) for s in sizes]
+            assert np.bincount(mesh.face_groups, minlength=len(names)).tolist() == per_group
+            errors[refinement] = abs(mesh_area(mesh) - exact)
+        # criterion 9's rule
+        assert errors[5] / exact <= 5e-3
+        assert 3.0 < errors[4] / errors[5] < 5.0

@@ -9,6 +9,7 @@ import pytest
 from meissner import (
     ValidationError,
     DiameterViolation,
+    FaceCycleError,
     GeometryError,
     NotExtremal,
     SmoothingChoice,
@@ -24,12 +25,13 @@ from meissner import (
     meissner_volume,
     optimal_smoothing,
     random_feasible_pyramid,
+    regular_pyramid,
     regular_tetrahedron,
     reuleaux_area,
     surface_decomposition,
     validate_vertex_set,
 )
-from meissner.polytope import _edge_arc
+from meissner.polytope import _cross, _edge_arc, _face_areas
 from meissner.sphere import dihedral_angle, f_pair
 
 from conftest import (
@@ -205,6 +207,92 @@ def test_face_cycles(tetra_vs, pyr2_vs):
     assert cycles == [3, 3, 3, 3, 3, 5]
     # Euler characteristic of the cell complex
     assert pyr2_vs.m - len(graph2.edges) + len(cycles) == 2
+
+
+# face cycles of the regular pyramids, pinned: where a cycle starts sets the numbering of every mesh vertex
+PINNED_FACE_CYCLES = {
+    2: [[5, 1, 2, 3, 4], [3, 0, 4], [0, 5, 4], [1, 5, 0], [2, 1, 0], [2, 0, 3]],
+    3: [[7, 1, 2, 3, 4, 5, 6], [4, 0, 5], [6, 5, 0], [7, 6, 0], [1, 7, 0], [2, 1, 0], [2, 0, 3], [4, 3, 0]],
+}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_face_cycles_of_regular_pyramids_are_pinned(k):
+    vs = regular_pyramid(k)
+    assert face_cycles(vs, build_diameter_graph(vs)) == PINNED_FACE_CYCLES[k]
+
+
+def test_digon_vertex_is_rejected(tetra_vs):
+    # arc insertion: a fifth point mid-arc on edge (0, 1), at distance one from 2 and 3, sees only those two
+    pts = tetra_vs.points
+    arc = _edge_arc(pts[0], pts[1], pts[2], pts[3], tetra_vs.tol)
+    vs5 = validate_vertex_set(np.vstack([pts, arc.point(arc.sweep / 2)]))
+    assert vs5.diameter_count == 8
+    with pytest.raises(FaceCycleError, match="vertex 4 has only 2 neighbors"):
+        face_cycles(vs5, build_diameter_graph(vs5))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_closed_form_checks_on_random_bodies(k, seed):
+    vs = random_feasible_pyramid(k, seed)
+    poly = build_meissner(vs)
+    dec = surface_decomposition(poly)
+    assert Counter(p.kind for p in dec.patches) == {"face": vs.m, "wedge": vs.m - 1, "spindle": vs.m - 1}
+    assert abs(dec.total - meissner_area(poly)) <= 1e-12
+    assert abs(direction_sphere_partition(poly) - 2.0 * math.pi) <= 1e-9
+    table = enumerate_smoothings(vs, poly.pairs)
+    best = min(area for _, area in table)
+    # every m = 4 body ties all its smoothings exactly; the longest-edge rule must pick one of the minimizers
+    assert optimal_smoothing(poly.pairs).bits in {choice.bits for choice, area in table if area == best}
+
+
+def _reference_face_cycle(pts: np.ndarray, neighbors: list[int], i: int) -> list[int]:
+    """One vertex's neighbors sorted by angle around its outward axis."""
+    x = pts[i]
+    axis = pts[neighbors].mean(axis=0) - x
+    axis = axis / np.linalg.norm(axis)
+    t1 = np.cross(axis, np.eye(3)[np.argmin(np.abs(axis))])
+    t1 = t1 / np.linalg.norm(t1)
+    t2 = np.cross(axis, t1)
+    return [n for _, n in sorted((math.atan2((pts[n] - x) @ t2, (pts[n] - x) @ t1), n) for n in neighbors)]
+
+
+def _reference_face_area(pts: np.ndarray, i: int, cycle: list[int]) -> float:
+    """Spherical excess of one face, one corner at a time."""
+    units = [(pts[n] - pts[i]) / np.linalg.norm(pts[n] - pts[i]) for n in cycle]
+    angles = []
+    for j, b in enumerate(units):
+        prev, nxt = units[j - 1], units[(j + 1) % len(units)]
+        tp = prev - (prev @ b) * b
+        tn = nxt - (nxt @ b) * b
+        angles.append(math.acos(min(1.0, max(-1.0, (tp @ tn) / (np.linalg.norm(tp) * np.linalg.norm(tn))))))
+    return math.fsum(angles) - (len(cycle) - 2) * math.pi
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_face_cycles_and_areas_match_the_per_vertex_reference(k, seed):
+    vs = random_feasible_pyramid(k, seed)
+    graph = build_diameter_graph(vs)
+    adj = graph.adjacency()
+    cycles = face_cycles(vs, graph)
+    assert cycles == [_reference_face_cycle(vs.points, sorted(adj[i]), i) for i in range(vs.m)]
+    # the batched angles round differently from the per-corner ones: a few ulps per face
+    reference = [_reference_face_area(vs.points, i, cycle) for i, cycle in enumerate(cycles)]
+    assert np.abs(np.array(_face_areas(vs)) - reference).max() <= 1e-13
+
+
+def test_cross_is_bitwise_numpy_cross():
+    rng = np.random.default_rng(7)
+    a = np.vstack([rng.normal(size=(200, 3)), np.eye(3), -np.eye(3), np.zeros((1, 3))])
+    b = np.vstack([rng.normal(size=(200, 3)), -np.eye(3), np.eye(3), np.zeros((1, 3))])
+    cases = [(a, b), (a, b[0]), (a[5], b), (a[:, None], b[None, :30]), (a[3], b[4]), (a[:1], b[::-1])]
+    for x, y in cases:
+        want = np.cross(x, y)
+        got = _cross(x, y)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rejects_non_extremal_sets():
