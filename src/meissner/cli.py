@@ -136,14 +136,14 @@ def _smoothing_choice(spec: str, count: int) -> SmoothingChoice | None:
     return SmoothingChoice(tuple(c == "1" for c in bits))
 
 
-def _load_meissner(path: str, smoothing: str) -> MeissnerPolyhedron:
+def _load_meissner(path: str, smoothing: str = "optimal") -> MeissnerPolyhedron:
     poly = build_meissner(load_vertex_file(path, _tolerance()))
     choice = _smoothing_choice(smoothing, len(poly.pairs))
     return poly if choice is None else MeissnerPolyhedron(poly.vertices, poly.pairs, choice)
 
 
 def _cmd_validate(args) -> int:
-    poly = build_meissner(load_vertex_file(args.file, _tolerance()))
+    poly = _load_meissner(args.file)
     vs = poly.vertices
     print(f"points: {vs.m}")
     print(f"unit distances: {vs.diameter_count}")
@@ -187,7 +187,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    poly = build_meissner(load_vertex_file(args.file, _tolerance()))
+    poly = _load_meissner(args.file)
     table = enumerate_smoothings(poly.vertices, poly.pairs)
     best = min(range(len(table)), key=lambda i: table[i][1])
     lines = ["bits,area"]
@@ -338,10 +338,12 @@ _COMMANDS = {
 }
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -27,12 +27,12 @@ import numpy as np
 
 from .errors import ArgumentError, GeometryError
 from .polytope import (
-    Arc,
     DualEdgePair,
     MeissnerPolyhedron,
     VertexSet,
     _cross,
     _dot,
+    _edge_arc,
     _face_rings,
     _udir,
     build_diameter_graph,
@@ -70,7 +70,8 @@ def tessellate(poly: MeissnerPolyhedron, refinement: int) -> TriangleMesh:
     count = len(poly.pairs)
     retained = np.array([poly.retained_edge(i) for i in range(count)])
     smoothed = np.array([poly.smoothed_edge(i) for i in range(count)])
-    rows = _arc_rows([poly.retained_arc(i) for i in range(count)], steps)
+    arcs = poly.retained_arcs()
+    rows = arcs.point(arcs.sweep[:, None] * steps)
     # per pair: the wedge half on each smoothed-edge sphere, then the spindle
     halves = _wedge_halves(pts, smoothed.ravel(), retained.repeat(2, axis=0), rows.repeat(2, axis=0), steps)
     spindles, spindle_refs = _spindles(pts, retained, smoothed, rows, steps)
@@ -95,12 +96,14 @@ def tessellate_reuleaux(
     """Triangulate the unsmoothed ball polytope: faces plus both wedges per pair."""
     steps = _steps(refinement)
     pts = vs.points
-    edge = np.array([p.edge for p in pairs]).reshape(-1, 2)
-    dual = np.array([p.edge_dual for p in pairs]).reshape(-1, 2)
-    rows = _arc_rows([a for p in pairs for a in (p.geometry.arc, p.geometry.arc_dual)], steps)
+    # per pair: the edge's arc, on the dual edge's spheres, then the dual edge's arc
+    ends = np.array([e for p in pairs for e in (p.edge, p.edge_dual)]).reshape(-1, 2)
+    centers = ends.reshape(-1, 2, 2)[:, ::-1].reshape(-1, 2)
+    arcs = _edge_arc(pts[ends[:, 0]], pts[ends[:, 1]], pts[centers[:, 0]], pts[centers[:, 1]], vs.tol)
+    rows = arcs.point(arcs.sweep[:, None] * steps)
     # per pair: the edge's half on each dual-edge sphere, then the dual edge's on each edge sphere
-    spheres = np.concatenate((dual, edge), axis=1).ravel()
-    retained = np.stack((edge, edge, dual, dual), axis=1).reshape(-1, 2)
+    spheres = centers.ravel()
+    retained = ends.repeat(2, axis=0)
     halves = _wedge_halves(pts, spheres, retained, rows.repeat(2, axis=0), steps)
     names = [f"face_{i}" for i in range(vs.m)]
     names += [f"{kind}_{i}" for i in range(len(pairs)) for kind in ("wedge", "wedge_dual")]
@@ -260,17 +263,6 @@ def _face_fans(vs: VertexSet, steps: np.ndarray) -> tuple[np.ndarray, ...]:
     grids[:, -1 - n] = pts[ring]
     grids[:, -1] = pts[ring[after]]
     return grids, _fan_triangles(n), x[:, None], owner
-
-
-def _arc_rows(arcs: list[Arc], steps: np.ndarray) -> np.ndarray:
-    """Each arc's points at its sweep times steps, elementwise as `Arc.point` computes them."""
-    center = np.array([a.center for a in arcs])
-    u = np.array([a.u for a in arcs])
-    v = np.array([a.v for a in arcs])
-    radius = np.array([a.radius for a in arcs])
-    t = np.array([a.sweep for a in arcs])[:, None] * steps
-    offset = np.cos(t)[..., None] * u[:, None] + np.sin(t)[..., None] * v[:, None]
-    return center[:, None] + radius[:, None, None] * offset
 
 
 def _wedge_halves(

@@ -43,6 +43,7 @@ _COINCIDENT_SQ = 1e-30
 # a direction whose part off the centers' axis is under this meets a level circle with no single top
 _NORM_FLOOR = 1e-12
 _AXES = np.concatenate((np.eye(3), -np.eye(3)))
+_NO_ARCS = Arc(np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,17 +51,16 @@ class BallSystem:
     """Generating centers of an intersection of unit balls."""
 
     centers: np.ndarray
-    arcs: tuple[Arc, ...]
+    arcs: Arc  # one row per arc; none for a points-only system
 
     @classmethod
     def from_meissner(cls, poly: MeissnerPolyhedron) -> "BallSystem":
         """Vertices plus one retained edge arc per dual pair."""
-        arcs = tuple(poly.retained_arc(i) for i in range(len(poly.pairs)))
-        return cls(np.array(poly.vertices.points, dtype=float), arcs)
+        return cls(np.array(poly.vertices.points, dtype=float), poly.retained_arcs())
 
     @classmethod
     def from_points(cls, points: np.ndarray) -> "BallSystem":
-        return cls(np.array(points, dtype=float), ())
+        return cls(np.array(points, dtype=float), _NO_ARCS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,7 +182,7 @@ def _sampling_box(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     None when the polytope is empty or the box is no smaller than a unit ball.
     """
     try:
-        h = support(BallSystem(centers, ()), _AXES)
+        h = support(BallSystem(centers, _NO_ARCS), _AXES)
     except NoIntersection:
         return None
     lo = -h[3:] - _SUPPORT_SLACK
@@ -190,19 +190,15 @@ def _sampling_box(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return (lo, size) if float(np.prod(size)) < _BALL_VOLUME else None
 
 
-def _arc_critical_points(arcs: tuple[Arc, ...], dirs: np.ndarray) -> np.ndarray:
+def _arc_critical_points(arcs: Arc, dirs: np.ndarray) -> np.ndarray:
     """Per direction, the points of every arc where u . arc.point(t) can be extremal.
 
     Shape (n, 4 * len(arcs), 3): both endpoints, then the peak and the
     trough of the arc's circle, each replaced by the start point when it
     falls off the arc.
     """
-    center = np.array([a.center for a in arcs])
-    au = np.array([a.u for a in arcs])
-    av = np.array([a.v for a in arcs])
-    radius = np.array([a.radius for a in arcs])
-    sweep = np.array([a.sweep for a in arcs])
-    peak = np.arctan2(dirs @ av.T, dirs @ au.T) % (2.0 * math.pi)
+    sweep = arcs.sweep
+    peak = np.arctan2(dirs @ arcs.v.T, dirs @ arcs.u.T) % (2.0 * math.pi)
     trough = (peak + math.pi) % (2.0 * math.pi)
     ts = np.stack(
         (
@@ -212,10 +208,10 @@ def _arc_critical_points(arcs: tuple[Arc, ...], dirs: np.ndarray) -> np.ndarray:
             np.where(trough < sweep, trough, 0.0),
         ),
         axis=-1,
-    )[..., None]
-    offset = np.cos(ts) * au[:, None] + np.sin(ts) * av[:, None]
-    pts = center[:, None] + radius[:, None, None] * offset
-    return pts.reshape(len(dirs), -1, 3)
+    )
+    # (n, k, 4) parameters to one row per arc and back
+    pts = arcs.point(ts.transpose(1, 0, 2).reshape(len(arcs), -1))
+    return pts.reshape(len(arcs), len(dirs), 4, 3).transpose(1, 0, 2, 3).reshape(len(dirs), -1, 3)
 
 
 def _circle_tops(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -268,23 +264,25 @@ def _inside(system: BallSystem, pts: np.ndarray, slack: float = 0.0) -> np.ndarr
         rows = np.flatnonzero(mask)
         survivors = pts[rows]
         keep = np.ones(len(rows), dtype=bool)
-        for arc in system.arcs:
-            keep &= _max_dist_sq(arc, survivors) <= limit
+        for i in range(len(system.arcs)):
+            keep &= _max_dist_sq(system.arcs, i, survivors) <= limit
         mask[rows] = keep
     return mask
 
 
-def _max_dist_sq(arc: Arc, pts: np.ndarray) -> np.ndarray:
-    w = pts - arc.center
-    wu = w @ arc.u
-    wv = w @ arc.v
+def _max_dist_sq(arcs: Arc, i: int, pts: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to the farthest point of arc i."""
+    w = pts - arcs.center[i]
+    wu = w @ arcs.u[i]
+    wv = w @ arcs.v[i]
     w2 = np.einsum("ij,ij->i", w, w)
-    r = arc.radius
+    r = float(arcs.radius[i])
+    sweep = float(arcs.sweep[i])
     # at a fraction of the cost of hypot and %: rho to within an ulp, t mod 2*pi exactly
     rho = np.sqrt(wu * wu + wv * wv)
     t = np.arctan2(-wv, -wu)
     t = np.where(t < 0.0, t + 2.0 * math.pi, t)
     far = w2 + r * r + 2.0 * r * rho
     d0 = w2 + r * r - 2.0 * r * wu
-    d1 = w2 + r * r - 2.0 * r * (wu * math.cos(arc.sweep) + wv * math.sin(arc.sweep))
-    return np.where(t <= arc.sweep, far, np.maximum(d0, d1))
+    d1 = w2 + r * r - 2.0 * r * (wu * math.cos(sweep) + wv * math.sin(sweep))
+    return np.where(t <= sweep, far, np.maximum(d0, d1))

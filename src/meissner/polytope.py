@@ -76,16 +76,20 @@ Edge = tuple[int, int]
 
 @dataclass(frozen=True, slots=True)
 class VertexSet:
-    """A validated extremal point set of diameter one."""
+    """A validated extremal set of diameter one and its unit-distance edges; built only by `validate_vertex_set`."""
 
     points: np.ndarray
     tol: float
-    diameter_count: int
     max_distance: float
+    edges: tuple[Edge, ...]  # sorted index pairs at distance one within tol
 
     @property
     def m(self) -> int:
         return int(self.points.shape[0])
+
+    @property
+    def diameter_count(self) -> int:
+        return len(self.edges)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,30 +109,32 @@ class DiameterGraph:
 
 @dataclass(frozen=True, slots=True)
 class Arc:
-    """Circular arc center + radius*(cos(t)*u + sin(t)*v) for t in [0, sweep]."""
+    """Arcs center + radius*(cos(t)*u + sin(t)*v), t in [0, sweep]: center, u, v are (k, 3), radius, sweep (k,)."""
 
     center: np.ndarray
-    radius: float
+    radius: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    sweep: float
+    sweep: np.ndarray
 
-    def point(self, t: float | np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        offset = np.multiply.outer(np.cos(t), self.u) + np.multiply.outer(np.sin(t), self.v)
-        return self.center + self.radius * offset
+    def __len__(self) -> int:
+        return len(self.sweep)
+
+    def point(self, t: np.ndarray) -> np.ndarray:
+        """Points at parameters t, one row of parameters per arc: (k, s) -> (k, s, 3)."""
+        t = np.asarray(t, dtype=float)[..., None]
+        offset = np.cos(t) * self.u[:, None] + np.sin(t) * self.v[:, None]
+        return self.center[:, None] + self.radius[:, None, None] * offset
 
 
 @dataclass(frozen=True, slots=True)
 class DualPairGeometry:
-    """Derived angles, arcs and smoothing gains of one dual edge pair."""
+    """Derived angles and smoothing gains of one dual edge pair."""
 
     lengths: PairLengths
     phi: float
     phi_dual: float
     alpha: float
-    arc: Arc
-    arc_dual: Arc
     gain: tuple[float, float]  # f by smoothing bit: (f_pair(lengths.swapped()), f_pair(lengths))
 
 
@@ -157,9 +163,12 @@ class MeissnerPolyhedron:
         lengths = self.pairs[i].geometry.lengths
         return lengths if self.choice.bits[i] else lengths.swapped()
 
-    def retained_arc(self, i: int) -> Arc:
-        geom = self.pairs[i].geometry
-        return geom.arc if self.choice.bits[i] else geom.arc_dual
+    def retained_arcs(self) -> Arc:
+        """The retained edge arc of every pair, on the spheres around the smoothed edge's endpoints."""
+        pts, count = self.vertices.points, len(self.pairs)
+        a, b = pts[[self.retained_edge(i) for i in range(count)]].transpose(1, 0, 2)
+        c1, c2 = pts[[self.smoothed_edge(i) for i in range(count)]].transpose(1, 0, 2)
+        return _edge_arc(a, b, c1, c2, self.vertices.tol)
 
     def retained_edge(self, i: int) -> Edge:
         pair = self.pairs[i]
@@ -192,27 +201,22 @@ def validate_vertex_set(points: np.ndarray, tol: float = DEFAULT_TOL) -> VertexS
     m = pts.shape[0]
     if m < 4:
         raise ArgumentError(f"at least four points required, got {m}")
-    dist = _pairwise(pts)
-    iu = np.triu_indices(m, 1)
-    upper = dist[iu]
+    i, j = np.triu_indices(m, 1)
+    upper = _pairwise(pts)[i, j]
     max_distance = float(upper.max())
     if max_distance > 1.0 + tol:
         raise DiameterViolation(f"max pairwise distance {max_distance!r} exceeds one")
-    count = int(np.count_nonzero(np.abs(upper - 1.0) <= tol))
+    unit = np.abs(upper - 1.0) <= tol
+    count = int(np.count_nonzero(unit))
     if count != 2 * m - 2:
         raise NotExtremal(f"{count} unit distances, an extremal set of {m} points needs {2 * m - 2}")
     pts.setflags(write=False)
-    return VertexSet(pts, tol, count, max_distance)
+    return VertexSet(pts, tol, max_distance, tuple(zip(i[unit].tolist(), j[unit].tolist())))
 
 
 def build_diameter_graph(vs: VertexSet) -> DiameterGraph:
     """Edges of the unit-distance graph, sorted lexicographically."""
-    i, j = np.triu_indices(vs.m, 1)
-    unit = np.abs(_pairwise(vs.points)[i, j] - 1.0) <= vs.tol
-    edges = list(zip(i[unit].tolist(), j[unit].tolist()))
-    if len(edges) != 2 * vs.m - 2:
-        raise NotExtremal(f"{len(edges)} unit distances, expected {2 * vs.m - 2}")
-    return DiameterGraph(vs.m, tuple(edges))
+    return DiameterGraph(vs.m, vs.edges)
 
 
 def dual_pair_indices(graph: DiameterGraph) -> tuple[tuple[Edge, Edge], ...]:
@@ -360,47 +364,44 @@ def _pairwise(pts: np.ndarray) -> np.ndarray:
 
 def _pair_geometry(vs: VertexSet, e: Edge, e_dual: Edge) -> DualPairGeometry:
     pts = vs.points
-    x, y = pts[e[0]], pts[e[1]]
-    xd, yd = pts[e_dual[0]], pts[e_dual[1]]
-    theta = chord_to_arc(float(np.linalg.norm(y - x)), vs.tol)
-    theta_dual = chord_to_arc(float(np.linalg.norm(yd - xd)), vs.tol)
+    theta, theta_dual = (chord_to_arc(float(np.linalg.norm(pts[j] - pts[i])), vs.tol) for i, j in (e, e_dual))
     lengths = PairLengths(theta, theta_dual)
     swapped = lengths.swapped()
     phi = dihedral_angle(lengths)
     phi_dual = dihedral_angle(swapped)
     alpha = wedge_angle(lengths)
-    arc = _edge_arc(x, y, xd, yd, vs.tol)
-    arc_dual = _edge_arc(xd, yd, x, y, vs.tol)
     gain = (f_pair(swapped), f_pair(lengths))
-    return DualPairGeometry(lengths, phi, phi_dual, alpha, arc, arc_dual, gain)
+    return DualPairGeometry(lengths, phi, phi_dual, alpha, gain)
 
 
 def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol: float) -> Arc:
-    """Arc from a to b on the circle of points at distance one from c1 and c2.
+    """Arcs from a to b on the circles of points at distance one from c1 and c2, all (k, 3) rows at once.
 
-    a and b lie within tol of distance one from both centers.
+    a and b lie within tol of distance one from both centers.  A failing
+    guard reports its first failing row.
     """
     center = (c1 + c2) / 2.0
     axis = c2 - c1
-    axis_norm = float(np.linalg.norm(axis))
-    if axis_norm < _NORM_FLOOR:
-        raise GeometryError("coincident sphere centers give no circle")
-    axis = axis / axis_norm
+    axis_norm = np.sqrt(_dot(axis, axis))
+    _guard(axis_norm < _NORM_FLOOR, "coincident sphere centers give no circle")
+    axis = axis / axis_norm[:, None]
     ra = a - center
-    if abs(float(ra @ axis)) > _ARC_PLANE_SLACK_PER_TOL * tol / axis_norm:
-        raise GeometryError("arc endpoint off the circle plane")
-    radial = ra - (ra @ axis) * axis
-    radius = float(np.linalg.norm(radial))
-    if radius < _NORM_FLOOR:
-        raise GeometryError("arc endpoint on the circle axis")
-    u = radial / radius
+    height = _dot(ra, axis)
+    _guard(np.abs(height) > _ARC_PLANE_SLACK_PER_TOL * tol / axis_norm, "arc endpoint off the circle plane")
+    radial = ra - height[:, None] * axis
+    radius = np.sqrt(_dot(radial, radial))
+    _guard(radius < _NORM_FLOOR, "arc endpoint on the circle axis")
+    u = radial / radius[:, None]
     v = _cross(axis, u)
     rb = b - center
-    t = math.atan2(float(rb @ v), float(rb @ u))
-    if t < 0.0:
-        v = -v
-        t = -t
-    return Arc(center, radius, u, v, t)
+    t = np.arctan2(_dot(rb, v), _dot(rb, u))
+    # an arc that runs clockwise is the same arc run counterclockwise around -v
+    return Arc(center, radius, u, np.where(t[:, None] < 0.0, -v, v), np.abs(t))
+
+
+def _guard(bad: np.ndarray, message: str) -> None:
+    if bad.any():
+        raise GeometryError(f"{message} (row {int(np.argmax(bad))})")
 
 
 def _face_rings(pts: np.ndarray, graph: DiameterGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

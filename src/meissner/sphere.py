@@ -40,10 +40,12 @@ DIHEDRAL_MAX = math.acos(1.0 / 3.0)
 _F_GRID_SLACK = 1e-12
 # central differences at step 1e-6 carry about 1e-10 of rounding, well inside this
 _F_DERIVATIVE_TOL = 1e-6
+# a face's angles are arccos values a few ulps off; an excess below minus this is a real error
+_POLYGON_AREA_SLACK = 1e-9
 
 
-def _clamped(value: float, tol: float = CLAMP_TOL) -> float:
-    if value > 1.0 + tol or value < -1.0 - tol:
+def _clamped(value: float) -> float:
+    if value > 1.0 + CLAMP_TOL or value < -1.0 - CLAMP_TOL:
         raise GeometryError(f"trig argument {value!r} outside [-1, 1]")
     return min(1.0, max(-1.0, value))
 
@@ -100,13 +102,14 @@ def wedge_angle(lengths: PairLengths) -> float:
     return math.asin(_clamped(t))
 
 
-def rect_area(theta: float, theta_dual: float, tol: float = CLAMP_TOL) -> float:
+def rect_area(theta: float, theta_dual: float) -> float:
     """Area 4*arcsin(tan(theta/2)*tan(theta_dual/2)) of a spherical rectangle R(theta, theta')."""
     for value in (theta, theta_dual):
-        if not -tol <= value < math.pi:
+        # the same rounding slack as the trig arguments, below zero only
+        if not -CLAMP_TOL <= value < math.pi:
             raise GeometryError(f"rectangle parameter {value!r} outside [0, pi)")
     t = math.tan(theta / 2) * math.tan(theta_dual / 2)
-    return 4.0 * math.asin(_clamped(t, tol))
+    return 4.0 * math.asin(_clamped(t))
 
 
 def wedge_area(lengths: PairLengths) -> float:
@@ -180,7 +183,7 @@ def f_property_check(grid: int) -> tuple[list[float], np.ndarray, dict[str, bool
     }
 
 
-def geodesic_polygon_area(angles: list[float] | tuple[float, ...], tol: float = 1e-9) -> float:
+def geodesic_polygon_area(angles: list[float] | tuple[float, ...]) -> float:
     """Spherical excess sum(angles) - (k - 2)*pi of a geodesic polygon.
 
     angles are the interior angles; k = len(angles) must be at least 3.
@@ -189,6 +192,6 @@ def geodesic_polygon_area(angles: list[float] | tuple[float, ...], tol: float = 
     if k < 3:
         raise GeometryError(f"polygon needs at least 3 vertices, got {k}")
     area = math.fsum(angles) - (k - 2) * math.pi
-    if area < -tol:
+    if area < -_POLYGON_AREA_SLACK:
         raise GeometryError(f"negative polygon area {area!r}")
     return max(area, 0.0)

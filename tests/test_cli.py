@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from meissner import regular_tetrahedron
+from meissner import build_meissner, load_vertex_file, regular_tetrahedron
 from meissner.cli import main
 from conftest import TETRA_AREA, TETRA_VOLUME, triangle_center_set
 
@@ -83,6 +83,18 @@ def test_analyze(tetra_file, tmp_path, capsys):
     csv_lines = csv.read_text().splitlines()
     assert csv_lines[0] == lines[0]
     assert len(csv_lines) == 1 + 3 + 3  # no smoothing row in the file
+
+
+def test_each_main_call_parses_its_own_smoothing(tetra_file, capsys):
+    # the parser is built once per process, so no option may leak from one call into the next
+    optimal = "".join("1" if b else "0" for b in build_meissner(load_vertex_file(tetra_file)).choice.bits)
+    other = "".join("0" if c == "1" else "1" for c in optimal)
+    code, out, _ = run(capsys, "analyze", tetra_file, "--smoothing", f"bits:{other}")
+    assert code == 0
+    assert f"smoothing,{other}" in out.splitlines()
+    code, out, _ = run(capsys, "analyze", tetra_file)
+    assert code == 0
+    assert f"smoothing,{optimal}" in out.splitlines()
 
 
 def test_analyze_smoothing_bits(tetra_file, capsys):

@@ -73,8 +73,8 @@ def farthest_generator(system: BallSystem, pts: np.ndarray) -> np.ndarray:
     far = np.zeros(len(pts))
     for c in system.centers:
         far = np.maximum(far, ((pts - c) ** 2).sum(axis=1))
-    for arc in system.arcs:
-        far = np.maximum(far, _max_dist_sq(arc, pts))
+    for i in range(len(system.arcs)):
+        far = np.maximum(far, _max_dist_sq(system.arcs, i, pts))
     return np.sqrt(far)
 
 

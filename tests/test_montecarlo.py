@@ -48,13 +48,12 @@ def reuleaux_system(tetra_vs):
 
 def test_max_dist_point_to_arc_matches_brute_force(tetra_poly):
     rng = np.random.default_rng(11)
-    for i in range(len(tetra_poly.pairs)):
-        arc = tetra_poly.retained_arc(i)
-        ts = np.linspace(0.0, arc.sweep, 4001)
-        samples = np.stack([arc.point(t) for t in ts])
+    arcs = tetra_poly.retained_arcs()
+    all_samples = arcs.point(arcs.sweep[:, None] * np.linspace(0.0, 1.0, 4001))
+    for i, samples in enumerate(all_samples):
         pts = np.stack([rng.normal(scale=1.5, size=3) for _ in range(20)])
         brute = np.array([np.max(np.linalg.norm(samples - p, axis=1)) for p in pts])
-        exact = np.sqrt(_max_dist_sq(arc, pts))
+        exact = np.sqrt(_max_dist_sq(arcs, i, pts))
         assert np.all(brute <= exact + 1e-12)
         assert np.all(exact <= brute + 1e-6)
 
@@ -143,12 +142,13 @@ def test_width_of_a_single_ball():
     assert hi == pytest.approx(2.0, abs=1e-12)
 
 
-def _reference_arc_criticals(arc: Arc, u: np.ndarray) -> np.ndarray:
-    """Parameters where u . arc.point(t) can be extremal on [0, sweep]."""
-    ts = [0.0, arc.sweep]
-    peak = math.atan2(float(u @ arc.v), float(u @ arc.u)) % (2.0 * math.pi)
+def _reference_arc_criticals(arcs: Arc, i: int, u: np.ndarray) -> np.ndarray:
+    """Parameters where u . arcs.point(t) can be extremal on [0, sweep] of arc i."""
+    sweep = arcs.sweep[i]
+    ts = [0.0, sweep]
+    peak = math.atan2(float(u @ arcs.v[i]), float(u @ arcs.u[i])) % (2.0 * math.pi)
     for t in (peak, (peak + math.pi) % (2.0 * math.pi)):
-        if t < arc.sweep:
+        if t < sweep:
             ts.append(t)
     return np.array(ts)
 
@@ -190,8 +190,10 @@ def _reference_support(system: BallSystem, u: np.ndarray, corners: list[np.ndarr
     """Support in one direction, its candidates built one arc and one point pair at a time."""
     centers = system.centers
     cands = [centers + u, centers] + [c[None] for c in corners]
-    for arc in system.arcs:
-        pts = arc.point(_reference_arc_criticals(arc, u))
+    for i in range(len(system.arcs)):
+        ts = _reference_arc_criticals(system.arcs, i, u)
+        # the other arcs' rows are evaluated at the same parameters and dropped
+        pts = system.arcs.point(np.broadcast_to(ts, (len(system.arcs), len(ts))))[i]
         cands.append(pts + u)
         cands.append(pts)
     tops = []

@@ -31,7 +31,7 @@ from meissner import (
     surface_decomposition,
     validate_vertex_set,
 )
-from meissner.polytope import _cross, _edge_arc, _face_areas
+from meissner.polytope import _ARC_PLANE_SLACK_PER_TOL, _NORM_FLOOR, _cross, _edge_arc, _face_areas
 from meissner.sphere import dihedral_angle, f_pair
 
 from conftest import (
@@ -180,12 +180,15 @@ def test_reuleaux_dominates_every_smoothing(pyr2_vs):
 def test_retained_arc_geometry(tetra_poly, pyr2_poly):
     for poly in (tetra_poly, pyr2_poly):
         pts = poly.vertices.points
+        arcs = poly.retained_arcs()
+        assert len(arcs) == len(poly.pairs)
+        ends = arcs.point(np.stack((np.zeros_like(arcs.sweep), arcs.sweep), axis=1))
+        inner = arcs.point(np.broadcast_to([0.0, 0.25, 0.5, 0.75, 1.0], (len(arcs), 5)))
         for i in range(len(poly.pairs)):
-            arc = poly.retained_arc(i)
             lengths = poly.retained_lengths(i)
-            assert arc.radius == pytest.approx(math.cos(lengths.theta_dual / 2), abs=1e-12)
-            assert arc.sweep == pytest.approx(dihedral_angle(lengths.swapped()), abs=1e-12)
-            a, b = arc.point(0.0), arc.point(arc.sweep)
+            assert arcs.radius[i] == pytest.approx(math.cos(lengths.theta_dual / 2), abs=1e-12)
+            assert arcs.sweep[i] == pytest.approx(dihedral_angle(lengths.swapped()), abs=1e-12)
+            a, b = ends[i]
             e = poly.retained_edge(i)
             d_a = min(np.linalg.norm(a - pts[e[0]]), np.linalg.norm(a - pts[e[1]]))
             d_b = min(np.linalg.norm(b - pts[e[0]]), np.linalg.norm(b - pts[e[1]]))
@@ -193,10 +196,70 @@ def test_retained_arc_geometry(tetra_poly, pyr2_poly):
             assert np.linalg.norm(a - b) > 0.1
             # every arc point stays at unit distance from the smoothed edge
             es = poly.smoothed_edge(i)
-            for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-                p = arc.point(t)
+            for p in inner[i]:
                 assert np.linalg.norm(p - pts[es[0]]) == pytest.approx(1.0, abs=1e-12)
                 assert np.linalg.norm(p - pts[es[1]]) == pytest.approx(1.0, abs=1e-12)
+
+
+def pair_arcs(vs, pairs):
+    """Both edge arcs of every pair in one batch: the edge's arc, then the dual edge's."""
+    edge = np.array([p.edge for p in pairs])
+    dual = np.array([p.edge_dual for p in pairs])
+    ends = np.stack((edge, dual), axis=1).reshape(-1, 2)
+    centers = np.stack((dual, edge), axis=1).reshape(-1, 2)
+    pts = vs.points
+    return ends, centers, _edge_arc(pts[ends[:, 0]], pts[ends[:, 1]], pts[centers[:, 0]], pts[centers[:, 1]], vs.tol)
+
+
+def _reference_edge_arc(a, b, c1, c2, tol):
+    """Center, radius, u, v and sweep of the arc from a to b around the axis c1 -> c2, one arc at a time."""
+    center = (c1 + c2) / 2.0
+    axis = c2 - c1
+    axis_norm = float(np.linalg.norm(axis))
+    if axis_norm < _NORM_FLOOR:
+        raise GeometryError("coincident sphere centers give no circle")
+    axis = axis / axis_norm
+    ra = a - center
+    if abs(float(ra @ axis)) > _ARC_PLANE_SLACK_PER_TOL * tol / axis_norm:
+        raise GeometryError("arc endpoint off the circle plane")
+    radial = ra - (ra @ axis) * axis
+    radius = float(np.linalg.norm(radial))
+    if radius < _NORM_FLOOR:
+        raise GeometryError("arc endpoint on the circle axis")
+    u = radial / radius
+    v = np.cross(axis, u)
+    rb = b - center
+    t = math.atan2(float(rb @ v), float(rb @ u))
+    if t < 0.0:
+        v = -v
+        t = -t
+    return center, radius, u, v, t
+
+
+ARC_BODIES = [
+    ("tetra", regular_tetrahedron),
+    *((f"pyramid{k}", lambda k=k: regular_pyramid(k)) for k in range(2, 6)),
+    *((f"random{k}-{s}", lambda k=k, s=s: random_feasible_pyramid(k, s)) for k in range(1, 6) for s in range(3)),
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in ARC_BODIES], ids=[name for name, _ in ARC_BODIES])
+def test_batched_arcs_match_the_per_arc_reference(make):
+    vs = make()
+    poly = build_meissner(vs)
+    pts = vs.points
+    ends, centers, arcs = pair_arcs(vs, poly.pairs)
+    assert len(arcs) == 2 * (vs.m - 1)
+    fields = (arcs.center, arcs.radius, arcs.u, arcs.v, arcs.sweep)
+    for row, ((a, b), (c1, c2)) in enumerate(zip(ends, centers)):
+        reference = _reference_edge_arc(pts[a], pts[b], pts[c1], pts[c2], vs.tol)
+        for got, want in zip(fields, reference):
+            assert np.abs(got[row] - want).max() <= 1e-15
+    # the retained arcs are the rows of the retained orientation
+    retained = poly.retained_arcs()
+    rows = 2 * np.arange(len(poly.pairs)) + np.logical_not(poly.choice.bits)
+    for got, want in zip((retained.center, retained.radius, retained.u, retained.v, retained.sweep), fields):
+        assert np.array_equal(got, want[rows])
 
 
 def test_face_cycles(tetra_vs, pyr2_vs):
@@ -225,8 +288,8 @@ def test_face_cycles_of_regular_pyramids_are_pinned(k):
 def test_digon_vertex_is_rejected(tetra_vs):
     # arc insertion: a fifth point mid-arc on edge (0, 1), at distance one from 2 and 3, sees only those two
     pts = tetra_vs.points
-    arc = _edge_arc(pts[0], pts[1], pts[2], pts[3], tetra_vs.tol)
-    vs5 = validate_vertex_set(np.vstack([pts, arc.point(arc.sweep / 2)]))
+    arc = _edge_arc(pts[:1], pts[1:2], pts[2:3], pts[3:4], tetra_vs.tol)
+    vs5 = validate_vertex_set(np.vstack([pts, arc.point(arc.sweep[:, None] / 2)[0]]))
     assert vs5.diameter_count == 8
     with pytest.raises(FaceCycleError, match="vertex 4 has only 2 neighbors"):
         face_cycles(vs5, build_diameter_graph(vs5))
@@ -331,17 +394,41 @@ def test_arcs_of_sets_validated_at_a_loose_tolerance():
     # an arc endpoint sits up to 2 * tol / |c2 - c1| off its circle's plane,
     # so a fixed plane slack of 1e-6 rejected 99 of these 200 sets
     for seed in range(200):
-        poly = build_meissner(validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5))
+        vs = validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5)
+        poly = build_meissner(vs)
         assert meissner_volume(poly) == pytest.approx(TETRA_VOLUME, abs=1e-4)
+        _, _, arcs = pair_arcs(vs, poly.pairs)
+        assert len(arcs) == 6 and (arcs.sweep > 0.0).all()
 
 
 def test_arc_endpoint_off_the_plane_is_rejected(tetra_vs):
-    a, b, c1, c2 = tetra_vs.points
+    a, b, c1, c2 = tetra_vs.points[:, None]
     slack = 4.0 * 1e-9 / float(np.linalg.norm(c2 - c1))
     axis = (c2 - c1) / np.linalg.norm(c2 - c1)
     _edge_arc(a + 0.5 * slack * axis, b, c1, c2, 1e-9)
     with pytest.raises(GeometryError, match="off the circle plane"):
         _edge_arc(a + 2.0 * slack * axis, b, c1, c2, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (lambda a, b, c1, c2, slack: (a, b, c1, c1), "coincident sphere centers give no circle"),
+        (lambda a, b, c1, c2, slack: (a + 2.0 * slack * (c2 - c1), b, c1, c2), "arc endpoint off the circle plane"),
+        (lambda a, b, c1, c2, slack: ((c1 + c2) / 2.0, b, c1, c2), "arc endpoint on the circle axis"),
+    ],
+    ids=["coincident", "off-plane", "on-axis"],
+)
+def test_each_arc_guard_reports_its_row_in_a_batch(tetra_vs, spoil, message):
+    ends, centers, _ = pair_arcs(tetra_vs, find_dual_pairs(build_diameter_graph(tetra_vs), tetra_vs))
+    pts = tetra_vs.points
+    rows = [pts[ends[:, 0]], pts[ends[:, 1]], pts[centers[:, 0]], pts[centers[:, 1]]]
+    # every tetrahedron edge has unit length, so 4 * tol is the plane slack of every row
+    bad = spoil(*(r[3] for r in rows), 4.0 * tetra_vs.tol)
+    for r, value in zip(rows, bad):
+        r[3] = value
+    with pytest.raises(GeometryError, match=rf"^{message} \(row 3\)$"):
+        _edge_arc(*rows, tetra_vs.tol)
 
 
 def test_extra_point_breaks_pair_count(tetra_vs):
