@@ -25,6 +25,7 @@ from .optimize import (
     optimize_pyramid,
 )
 from .polytope import (
+    DEFAULT_TOL,
     MeissnerPolyhedron,
     SmoothingChoice,
     build_meissner,
@@ -117,7 +118,7 @@ def _build_parser() -> _Parser:
 def _tolerance() -> float:
     raw = os.environ.get("MEISSNER_TOL")
     if raw is None:
-        return 1e-9
+        return DEFAULT_TOL
     try:
         tol = float(raw)
     except ValueError:
@@ -178,7 +179,7 @@ def _cmd_analyze(args) -> int:
         f"reuleaux_area,{reuleaux_area(poly.vertices, poly.pairs):.17g}",
     ]
     print("\n".join(table))
-    print(f"smoothing,{''.join('1' if b else '0' for b in poly.choice.bits)}")
+    print(f"smoothing,{_bits(poly.choice)}")
     print("\n".join(summary))
     if args.csv:
         with open(args.csv, "w") as fh:
@@ -192,11 +193,9 @@ def _cmd_enumerate(args) -> int:
     best = min(range(len(table)), key=lambda i: table[i][1])
     lines = ["bits,area"]
     for choice, area in table:
-        bits = "".join("1" if b else "0" for b in choice.bits)
-        lines.append(f"{bits},{area:.17g}")
+        lines.append(f"{_bits(choice)},{area:.17g}")
     print("\n".join(lines))
-    bits = "".join("1" if b else "0" for b in table[best][0].bits)
-    print(f"minimum,{bits},{table[best][1]:.17g}")
+    print(f"minimum,{_bits(table[best][0])},{table[best][1]:.17g}")
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -245,10 +244,7 @@ def _cmd_pyramid(args) -> int:
     if args.restarts < 1:
         raise ParseError(f"--restarts must be positive, got {args.restarts}")
     report = optimize_pyramid(args.n, restarts=args.restarts, seed=args.seed)
-    print(f"best objective: {report.best_objective:.12f}")
-    print(f"best area: {report.best_area:.12f}")
-    print(f"best volume: {report.best_volume:.12f}")
-    print(f"residual: {report.best_residual:.3e}")
+    _print_best(report)
     print(f"tetrahedron area bound: {TETRAHEDRON_AREA:.12f}")
     bound = all(r.meets_tetrahedron_bound for r in report.records)
     print(f"all restarts at or above the bound: {'yes' if bound else 'NO'}")
@@ -270,10 +266,7 @@ def _cmd_search(args) -> int:
     vs = load_vertex_file(args.file, _tolerance())
     problem = OptimizationProblem.from_vertex_set(vs)
     report = optimize_meissner(problem, restarts=args.restarts, seed=args.seed)
-    print(f"best objective: {report.best_objective:.12f}")
-    print(f"best area: {report.best_area:.12f}")
-    print(f"best volume: {report.best_volume:.12f}")
-    print(f"residual: {report.best_residual:.3e}")
+    _print_best(report)
     for r in report.records:
         flag = "ok" if r.meets_tetrahedron_bound else "BELOW TETRAHEDRON"
         print(
@@ -317,6 +310,17 @@ def _cmd_mesh(args) -> int:
     print(f"closed form: {closed:.12f}")
     print(f"relative gap: {abs(area - closed) / closed:.3e}")
     return 0
+
+
+def _print_best(report) -> None:
+    print(f"best objective: {report.best_objective:.12f}")
+    print(f"best area: {report.best_area:.12f}")
+    print(f"best volume: {report.best_volume:.12f}")
+    print(f"residual: {report.best_residual:.3e}")
+
+
+def _bits(choice: SmoothingChoice) -> str:
+    return "".join("1" if b else "0" for b in choice.bits)
 
 
 def _fmt(value) -> str:

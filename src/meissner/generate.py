@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArgumentError, ParseError, ValidationMismatch
-from .polytope import DEFAULT_TOL, VertexSet, build_diameter_graph, validate_vertex_set
+from .polytope import DEFAULT_TOL, VertexSet, validate_vertex_set
 
 __all__ = [
     "regular_tetrahedron",
@@ -64,7 +64,7 @@ def save_vertex_file(vs: VertexSet, path: str | Path, edges: bool = False) -> No
         lines.append(f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}")
     if edges:
         lines.append("EDGES")
-        for i, j in build_diameter_graph(vs).edges:
+        for i, j in vs.edges:
             lines.append(f"{i} {j}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -112,7 +112,7 @@ def load_vertex_file(path: str | Path, tol: float = DEFAULT_TOL) -> VertexSet:
             if not (0 <= i < m and 0 <= j < m) or i == j:
                 raise ParseError(f"{path}:{lineno}: edge ({i}, {j}) out of range")
             declared.add((min(i, j), max(i, j)))
-        computed = set(build_diameter_graph(vs).edges)
+        computed = set(vs.edges)
         if declared != computed:
             missing = sorted(computed - declared)
             extra = sorted(declared - computed)

@@ -33,9 +33,8 @@ from .polytope import (
     _cross,
     _dot,
     _edge_arc,
-    _face_rings,
+    _face_units,
     _udir,
-    build_diameter_graph,
 )
 
 __all__ = [
@@ -49,6 +48,8 @@ __all__ = [
 
 # unit directions to a face's neighbors that sum to less than this leave its fan apex undefined
 _APEX_FLOOR = 1e-9
+# endpoints closer than this angle are one point; dividing by sin(omega) would only amplify their rounding
+_SLERP_ANGLE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -226,7 +227,7 @@ def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)[..., None]
     cross = _cross(a, b)
     omega = np.arctan2(np.sqrt(_dot(cross, cross)), _dot(a, b))[..., None]
-    degenerate = omega < 1e-12
+    degenerate = omega < _SLERP_ANGLE_FLOOR
     s = np.sin(np.where(degenerate, 1.0, omega))
     blend = (np.sin((1.0 - t) * omega) * a + np.sin(t * omega) * b) / s
     out = np.where(degenerate, a, blend)
@@ -245,9 +246,8 @@ def _face_fans(vs: VertexSet, steps: np.ndarray) -> tuple[np.ndarray, ...]:
     Returns them as a patch kind for `_build`.
     """
     pts = vs.points
-    owner, ring, after = _face_rings(pts, build_diameter_graph(vs))
+    owner, ring, after, units = _face_units(vs)
     x = pts[owner]
-    units = _udir(pts[ring], x)
     # summed slot by slot, in cycle order
     centroid = np.zeros((vs.m, 3))
     np.add.at(centroid, owner, units)

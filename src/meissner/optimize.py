@@ -53,6 +53,10 @@ VALIDATION_TOL = 1e-6
 BOUND_SLACK = 1e-6
 # objectives this close are one: restarts reaching the same body differ by rounding, ~1e-15
 TIE_TOL = 1e-12
+# a round's minimizer misses the constraints by about 0.3 / mu (measured on wheel pyramids): the ramp
+# starts a short projection away, at 3e-3, and stops at the first decade whose miss is under FEASIBILITY_TOL
+_MU_START = 1e2
+_MU_MAX = 1e8
 _MAX_ROUNDS = 18
 _STALL_ROUNDS = 3
 # a round ends when a step gains under 1e-10 relative or the projected gradient drops under 1e-8;
@@ -106,7 +110,6 @@ class OptimizationReport:
     best_points: np.ndarray
     best_residual: float
     records: tuple[RestartRecord, ...]
-    trajectory: tuple[float, ...]
 
 
 def optimize_pyramid(n: int, restarts: int = 1, seed: int = 0) -> OptimizationReport:
@@ -137,7 +140,6 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
     if kernel.residual(x0) > START_RESIDUAL_MAX:
         raise InfeasibleStart("start configuration violates the distance constraints")
     records: list[RestartRecord] = []
-    trajectories: list[tuple[float, ...]] = []
     points: list[np.ndarray] = []
     for run in range(restarts):
         if run == 0:
@@ -148,29 +150,10 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
             projected = kernel.project(x)
             if projected is not None:
                 x = projected
-        final, rounds, evaluations, capped_rounds, traj, best = _penalty_loop(x, kernel)
-        if best is not None:
-            objective, area, validated, final, residual = best
-        else:
-            objective, area, validated, _ = kernel.evaluate(final)
-            residual = kernel.residual(final)
-        records.append(
-            RestartRecord(
-                restart=run,
-                objective=objective,
-                area=area,
-                residual=residual,
-                rounds=rounds,
-                evaluations=evaluations,
-                capped_rounds=capped_rounds,
-                converged=best is not None,
-                validated=validated,
-                meets_tetrahedron_bound=area >= TETRAHEDRON_AREA - BOUND_SLACK,
-            )
-        )
-        trajectories.append(traj)
-        points.append(kernel.points(final))
-    return _assemble_report(records, trajectories, points)
+        record, pts = _restart(run, x, kernel)
+        records.append(record)
+        points.append(pts)
+    return _assemble_report(records, points)
 
 
 def random_feasible_pyramid(k: int, seed: int) -> VertexSet:
@@ -312,14 +295,15 @@ class _Kernel:
         runs that found nothing better.
         """
         pts = self.points(x)
-        for candidate in (pts, _merged_distinct(pts)):
-            if candidate is None or len(candidate) < 4:
-                continue
+        for merge in (False, True):
+            candidate = _merged_distinct(pts) if merge else pts
+            if candidate is None:
+                break
             try:
                 area = meissner_area(build_meissner(validate_vertex_set(candidate, tol=VALIDATION_TOL)))
             except ValidationError:
                 continue
-            return 2.0 * math.pi - area, area, candidate is pts, True
+            return 2.0 * math.pi - area, area, not merge, True
         objective, _ = self.soft(self.squared(x))
         return objective, 2.0 * math.pi - objective, False, False
 
@@ -360,45 +344,33 @@ def _gauge_coords(points: np.ndarray) -> np.ndarray:
     return np.array(coords)
 
 
-_Best = tuple[float, float, bool, np.ndarray, float]
-
-
-def _penalty_loop(
-    x: np.ndarray, kernel: _Kernel
-) -> tuple[np.ndarray, int, int, int, tuple[float, ...], _Best | None]:
-    """L-BFGS-B rounds with a tenfold penalty ramp; keeps the best iterate.
+def _restart(run: int, x: np.ndarray, kernel: _Kernel) -> tuple[RestartRecord, np.ndarray]:
+    """One restart from x: L-BFGS-B rounds with a tenfold penalty ramp, reported at its best iterate.
 
     A penalty round can end in a spurious branch of the constraint set
     where the soft objective stops meaning anything, so its final point
     is never trusted blindly.  Round results are restored to the
     equality manifold by projection when it succeeds, then scored by
     `kernel.evaluate`, which rejects off-domain points; the best accepted
-    iterate (the start competes too) is returned as (objective, area,
-    validated, x, residual), after the final point, the round count, the
-    merit evaluation count and the number of rounds whose solve missed
-    its convergence test.
+    iterate (the start competes too) is the restart's result.  A restart
+    that accepts none is not converged and reports its final point as
+    `evaluate` scores it.  Returns the record and the result's points.
     """
-    mu = 1e2
-    trajectory: list[float] = []
-    rounds = 0
-    evaluations = 0
-    capped_rounds = 0
-    improved_at = 0
-    best: _Best | None = None
+    mu = _MU_START
+    evaluations = capped_rounds = improved_at = 0
+    best = None  # objective, area, validated flag, residual and parameters of the best accepted iterate
 
     def consider(v: np.ndarray, r: float) -> bool:
         nonlocal best
-        if r > FEASIBILITY_TOL:
-            return False
-        obj, area, validated, on_domain = kernel.evaluate(v)
-        if on_domain and (best is None or obj > best[0] + TIE_TOL):
-            best = (obj, area, validated, v.copy(), r)
-            return True
+        if r <= FEASIBILITY_TOL:
+            obj, area, validated, on_domain = kernel.evaluate(v)
+            if on_domain and (best is None or obj > best[0] + TIE_TOL):
+                best = (obj, area, validated, r, v.copy())
+                return True
         return False
 
     consider(x, kernel.residual(x))
-    for _ in range(_MAX_ROUNDS):
-        rounds += 1
+    for rounds in range(1, _MAX_ROUNDS + 1):
         result = minimize(kernel.merit, x, args=(mu,), jac=True, method="L-BFGS-B", options=_LBFGSB_OPTIONS)
         evaluations += result.nfev
         # an iteration or evaluation cap, or a line search that found no descent
@@ -410,16 +382,32 @@ def _penalty_loop(
         r = kernel.residual(x)
         if consider(x, r):
             improved_at = rounds
-        trajectory.append(best[0] if best is not None else -math.inf)
         # ramp to full stiffness first, then keep restarting the solve
         # until progress stalls
-        if mu >= 1e8 and r <= FEASIBILITY_TOL and rounds - improved_at >= _STALL_ROUNDS:
+        if mu >= _MU_MAX and r <= FEASIBILITY_TOL and rounds - improved_at >= _STALL_ROUNDS:
             break
-        mu = min(mu * 10.0, 1e8)
-    return x, rounds, evaluations, capped_rounds, tuple(trajectory), best
+        mu = min(mu * 10.0, _MU_MAX)
+    if best is not None:
+        objective, area, validated, residual, x = best
+    else:
+        objective, area, validated, _ = kernel.evaluate(x)
+        residual = kernel.residual(x)
+    record = RestartRecord(
+        restart=run,
+        objective=objective,
+        area=area,
+        residual=residual,
+        rounds=rounds,
+        evaluations=evaluations,
+        capped_rounds=capped_rounds,
+        converged=best is not None,
+        validated=validated,
+        meets_tetrahedron_bound=area >= TETRAHEDRON_AREA - BOUND_SLACK,
+    )
+    return record, kernel.points(x)
 
 
-def _assemble_report(records, trajectories, points) -> OptimizationReport:
+def _assemble_report(records: list[RestartRecord], points: list[np.ndarray]) -> OptimizationReport:
     """Converged restarts first, then the largest objective; ties go to the lowest restart."""
     top = max(records, key=lambda r: (r.converged, r.objective))
     best = next(
@@ -433,6 +421,5 @@ def _assemble_report(records, trajectories, points) -> OptimizationReport:
         best_points=points[best],
         best_residual=rec.residual,
         records=tuple(records),
-        trajectory=trajectories[best],
     )
 

@@ -336,9 +336,7 @@ def direction_sphere_partition(poly: MeissnerPolyhedron) -> float:
 
 def _face_areas(vs: VertexSet) -> list[float]:
     """Geodesic area of the spherical face at each vertex, all interior angles in one pass."""
-    pts = vs.points
-    owner, ring, after = _face_rings(pts, build_diameter_graph(vs))
-    units = _udir(pts[ring], pts[owner])
+    owner, _, after, units = _face_units(vs)
     before = np.empty_like(after)
     before[after] = np.arange(len(after))
     prev, nxt = units[before], units[after]
@@ -452,6 +450,13 @@ def _face_rings(pts: np.ndarray, graph: DiameterGraph) -> tuple[np.ndarray, np.n
         e = int(np.argmax(coincident & (owner == i)))
         raise FaceCycleError(f"neighbors {ring[e]} and {ring[after[e]]} of vertex {i} are angularly coincident")
     return owner, ring, after
+
+
+def _face_units(vs: VertexSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_face_rings` of the body's diameter graph, plus the unit direction from each vertex to each ring neighbor."""
+    pts = vs.points
+    owner, ring, after = _face_rings(pts, build_diameter_graph(vs))
+    return owner, ring, after, _udir(pts[ring], pts[owner])
 
 
 def _by_vertex(owner: np.ndarray, values: np.ndarray) -> list[list]:

@@ -42,6 +42,8 @@ _F_GRID_SLACK = 1e-12
 _F_DERIVATIVE_TOL = 1e-6
 # a face's angles are arccos values a few ulps off; an excess below minus this is a real error
 _POLYGON_AREA_SLACK = 1e-9
+# df/dx grows like rad^(-1/2): a radicand under this (a slope over 1e6) puts the pair on the admissible boundary
+_BOUNDARY_RAD_FLOOR = 1e-12
 
 
 def _clamped(value: float) -> float:
@@ -153,7 +155,7 @@ def f_partial_x(lengths: PairLengths) -> float:
     """
     x, y = lengths.theta, lengths.theta_dual
     rad = 1.0 - math.sin(x / 2) ** 2 - math.sin(y / 2) ** 2
-    if rad < 1e-12:
+    if rad < _BOUNDARY_RAD_FLOOR:
         raise GeometryError(f"pair {lengths!r} on the admissible boundary")
     return y * math.cos(x / 2) * math.cos(y / 2) / math.sqrt(rad)
 

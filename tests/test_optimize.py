@@ -9,6 +9,7 @@ from scipy.optimize import minimize
 import meissner.optimize
 from meissner import (
     InfeasibleStart,
+    NotExtremal,
     OptimizationProblem,
     RestartRecord,
     TETRAHEDRON_AREA,
@@ -116,8 +117,6 @@ def test_optimize_pyramid_n5():
     assert report.best_volume == pytest.approx(
         report.best_area / 2.0 - math.pi / 3.0, abs=1e-12
     )
-    finite = [v for v in report.trajectory if math.isfinite(v)]
-    assert finite == sorted(finite)
     # the winning configuration is a genuine extremal set
     validate_vertex_set(report.best_points, tol=1e-6)
     # every round of the regular start ends at its convergence test
@@ -140,6 +139,31 @@ def test_unconverged_rounds_are_counted(monkeypatch):
     assert rec.capped_rounds == 1
 
 
+def test_restart_without_an_accepted_iterate_reports_its_final_point(monkeypatch):
+    # no iterate validates, so none is ever accepted: the restart falls back to its last round's point
+    def never_extremal(*args, **kwargs):
+        raise NotExtremal("rejected")
+
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(meissner.optimize, "validate_vertex_set", never_extremal)
+    monkeypatch.setattr(meissner.optimize, "minimize", recorded)
+    report = optimize_pyramid(3)
+    rec = report.records[0]
+    assert not rec.converged and not rec.validated
+    assert rec.area == 2.0 * math.pi - rec.objective
+    assert rec.rounds == len(results)
+    kernel, _ = _kernel_at_regular_pyramid(1)
+    final = kernel.project(results[-1].x)
+    final = results[-1].x if final is None else final
+    assert np.array_equal(report.best_points, kernel.points(final))
+    assert report.best_objective == rec.objective and report.best_residual == kernel.residual(final)
+
+
 def test_tied_restarts_report_the_lowest_index():
     def record(restart, objective, converged=True):
         area = 2.0 * math.pi - objective
@@ -147,7 +171,7 @@ def test_tied_restarts_report_the_lowest_index():
 
     def winner(records):
         points = [np.full((4, 3), float(r.restart)) for r in records]
-        report = _assemble_report(records, [(r.objective,) for r in records], points)
+        report = _assemble_report(records, points)
         assert report.best_objective == records[int(report.best_points[0, 0])].objective
         return int(report.best_points[0, 0])
 
