@@ -33,8 +33,6 @@ from .polytope import (
     _cross,
     _dot,
     _edge_arc,
-    _face_units,
-    _udir,
 )
 
 __all__ = [
@@ -235,6 +233,12 @@ def _slerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return np.where(t == 0.0, a, out)
 
 
+def _udir(p: np.ndarray, origin: np.ndarray) -> np.ndarray:
+    """Unit direction from origin to p over the last axis."""
+    d = p - origin
+    return d / np.sqrt(_dot(d, d))[..., None]
+
+
 def _face_fans(vs: VertexSet, steps: np.ndarray) -> tuple[np.ndarray, ...]:
     """All fan triangles of all spherical faces, face by face in cyclic order.
 
@@ -245,8 +249,8 @@ def _face_fans(vs: VertexSet, steps: np.ndarray) -> tuple[np.ndarray, ...]:
     edge itself, with the two corners snapped to the polytope vertices.
     Returns them as a patch kind for `_build`.
     """
-    pts = vs.points
-    owner, ring, after, units = _face_units(vs)
+    pts, faces = vs.points, vs.faces
+    owner, ring, after, units = faces.owner, faces.ring, faces.after, faces.units
     x = pts[owner]
     # summed slot by slot, in cycle order
     centroid = np.zeros((vs.m, 3))

@@ -68,6 +68,8 @@ _PROJECT_TOL = 1e-13
 _PROJECT_STEPS = 60
 # the gauge frame needs the second start point this far from the first, and the third this far off their line
 _GAUGE_TOL = 1e-9
+# restart noise spread: 0.01 at restart 1, 0.01 wider each restart up to 0.1, so early restarts search near the start
+_NOISE_FIRST, _NOISE_STEP, _NOISE_MAX = 0.01, 0.01, 0.1
 # per-coordinate spread of random_feasible_pyramid: far enough from the
 # regular pyramid to vary every closed form, near enough to project back
 _PERTURBATION = 0.05
@@ -146,7 +148,7 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
             x = x0.copy()
         else:
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(run,))))
-            x = x0 + min(0.01 + 0.01 * (run - 1), 0.1) * rng.normal(size=x0.shape)
+            x = x0 + min(_NOISE_FIRST + _NOISE_STEP * (run - 1), _NOISE_MAX) * rng.normal(size=x0.shape)
             projected = kernel.project(x)
             if projected is not None:
                 x = projected
@@ -309,14 +311,14 @@ class _Kernel:
 
 
 def _merged_distinct(pts: np.ndarray) -> np.ndarray | None:
-    """Drop vertices within MERGE_TOL of an earlier one; None when none merge."""
-    reps: list[np.ndarray] = []
-    for p in pts:
-        if all(float(np.linalg.norm(p - r)) > MERGE_TOL for r in reps):
-            reps.append(p)
-    if len(reps) == len(pts):
-        return None
-    return np.array(reps)
+    """Drop every vertex within MERGE_TOL of an earlier one, dropped or not; None when none merge.
+
+    A chain a ~ b ~ c with a and c apart loses both b and c, where a
+    greedy pass that compared only with kept vertices would keep c.
+    """
+    diff = pts[:, None] - pts[None]
+    near = np.tril((diff * diff).sum(axis=2) <= MERGE_TOL**2, k=-1).any(axis=1)
+    return pts[~near] if near.any() else None
 
 
 def _gauge_coords(points: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -39,6 +40,7 @@ from .sphere import (
 __all__ = [
     "DEFAULT_TOL",
     "VertexSet",
+    "Faces",
     "DiameterGraph",
     "Arc",
     "DualPairGeometry",
@@ -59,7 +61,6 @@ __all__ = [
     "reuleaux_area",
     "surface_decomposition",
     "direction_sphere_partition",
-    "face_cycles",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -75,6 +76,17 @@ Edge = tuple[int, int]
 
 
 @dataclass(frozen=True, slots=True)
+class Faces:
+    """Every vertex's spherical face, over (vertex, neighbor) slots: vertex by vertex, neighbors in cyclic order."""
+
+    owner: np.ndarray  # the vertex of each slot
+    ring: np.ndarray  # the neighbor of each slot
+    after: np.ndarray  # the slot of the next neighbor around the same vertex
+    units: np.ndarray  # (slots, 3) unit direction from the vertex to the neighbor
+    areas: tuple[float, ...]  # geodesic area of each vertex's face
+
+
+@dataclass(frozen=True)
 class VertexSet:
     """A validated extremal set of diameter one and its unit-distance edges; built only by `validate_vertex_set`."""
 
@@ -90,6 +102,11 @@ class VertexSet:
     @property
     def diameter_count(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def faces(self) -> Faces:
+        """The spherical faces, built on first use: validation and the closed forms never need them."""
+        return _build_faces(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -293,26 +310,15 @@ def reuleaux_area(vs: VertexSet, pairs: tuple[DualEdgePair, ...]) -> float:
 
     2*pi + sum over pairs of 4*alpha - 2*sin(theta/2)*phi - 2*sin(theta'/2)*phi'.
     """
-    terms = []
-    for p in pairs:
-        g = p.geometry
-        terms.append(
-            4.0 * g.alpha
-            - 2.0 * math.sin(g.lengths.theta / 2) * g.phi
-            - 2.0 * math.sin(g.lengths.theta_dual / 2) * g.phi_dual
-        )
-    return 2.0 * math.pi + math.fsum(terms)
-
-
-def face_cycles(vs: VertexSet, graph: DiameterGraph) -> list[list[int]]:
-    """Neighbors of each vertex in cyclic order around the outward axis."""
-    owner, ring, _ = _face_rings(vs.points, graph)
-    return _by_vertex(owner, ring)
+    return 2.0 * math.pi + math.fsum(
+        4.0 * g.alpha - 2.0 * math.sin(g.lengths.theta / 2) * g.phi - 2.0 * math.sin(g.lengths.theta_dual / 2) * g.phi_dual
+        for g in (p.geometry for p in pairs)
+    )
 
 
 def surface_decomposition(poly: MeissnerPolyhedron) -> SurfaceDecomposition:
     """Per-patch areas: one spherical face per vertex, a wedge and a spindle per pair."""
-    patches = [SurfacePatch("face", i, area) for i, area in enumerate(_face_areas(poly.vertices))]
+    patches = [SurfacePatch("face", i, area) for i, area in enumerate(poly.vertices.faces.areas)]
     for i in range(len(poly.pairs)):
         lengths = poly.retained_lengths(i)
         patches.append(SurfacePatch("wedge", i, wedge_area(lengths)))
@@ -331,12 +337,12 @@ def direction_sphere_partition(poly: MeissnerPolyhedron) -> float:
     half the directions once, so the sum must be 2*pi.
     """
     rects = [rect_area(p.geometry.lengths.theta, p.geometry.lengths.theta_dual) for p in poly.pairs]
-    return math.fsum(_face_areas(poly.vertices)) + math.fsum(rects)
+    return math.fsum(poly.vertices.faces.areas) + math.fsum(rects)
 
 
-def _face_areas(vs: VertexSet) -> list[float]:
-    """Geodesic area of the spherical face at each vertex, all interior angles in one pass."""
-    owner, _, after, units = _face_units(vs)
+def _build_faces(vs: VertexSet) -> Faces:
+    """The face rings of `_face_rings` and the geodesic area of every face, all interior angles in one pass."""
+    owner, ring, after, units = _face_rings(vs)
     before = np.empty_like(after)
     before[after] = np.arange(len(after))
     prev, nxt = units[before], units[after]
@@ -348,7 +354,9 @@ def _face_areas(vs: VertexSet) -> list[float]:
     if degenerate.any():
         raise GeometryError(f"degenerate corner at vertex {owner[np.argmax(degenerate)]}")
     angles = np.arccos(np.clip(_dot(tp, tn) / (np_ * nn), -1.0, 1.0))
-    return [geodesic_polygon_area(corners) for corners in _by_vertex(owner, angles)]
+    for shared in (owner, ring, after, units):
+        shared.setflags(write=False)
+    return Faces(owner, ring, after, units, tuple(geodesic_polygon_area(c) for c in _by_vertex(owner, angles)))
 
 
 def _smoothed_area(pairs: tuple[DualEdgePair, ...], bits: tuple[bool, ...]) -> float:
@@ -402,17 +410,15 @@ def _guard(bad: np.ndarray, message: str) -> None:
         raise GeometryError(f"{message} (row {int(np.argmax(bad))})")
 
 
-def _face_rings(pts: np.ndarray, graph: DiameterGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _face_rings(vs: VertexSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every vertex's neighbors in cyclic order around its outward axis, all vertices in one pass.
 
     Each vertex gets a frame around the axis from it to its neighbors'
     mean, and its neighbors are sorted by angle in that frame.  Returns
-    flat arrays over the (vertex, neighbor) slots, vertex by vertex and
-    each in cyclic order: the vertex, the neighbor, and the slot of the
-    next neighbor around the same vertex.
+    the slot arrays `owner`, `ring`, `after` and `units` of `Faces`.
     """
-    m = graph.m
-    edges = np.array(graph.edges, dtype=np.intp).reshape(-1, 2)
+    pts, m = vs.points, vs.m
+    edges = np.array(vs.edges, dtype=np.intp).reshape(-1, 2)
     owner, nbr = np.concatenate((edges, edges[:, ::-1])).T
     order = np.lexsort((nbr, owner))
     owner, nbr = owner[order], nbr[order]
@@ -432,7 +438,7 @@ def _face_rings(pts: np.ndarray, graph: DiameterGraph) -> tuple[np.ndarray, np.n
     angle = np.arctan2(_dot(d, t2[owner]) + 0.0, _dot(d, t1[owner]) + 0.0)
     # by vertex, then angle, ties by neighbor index
     order = np.lexsort((nbr, angle, owner))
-    ring, angle = nbr[order], angle[order]
+    ring, angle, d = nbr[order], angle[order], d[order]
     start = (np.cumsum(degree) - degree)[owner]
     slot = np.arange(len(owner)) - start
     last = slot + 1 == degree[owner]
@@ -449,18 +455,11 @@ def _face_rings(pts: np.ndarray, graph: DiameterGraph) -> tuple[np.ndarray, np.n
             raise FaceCycleError(f"neighbors of vertex {i} have no outward axis")
         e = int(np.argmax(coincident & (owner == i)))
         raise FaceCycleError(f"neighbors {ring[e]} and {ring[after[e]]} of vertex {i} are angularly coincident")
-    return owner, ring, after
-
-
-def _face_units(vs: VertexSet) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """`_face_rings` of the body's diameter graph, plus the unit direction from each vertex to each ring neighbor."""
-    pts = vs.points
-    owner, ring, after = _face_rings(pts, build_diameter_graph(vs))
-    return owner, ring, after, _udir(pts[ring], pts[owner])
+    return owner, ring, after, d / np.sqrt(_dot(d, d))[:, None]
 
 
 def _by_vertex(owner: np.ndarray, values: np.ndarray) -> list[list]:
-    """Split values over the slots of `_face_rings` into one list per vertex."""
+    """Split values over the face slots (see `Faces`) into one list per vertex."""
     bounds = [0, *(np.flatnonzero(np.diff(owner)) + 1).tolist(), len(owner)]
     values = values.tolist()
     return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -476,9 +475,3 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
     return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
-
-
-def _udir(p: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Unit direction from origin to p over the last axis."""
-    d = p - origin
-    return d / np.sqrt(_dot(d, d))[..., None]

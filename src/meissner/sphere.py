@@ -38,7 +38,8 @@ EDGE_ARC_MAX = math.pi / 3
 DIHEDRAL_MAX = math.acos(1.0 / 3.0)
 # f is increasing, convex and swap-dominant exactly; its O(1) grid values may break that by rounding
 _F_GRID_SLACK = 1e-12
-# central differences at step 1e-6 carry about 1e-10 of rounding, well inside this
+# central differences at step _F_DIFF_STEP carry about 1e-10 of rounding, well inside _F_DERIVATIVE_TOL
+_F_DIFF_STEP = 1e-6
 _F_DERIVATIVE_TOL = 1e-6
 # a face's angles are arccos values a few ulps off; an excess below minus this is a real error
 _POLYGON_AREA_SLACK = 1e-9
@@ -172,7 +173,7 @@ def f_property_check(grid: int) -> tuple[list[float], np.ndarray, dict[str, bool
     values = np.array([[f_pair(PairLengths(x, y)) for x in xs] for y in xs])
     fine = np.linspace(0.0, EDGE_ARC_MAX, 200)[5:-5:10]
     points = [(x, y) for x in (0.1, 0.5, 0.9) for y in (0.2, 0.6, 1.0)] + [(x, y) for x in fine for y in fine]
-    h = 1e-6
+    h = _F_DIFF_STEP
     fd = np.array([f_pair(PairLengths(x + h, y)) - f_pair(PairLengths(x - h, y)) for x, y in points]) / (2 * h)
     exact = np.array([f_partial_x(PairLengths(x, y)) for x, y in points])
     return xs, values, {

@@ -7,10 +7,8 @@ import pytest
 
 from meissner import (
     TriangleMesh,
-    build_diameter_graph,
     build_meissner,
     euler_characteristic,
-    face_cycles,
     mesh_area,
     meissner_area,
     meissner_volume,
@@ -22,6 +20,7 @@ from meissner import (
     write_mesh,
 )
 from meissner.montecarlo import BallSystem, _max_dist_sq
+from meissner.polytope import _by_vertex
 from conftest import REULEAUX_TETRA_AREA
 
 
@@ -231,7 +230,7 @@ def test_mesh_invariants_on_random_bodies(k, seed):
 def test_mesh_groups_and_convergence_on_random_bodies(k):
     vs = random_feasible_pyramid(k, 0)
     poly = build_meissner(vs)
-    degrees = [len(c) for c in face_cycles(vs, build_diameter_graph(vs))]
+    degrees = [len(c) for c in _by_vertex(vs.faces.owner, vs.faces.ring)]
     faces = [f"face_{i}" for i in range(vs.m)]
     # pair groups' triangles in units of n^2 - n: a wedge half or a spindle loses two of its 2n^2 per row at its pinched sides
     families = (

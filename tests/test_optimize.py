@@ -27,9 +27,11 @@ from meissner import (
 )
 from meissner.optimize import (
     FEASIBILITY_TOL,
+    MERGE_TOL,
     _assemble_report,
     _gauge_coords,
     _Kernel,
+    _merged_distinct,
 )
 
 from conftest import (
@@ -89,6 +91,15 @@ def test_collapsed_wheel_is_scored_as_the_tetrahedron():
     assert objective == pytest.approx(F_TRIPLE, abs=1e-12)
     assert area == pytest.approx(TETRA_AREA, abs=1e-12)
     assert not validated and on_domain
+
+
+def test_merge_drops_every_vertex_near_an_earlier_one():
+    # a chain a ~ b ~ c with a and c apart: b and c both go, though c is near no kept vertex
+    step = 0.6 * MERGE_TOL
+    pts = np.array([[0.0, 0.0, 0.0], [step, 0.0, 0.0], [2 * step, 0.0, 0.0], [0.5, 0.5, 0.0]])
+    assert np.array_equal(_merged_distinct(pts), pts[[0, 3]])
+    assert _merged_distinct(pts[[0, 2, 3]]) is None
+    assert np.array_equal(_merged_distinct(pts[[3, 0, 3]]), pts[[3, 0]])
 
 
 def test_optimize_pyramid_rejects_bad_n():

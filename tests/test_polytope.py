@@ -19,19 +19,23 @@ from meissner import (
     direction_sphere_partition,
     dual_pair_indices,
     enumerate_smoothings,
-    face_cycles,
     find_dual_pairs,
     meissner_area,
     meissner_volume,
     optimal_smoothing,
+    optimize_pyramid,
     random_feasible_pyramid,
     regular_pyramid,
     regular_tetrahedron,
     reuleaux_area,
     surface_decomposition,
+    tessellate,
+    tessellate_reuleaux,
     validate_vertex_set,
 )
-from meissner.polytope import _ARC_PLANE_SLACK_PER_TOL, _NORM_FLOOR, _cross, _edge_arc, _face_areas
+from meissner import polytope
+from meissner.cli import main
+from meissner.polytope import _ARC_PLANE_SLACK_PER_TOL, _NORM_FLOOR, _by_vertex, _cross, _edge_arc
 from meissner.sphere import dihedral_angle, f_pair
 
 from conftest import (
@@ -262,11 +266,15 @@ def test_batched_arcs_match_the_per_arc_reference(make):
         assert np.array_equal(got, want[rows])
 
 
+def face_cycles(vs):
+    """Each vertex's face ring as a list of neighbors."""
+    return _by_vertex(vs.faces.owner, vs.faces.ring)
+
+
 def test_face_cycles(tetra_vs, pyr2_vs):
-    graph = build_diameter_graph(tetra_vs)
-    assert sorted(len(c) for c in face_cycles(tetra_vs, graph)) == [3, 3, 3, 3]
+    assert sorted(len(c) for c in face_cycles(tetra_vs)) == [3, 3, 3, 3]
     graph2 = build_diameter_graph(pyr2_vs)
-    cycles = sorted(len(c) for c in face_cycles(pyr2_vs, graph2))
+    cycles = sorted(len(c) for c in face_cycles(pyr2_vs))
     assert cycles == [3, 3, 3, 3, 3, 5]
     # Euler characteristic of the cell complex
     assert pyr2_vs.m - len(graph2.edges) + len(cycles) == 2
@@ -282,7 +290,7 @@ PINNED_FACE_CYCLES = {
 @pytest.mark.parametrize("k", [2, 3])
 def test_face_cycles_of_regular_pyramids_are_pinned(k):
     vs = regular_pyramid(k)
-    assert face_cycles(vs, build_diameter_graph(vs)) == PINNED_FACE_CYCLES[k]
+    assert face_cycles(vs) == PINNED_FACE_CYCLES[k]
 
 
 def test_digon_vertex_is_rejected(tetra_vs):
@@ -292,7 +300,43 @@ def test_digon_vertex_is_rejected(tetra_vs):
     vs5 = validate_vertex_set(np.vstack([pts, arc.point(arc.sweep[:, None] / 2)[0]]))
     assert vs5.diameter_count == 8
     with pytest.raises(FaceCycleError, match="vertex 4 has only 2 neighbors"):
-        face_cycles(vs5, build_diameter_graph(vs5))
+        vs5.faces
+
+
+@pytest.fixture
+def face_builds(monkeypatch):
+    """The vertex sets whose faces are built while the test runs, one entry per build."""
+    built = []
+    build = polytope._build_faces
+
+    def counted(vs):
+        built.append(vs)
+        return build(vs)
+
+    monkeypatch.setattr(polytope, "_build_faces", counted)
+    return built
+
+
+def test_faces_are_built_once_per_body(face_builds):
+    vs = random_feasible_pyramid(3, 0)
+    poly = build_meissner(vs)
+    assert face_builds == []
+    dec = surface_decomposition(poly)
+    direction_sphere_partition(poly)
+    tessellate(poly, 1)
+    tessellate_reuleaux(vs, poly.pairs, 1)
+    assert len(face_builds) == 1 and face_builds[0] is vs
+    assert vs.faces is vs.faces and not vs.faces.ring.flags.writeable
+    assert [p.area for p in dec.patches if p.kind == "face"] == list(vs.faces.areas)
+
+
+def test_faces_are_not_built_where_nothing_reads_them(face_builds, tmp_path):
+    optimize_pyramid(5)
+    path = str(tmp_path / "pyr2.txt")
+    assert main(["gen", "pyramid:2", "--out", path]) == 0
+    for command in ("analyze", "validate", "enumerate"):
+        assert main([command, path]) == 0
+    assert face_builds == []
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -337,13 +381,12 @@ def _reference_face_area(pts: np.ndarray, i: int, cycle: list[int]) -> float:
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_face_cycles_and_areas_match_the_per_vertex_reference(k, seed):
     vs = random_feasible_pyramid(k, seed)
-    graph = build_diameter_graph(vs)
-    adj = graph.adjacency()
-    cycles = face_cycles(vs, graph)
+    adj = build_diameter_graph(vs).adjacency()
+    cycles = face_cycles(vs)
     assert cycles == [_reference_face_cycle(vs.points, sorted(adj[i]), i) for i in range(vs.m)]
     # the batched angles round differently from the per-corner ones: a few ulps per face
     reference = [_reference_face_area(vs.points, i, cycle) for i, cycle in enumerate(cycles)]
-    assert np.abs(np.array(_face_areas(vs)) - reference).max() <= 1e-13
+    assert np.abs(np.array(vs.faces.areas) - reference).max() <= 1e-13
 
 
 def test_cross_is_bitwise_numpy_cross():
