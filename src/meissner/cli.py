@@ -158,19 +158,18 @@ def _cmd_analyze(args) -> int:
     poly = _load_meissner(args.file, args.smoothing)
     table = ["pair,e_i,e_j,dual_i,dual_j,theta,theta_dual,phi,phi_dual,alpha,f"]
     for i, pair in enumerate(poly.pairs):
-        g = pair.geometry
         row = (
             i,
             pair.edge[0],
             pair.edge[1],
             pair.edge_dual[0],
             pair.edge_dual[1],
-            g.lengths.theta,
-            g.lengths.theta_dual,
-            g.phi,
-            g.phi_dual,
-            g.alpha,
-            g.gain[poly.choice.bits[i]],
+            pair.lengths.theta,
+            pair.lengths.theta_dual,
+            pair.phi,
+            pair.phi_dual,
+            pair.alpha,
+            pair.gain[poly.choice.bits[i]],
         )
         table.append(",".join(_fmt(v) for v in row))
     summary = [
@@ -228,8 +227,6 @@ def _cmd_gen(args) -> int:
             k = int(args.spec.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad pyramid parameter in {args.spec!r}") from None
-        if k < 1:
-            raise ParseError(f"pyramid parameter must be positive, got {k}")
         vs = regular_pyramid(k, _tolerance())
     else:
         raise ParseError(f"unknown generator {args.spec!r}, expected 'tetra' or 'pyramid:<k>'")
@@ -241,8 +238,6 @@ def _cmd_gen(args) -> int:
 def _cmd_pyramid(args) -> int:
     if args.n < 3 or args.n % 2 == 0 or args.n > 19:
         raise ParseError(f"--n must be odd and in [3, 19], got {args.n}")
-    if args.restarts < 1:
-        raise ParseError(f"--restarts must be positive, got {args.restarts}")
     report = optimize_pyramid(args.n, restarts=args.restarts, seed=args.seed)
     _print_best(report)
     print(f"tetrahedron area bound: {TETRAHEDRON_AREA:.12f}")
@@ -261,8 +256,6 @@ def _cmd_pyramid(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    if args.restarts < 1:
-        raise ParseError(f"--restarts must be positive, got {args.restarts}")
     vs = load_vertex_file(args.file, _tolerance())
     problem = OptimizationProblem.from_vertex_set(vs)
     report = optimize_meissner(problem, restarts=args.restarts, seed=args.seed)

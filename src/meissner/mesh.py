@@ -67,8 +67,7 @@ def tessellate(poly: MeissnerPolyhedron, refinement: int) -> TriangleMesh:
     vs = poly.vertices
     pts = vs.points
     count = len(poly.pairs)
-    retained = np.array([poly.retained_edge(i) for i in range(count)])
-    smoothed = np.array([poly.smoothed_edge(i) for i in range(count)])
+    retained, smoothed = poly.oriented_edges()
     arcs = poly.retained_arcs()
     rows = arcs.point(arcs.sweep[:, None] * steps)
     # per pair: the wedge half on each smoothed-edge sphere, then the spindle

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ArgumentError, EmptySystem, NoIntersection
-from .polytope import Arc, MeissnerPolyhedron, _cross
+from .polytope import Arc, MeissnerPolyhedron, _NORM_FLOOR, _cross
 
 __all__ = [
     "CHUNK",
@@ -40,8 +40,6 @@ _BALL_VOLUME = 4.0 * math.pi / 3.0
 _SUPPORT_SLACK = 1e-9
 # squared center distance below which two spheres coincide and share no circle
 _COINCIDENT_SQ = 1e-30
-# a direction whose part off the centers' axis is under this meets a level circle with no single top
-_NORM_FLOOR = 1e-12
 _AXES = np.concatenate((np.eye(3), -np.eye(3)))
 _NO_ARCS = Arc(np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
 

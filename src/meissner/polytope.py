@@ -43,7 +43,6 @@ __all__ = [
     "Faces",
     "DiameterGraph",
     "Arc",
-    "DualPairGeometry",
     "DualEdgePair",
     "SmoothingChoice",
     "MeissnerPolyhedron",
@@ -145,21 +144,16 @@ class Arc:
 
 
 @dataclass(frozen=True, slots=True)
-class DualPairGeometry:
-    """Derived angles and smoothing gains of one dual edge pair."""
+class DualEdgePair:
+    """One dual edge pair: its two edges, their arc lengths, angles and smoothing gains."""
 
+    edge: Edge
+    edge_dual: Edge
     lengths: PairLengths
     phi: float
     phi_dual: float
     alpha: float
     gain: tuple[float, float]  # f by smoothing bit: (f_pair(lengths.swapped()), f_pair(lengths))
-
-
-@dataclass(frozen=True, slots=True)
-class DualEdgePair:
-    edge: Edge
-    edge_dual: Edge
-    geometry: DualPairGeometry
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,25 +169,19 @@ class MeissnerPolyhedron:
     pairs: tuple[DualEdgePair, ...]
     choice: SmoothingChoice
 
-    def retained_lengths(self, i: int) -> PairLengths:
-        """Pair lengths oriented (retained, smoothed) for pair i."""
-        lengths = self.pairs[i].geometry.lengths
-        return lengths if self.choice.bits[i] else lengths.swapped()
+    def oriented_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (k, 2) vertex indices of every pair's retained edge and of its smoothed edge."""
+        edges = np.array([(p.edge, p.edge_dual) for p in self.pairs], dtype=np.intp).reshape(-1, 2, 2)
+        smoothed = np.array(self.choice.bits, dtype=np.intp)
+        rows = np.arange(len(edges))
+        return edges[rows, 1 - smoothed], edges[rows, smoothed]
 
     def retained_arcs(self) -> Arc:
         """The retained edge arc of every pair, on the spheres around the smoothed edge's endpoints."""
-        pts, count = self.vertices.points, len(self.pairs)
-        a, b = pts[[self.retained_edge(i) for i in range(count)]].transpose(1, 0, 2)
-        c1, c2 = pts[[self.smoothed_edge(i) for i in range(count)]].transpose(1, 0, 2)
+        retained, smoothed = self.oriented_edges()
+        a, b = self.vertices.points[retained].transpose(1, 0, 2)
+        c1, c2 = self.vertices.points[smoothed].transpose(1, 0, 2)
         return _edge_arc(a, b, c1, c2, self.vertices.tol)
-
-    def retained_edge(self, i: int) -> Edge:
-        pair = self.pairs[i]
-        return pair.edge if self.choice.bits[i] else pair.edge_dual
-
-    def smoothed_edge(self, i: int) -> Edge:
-        pair = self.pairs[i]
-        return pair.edge_dual if self.choice.bits[i] else pair.edge
 
 
 @dataclass(frozen=True, slots=True)
@@ -256,11 +244,8 @@ def dual_pair_indices(graph: DiameterGraph) -> tuple[tuple[Edge, Edge], ...]:
 
 
 def find_dual_pairs(graph: DiameterGraph, vs: VertexSet) -> tuple[DualEdgePair, ...]:
-    """Dual pairs with their geometry filled in from the coordinates."""
-    return tuple(
-        DualEdgePair(e, e_dual, _pair_geometry(vs, e, e_dual))
-        for e, e_dual in dual_pair_indices(graph)
-    )
+    """Dual pairs with their arc lengths, angles and gains filled in from the coordinates."""
+    return tuple(_dual_pair(vs, e, e_dual) for e, e_dual in dual_pair_indices(graph))
 
 
 def optimal_smoothing(pairs: tuple[DualEdgePair, ...]) -> SmoothingChoice:
@@ -269,9 +254,7 @@ def optimal_smoothing(pairs: tuple[DualEdgePair, ...]) -> SmoothingChoice:
     Ties retain the pair's first edge, which carries the lower vertex
     indices by construction.
     """
-    return SmoothingChoice(
-        tuple(p.geometry.lengths.theta <= p.geometry.lengths.theta_dual for p in pairs)
-    )
+    return SmoothingChoice(tuple(p.lengths.theta <= p.lengths.theta_dual for p in pairs))
 
 
 def enumerate_smoothings(
@@ -311,16 +294,16 @@ def reuleaux_area(vs: VertexSet, pairs: tuple[DualEdgePair, ...]) -> float:
     2*pi + sum over pairs of 4*alpha - 2*sin(theta/2)*phi - 2*sin(theta'/2)*phi'.
     """
     return 2.0 * math.pi + math.fsum(
-        4.0 * g.alpha - 2.0 * math.sin(g.lengths.theta / 2) * g.phi - 2.0 * math.sin(g.lengths.theta_dual / 2) * g.phi_dual
-        for g in (p.geometry for p in pairs)
+        4.0 * p.alpha - 2.0 * math.sin(p.lengths.theta / 2) * p.phi - 2.0 * math.sin(p.lengths.theta_dual / 2) * p.phi_dual
+        for p in pairs
     )
 
 
 def surface_decomposition(poly: MeissnerPolyhedron) -> SurfaceDecomposition:
     """Per-patch areas: one spherical face per vertex, a wedge and a spindle per pair."""
     patches = [SurfacePatch("face", i, area) for i, area in enumerate(poly.vertices.faces.areas)]
-    for i in range(len(poly.pairs)):
-        lengths = poly.retained_lengths(i)
+    for i, (pair, keep_first) in enumerate(zip(poly.pairs, poly.choice.bits)):
+        lengths = pair.lengths if keep_first else pair.lengths.swapped()
         patches.append(SurfacePatch("wedge", i, wedge_area(lengths)))
         phi_smoothed = dihedral_angle(lengths.swapped())
         patches.append(
@@ -336,7 +319,7 @@ def direction_sphere_partition(poly: MeissnerPolyhedron) -> float:
     The faces and the rectangles R(theta, theta') of the dual pairs tile
     half the directions once, so the sum must be 2*pi.
     """
-    rects = [rect_area(p.geometry.lengths.theta, p.geometry.lengths.theta_dual) for p in poly.pairs]
+    rects = [rect_area(p.lengths.theta, p.lengths.theta_dual) for p in poly.pairs]
     return math.fsum(poly.vertices.faces.areas) + math.fsum(rects)
 
 
@@ -360,7 +343,7 @@ def _build_faces(vs: VertexSet) -> Faces:
 
 
 def _smoothed_area(pairs: tuple[DualEdgePair, ...], bits: tuple[bool, ...]) -> float:
-    return 2.0 * math.pi - math.fsum(p.geometry.gain[b] for p, b in zip(pairs, bits))
+    return 2.0 * math.pi - math.fsum(p.gain[b] for p, b in zip(pairs, bits))
 
 
 def _pairwise(pts: np.ndarray) -> np.ndarray:
@@ -368,7 +351,7 @@ def _pairwise(pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
-def _pair_geometry(vs: VertexSet, e: Edge, e_dual: Edge) -> DualPairGeometry:
+def _dual_pair(vs: VertexSet, e: Edge, e_dual: Edge) -> DualEdgePair:
     pts = vs.points
     theta, theta_dual = (chord_to_arc(float(np.linalg.norm(pts[j] - pts[i])), vs.tol) for i, j in (e, e_dual))
     lengths = PairLengths(theta, theta_dual)
@@ -377,7 +360,7 @@ def _pair_geometry(vs: VertexSet, e: Edge, e_dual: Edge) -> DualPairGeometry:
     phi_dual = dihedral_angle(swapped)
     alpha = wedge_angle(lengths)
     gain = (f_pair(swapped), f_pair(lengths))
-    return DualPairGeometry(lengths, phi, phi_dual, alpha, gain)
+    return DualEdgePair(e, e_dual, lengths, phi, phi_dual, alpha, gain)
 
 
 def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol: float) -> Arc:

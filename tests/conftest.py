@@ -23,6 +23,7 @@ ACOS_THIRD = 1.23095941734077468
 
 # tetrahedron, all dual pairs at (pi/3, pi/3)
 F_TETRA_PAIR = 1.11635670428541018
+F_TRIPLE = 3.34907011285623054  # total smoothing gain of the three pairs
 RECT_TETRA = 1.35934763781648775
 WEDGE_TETRA = 0.12838822047571307
 SPINDLE_TETRA = 0.11460271305536450

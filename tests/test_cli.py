@@ -268,3 +268,10 @@ def test_search_command(tetra_file, capsys):
     area = float(next(l for l in lines if l.startswith("best area:")).split(":")[1])
     assert area == pytest.approx(TETRA_AREA, abs=1e-6)
     assert any(l.startswith("restart 0:") and l.endswith("ok") for l in lines)
+
+
+def test_zero_restarts_are_rejected(tetra_file, capsys):
+    for argv in (("pyramid", "--n", "5"), ("search", tetra_file)):
+        code, _, err = run(capsys, *argv, "--restarts", "0")
+        assert code == 2
+        assert "restarts" in err

@@ -35,14 +35,13 @@ from meissner.optimize import (
 )
 
 from conftest import (
+    F_TRIPLE,
     PI3,
     PYR2_OBJECTIVE,
     PYR3_OBJECTIVE,
     PYRAMID_OBJECTIVE_MAX,
     TETRA_AREA,
 )
-
-F_TRIPLE = 3.34907011285623054  # total smoothing gain of the tetrahedron, PI3 * PYRAMID_OBJECTIVE_MAX
 
 
 def test_tetrahedron_bound_constants():
@@ -80,6 +79,16 @@ def test_objective_is_gauge_invariant():
         q[:, 0] = -q[:, 0]
     moved = validate_vertex_set(vs.points @ q.T + rng.normal(size=3))
     assert meissner_area(build_meissner(moved)) == pytest.approx(base, abs=1e-10)
+
+
+def test_gauge_frame_of_a_collinear_start():
+    # points 0, 1 and 2 on one line leave the frame's second axis to the fallback
+    pts = regular_tetrahedron().points.copy()
+    pts[2] = 0.3 * pts[0] + 0.7 * pts[1]
+    out = _Kernel(build_diameter_graph(regular_tetrahedron())).points(_gauge_coords(pts))
+    i, j = np.triu_indices(len(pts), 1)
+    gaps = np.linalg.norm(out[i] - out[j], axis=1) - np.linalg.norm(pts[i] - pts[j], axis=1)
+    assert np.abs(gaps).max() <= 1e-12
 
 
 def test_collapsed_wheel_is_scored_as_the_tetrahedron():

@@ -66,10 +66,9 @@ def test_tetrahedron_graph_and_pairs(tetra_vs, tetra_pairs):
     assert np.bincount(np.ravel(graph.edges)).tolist() == [3, 3, 3, 3]
     assert len(tetra_pairs) == 3
     for pair in tetra_pairs:
-        g = pair.geometry
-        assert g.lengths.theta == pytest.approx(PI3, abs=1e-12)
-        assert g.lengths.theta_dual == pytest.approx(PI3, abs=1e-12)
-        assert g.phi == pytest.approx(ACOS_THIRD, abs=1e-12)
+        assert pair.lengths.theta == pytest.approx(PI3, abs=1e-12)
+        assert pair.lengths.theta_dual == pytest.approx(PI3, abs=1e-12)
+        assert pair.phi == pytest.approx(ACOS_THIRD, abs=1e-12)
 
 
 def test_pair_count_is_m_minus_one(tetra_vs, pyr2_vs, pyr3_vs):
@@ -143,9 +142,8 @@ def test_smoothing_table_matches_each_built_body(k, seed):
     vs = random_feasible_pyramid(k, seed)
     pairs = find_dual_pairs(build_diameter_graph(vs), vs)
     for pair in pairs:
-        lengths = pair.geometry.lengths
-        assert pair.geometry.gain[True] == f_pair(lengths)
-        assert pair.geometry.gain[False] == f_pair(lengths.swapped())
+        assert pair.gain[True] == f_pair(pair.lengths)
+        assert pair.gain[False] == f_pair(pair.lengths.swapped())
     table = enumerate_smoothings(vs, pairs)
     assert len(table) == 2 ** (vs.m - 1)
     for choice, area in table:
@@ -181,25 +179,31 @@ def test_reuleaux_dominates_every_smoothing(pyr2_vs):
         assert r >= area - 1e-12
 
 
-def test_retained_arc_geometry(tetra_poly, pyr2_poly):
-    for poly in (tetra_poly, pyr2_poly):
+def test_retained_arc_geometry(tetra_poly, pyr2_vs):
+    # every smoothing of the k=2 pyramid: bit 1 retains the pair's first edge and smooths its dual, bit 0 the reverse
+    pyr2_pairs = find_dual_pairs(build_diameter_graph(pyr2_vs), pyr2_vs)
+    polys = [tetra_poly] + [build_meissner(pyr2_vs, choice) for choice, _ in enumerate_smoothings(pyr2_vs, pyr2_pairs)]
+    for poly in polys:
         pts = poly.vertices.points
         arcs = poly.retained_arcs()
         assert len(arcs) == len(poly.pairs)
         ends = arcs.point(np.stack((np.zeros_like(arcs.sweep), arcs.sweep), axis=1))
         inner = arcs.point(np.broadcast_to([0.0, 0.25, 0.5, 0.75, 1.0], (len(arcs), 5)))
-        for i in range(len(poly.pairs)):
-            lengths = poly.retained_lengths(i)
+        retained, smoothed = poly.oriented_edges()
+        assert retained.shape == smoothed.shape == (len(poly.pairs), 2)
+        for i, (pair, keep_first) in enumerate(zip(poly.pairs, poly.choice.bits)):
+            e, es = (pair.edge, pair.edge_dual) if keep_first else (pair.edge_dual, pair.edge)
+            assert (tuple(retained[i]), tuple(smoothed[i])) == (e, es)
+            lengths = pair.lengths if keep_first else pair.lengths.swapped()
             assert arcs.radius[i] == pytest.approx(math.cos(lengths.theta_dual / 2), abs=1e-12)
             assert arcs.sweep[i] == pytest.approx(dihedral_angle(lengths.swapped()), abs=1e-12)
+            # the arc runs from one end of the retained edge to the other
             a, b = ends[i]
-            e = poly.retained_edge(i)
             d_a = min(np.linalg.norm(a - pts[e[0]]), np.linalg.norm(a - pts[e[1]]))
             d_b = min(np.linalg.norm(b - pts[e[0]]), np.linalg.norm(b - pts[e[1]]))
             assert max(d_a, d_b) < 1e-12
             assert np.linalg.norm(a - b) > 0.1
             # every arc point stays at unit distance from the smoothed edge
-            es = poly.smoothed_edge(i)
             for p in inner[i]:
                 assert np.linalg.norm(p - pts[es[0]]) == pytest.approx(1.0, abs=1e-12)
                 assert np.linalg.norm(p - pts[es[1]]) == pytest.approx(1.0, abs=1e-12)

@@ -48,6 +48,7 @@ def _reference() -> dict:
         return {
             "ACOS_THIRD": acos(mpf(1) / 3),
             "F_TETRA_PAIR": f(third, third),
+            "F_TRIPLE": gains["TETRA"],
             "RECT_TETRA": rect,
             "WEDGE_TETRA": rect - side,
             "SPINDLE_TETRA": 2 * dihedral(third, third) * (sin(third / 2) - third / 2 * cos(third / 2)),
