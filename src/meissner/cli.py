@@ -1,18 +1,17 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 input validation failure, 1 internal error,
-64 usage error.  The unit-distance tolerance defaults to 1e-9 and can
-be overridden through the MEISSNER_TOL environment variable.
+64 usage error.  The commands that load a vertex file (validate,
+analyze, enumerate, mc-check, mesh and search) validate it at a
+unit-distance tolerance of 1e-9, overridden through the MEISSNER_TOL
+environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-
-import numpy as np
 
 from .errors import MeissnerError, ParseError, ValidationError
 from .generate import load_vertex_file, regular_pyramid, regular_tetrahedron, save_vertex_file
@@ -51,6 +50,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("validate", help="validate a vertex file and report counts")
     p.add_argument("file")
+    p.set_defaults(run=_cmd_validate)
 
     p = sub.add_parser(
         "analyze",
@@ -61,10 +61,12 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--smoothing", default="optimal", help="'optimal' or 'bits:<01...>', 1 smooths the pair's second edge")
     p.add_argument("--csv", help="also write the report as CSV to this path")
+    p.set_defaults(run=_cmd_analyze)
 
     p = sub.add_parser("enumerate", help="areas of all smoothing choices", epilog="CSV schema: bits,area.")
     p.add_argument("file")
     p.add_argument("--csv", help="write bits,area rows to this path")
+    p.set_defaults(run=_cmd_enumerate)
 
     p = sub.add_parser(
         "mc-check",
@@ -76,11 +78,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--smoothing", default="optimal")
+    p.set_defaults(run=_cmd_mc_check)
 
     p = sub.add_parser("gen", help="write a reference vertex file")
     p.add_argument("spec", help="'tetra' or 'pyramid:<k>'")
     p.add_argument("--out", required=True)
     p.add_argument("--edges", action="store_true", help="append the diameter graph")
+    p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser(
         "pyramid",
@@ -91,11 +95,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", help="write one CSV row per restart to this path")
+    p.set_defaults(run=_cmd_pyramid)
 
     p = sub.add_parser("search", help="optimize a configuration from a vertex file")
     p.add_argument("file")
     p.add_argument("--restarts", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_search)
 
     p = sub.add_parser(
         "f-table",
@@ -104,6 +110,7 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--grid", type=int, default=50)
     p.add_argument("--csv", required=True, help="CSV path for x,y,f rows")
+    p.set_defaults(run=_cmd_f_table)
 
     p = sub.add_parser("mesh", help="tessellate to an OBJ or PLY file")
     p.add_argument("file")
@@ -112,6 +119,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", choices=("obj", "ply"), default="obj")
     p.add_argument("--smoothing", default="optimal")
     p.add_argument("--body", choices=("meissner", "reuleaux"), default="meissner")
+    p.set_defaults(run=_cmd_mesh)
     return parser
 
 
@@ -128,19 +136,17 @@ def _tolerance() -> float:
     return tol
 
 
-def _smoothing_choice(spec: str, count: int) -> SmoothingChoice | None:
+def _smoothing_choice(spec: str) -> SmoothingChoice | None:
     if spec == "optimal":
         return None
     bits = spec.removeprefix("bits:")
-    if bits == spec or len(bits) != count or any(c not in "01" for c in bits):
-        raise ParseError(f"smoothing must be 'optimal' or 'bits:' plus {count} characters of 0/1, got {spec!r}")
+    if bits == spec or not bits or any(c not in "01" for c in bits):
+        raise ParseError(f"smoothing must be 'optimal' or 'bits:<0/1...>', got {spec!r}")
     return SmoothingChoice(tuple(c == "1" for c in bits))
 
 
 def _load_meissner(path: str, smoothing: str = "optimal") -> MeissnerPolyhedron:
-    poly = build_meissner(load_vertex_file(path, _tolerance()))
-    choice = _smoothing_choice(smoothing, len(poly.pairs))
-    return poly if choice is None else MeissnerPolyhedron(poly.vertices, poly.pairs, choice)
+    return build_meissner(load_vertex_file(path, _tolerance()), _smoothing_choice(smoothing))
 
 
 def _cmd_validate(args) -> int:
@@ -181,8 +187,7 @@ def _cmd_analyze(args) -> int:
     print(f"smoothing,{_bits(poly.choice)}")
     print("\n".join(summary))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(table + summary) + "\n")
+        _write_lines(args.csv, table + summary)
     return 0
 
 
@@ -196,8 +201,7 @@ def _cmd_enumerate(args) -> int:
     print("\n".join(lines))
     print(f"minimum,{_bits(table[best][0])},{table[best][1]:.17g}")
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(args.csv, lines)
     return 0
 
 
@@ -221,13 +225,13 @@ def _cmd_mc_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.spec == "tetra":
-        vs = regular_tetrahedron(_tolerance())
+        vs = regular_tetrahedron()
     elif args.spec.startswith("pyramid:"):
         try:
             k = int(args.spec.split(":", 1)[1])
         except ValueError:
             raise ParseError(f"bad pyramid parameter in {args.spec!r}") from None
-        vs = regular_pyramid(k, _tolerance())
+        vs = regular_pyramid(k)
     else:
         raise ParseError(f"unknown generator {args.spec!r}, expected 'tetra' or 'pyramid:<k>'")
     save_vertex_file(vs, args.out, edges=args.edges)
@@ -236,8 +240,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_pyramid(args) -> int:
-    if args.n < 3 or args.n % 2 == 0 or args.n > 19:
-        raise ParseError(f"--n must be odd and in [3, 19], got {args.n}")
     report = optimize_pyramid(args.n, restarts=args.restarts, seed=args.seed)
     _print_best(report)
     print(f"tetrahedron area bound: {TETRAHEDRON_AREA:.12f}")
@@ -250,8 +252,7 @@ def _cmd_pyramid(args) -> int:
                 f"{r.restart},{r.objective:.17g},{r.area:.17g},{r.residual:.3e},"
                 f"{r.rounds},{int(r.converged)},{int(r.validated)},{int(r.meets_tetrahedron_bound)}"
             )
-        with open(args.csv, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(args.csv, lines)
     return 0
 
 
@@ -277,8 +278,7 @@ def _cmd_f_table(args) -> int:
     for yi, y in enumerate(xs):
         for xi, x in enumerate(xs):
             lines.append(f"{x:.17g},{y:.17g},{values[yi, xi]:.17g}")
-    with open(args.csv, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(args.csv, lines)
     for name, ok in checks.items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
     print(f"wrote {args.grid * args.grid} rows to {args.csv}")
@@ -312,6 +312,11 @@ def _print_best(report) -> None:
     print(f"residual: {report.best_residual:.3e}")
 
 
+def _write_lines(path: str, lines: list[str]) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _bits(choice: SmoothingChoice) -> str:
     return "".join("1" if b else "0" for b in choice.bits)
 
@@ -320,19 +325,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "analyze": _cmd_analyze,
-    "enumerate": _cmd_enumerate,
-    "mc-check": _cmd_mc_check,
-    "gen": _cmd_gen,
-    "pyramid": _cmd_pyramid,
-    "search": _cmd_search,
-    "f-table": _cmd_f_table,
-    "mesh": _cmd_mesh,
-}
 
 
 _PARSER = _build_parser()
@@ -344,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

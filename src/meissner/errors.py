@@ -65,7 +65,7 @@ class EmptySystem(ValidationError):
 
 
 class ParseError(ValidationError):
-    """A vertex file is malformed."""
+    """Text the CLI parses is malformed: a vertex file, MEISSNER_TOL, --smoothing or the gen spec."""
 
 
 class ValidationMismatch(ValidationError):

@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 
-def regular_tetrahedron(tol: float = DEFAULT_TOL) -> VertexSet:
+def regular_tetrahedron() -> VertexSet:
     """Four points with all six pairwise distances equal to one."""
     points = np.array(
         [
@@ -34,10 +34,10 @@ def regular_tetrahedron(tol: float = DEFAULT_TOL) -> VertexSet:
             [0.5, math.sqrt(3.0) / 6.0, math.sqrt(6.0) / 3.0],
         ]
     )
-    return validate_vertex_set(points, tol)
+    return validate_vertex_set(points)
 
 
-def regular_pyramid(k: int, tol: float = DEFAULT_TOL) -> VertexSet:
+def regular_pyramid(k: int) -> VertexSet:
     """Wheel pyramid: apex plus n = 2k + 1 points on the unit sphere around it.
 
     Base points sit on a circle of spherical radius r with
@@ -54,7 +54,7 @@ def regular_pyramid(k: int, tol: float = DEFAULT_TOL) -> VertexSet:
     for i in range(n):
         psi = 2.0 * math.pi * i / n
         points.append(np.array([sin_r * math.cos(psi), sin_r * math.sin(psi), cos_r]))
-    return validate_vertex_set(np.array(points), tol)
+    return validate_vertex_set(np.array(points))
 
 
 def save_vertex_file(vs: VertexSet, path: str | Path, edges: bool = False) -> None:

@@ -98,8 +98,7 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
 
     def run(chunk: int) -> int:
         n = min(CHUNK, samples - chunk * CHUNK)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(chunk,))))
-        q = rng.random((3, n))
+        q = _stream(seed, chunk).random((3, n))
         if box is not None:
             pts = box[0] + box[1] * q.T
         else:
@@ -131,8 +130,7 @@ def width_samples(
         raise EmptySystem("no point centers")
     if directions < 1:
         raise ArgumentError(f"direction count must be positive, got {directions}")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    dirs = rng.normal(size=(directions, 3))
+    dirs = _stream(seed).normal(size=(directions, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     h = support(system, np.concatenate((dirs, -dirs)))
     widths = h[:directions] + h[directions:]
@@ -172,6 +170,13 @@ def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
     heights = np.concatenate((np.einsum("nkj,nj->nk", pts, dirs), dirs @ corners.T), axis=1)
     h = np.where(ok, heights, -np.inf).max(axis=1)
     return float(h[0]) if u.ndim == 1 else h
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, key); the seed must be a non-negative integer."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _sampling_box(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -21,6 +21,7 @@ from scipy.optimize import minimize
 
 from .errors import ArgumentError, InfeasibleStart, ValidationError
 from .generate import regular_pyramid
+from .montecarlo import _stream
 from .polytope import (
     DiameterGraph,
     VertexSet,
@@ -147,8 +148,7 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
         if run == 0:
             x = x0.copy()
         else:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(run,))))
-            x = x0 + min(_NOISE_FIRST + _NOISE_STEP * (run - 1), _NOISE_MAX) * rng.normal(size=x0.shape)
+            x = x0 + min(_NOISE_FIRST + _NOISE_STEP * (run - 1), _NOISE_MAX) * _stream(seed, run).normal(size=x0.shape)
             projected = kernel.project(x)
             if projected is not None:
                 x = projected
@@ -168,7 +168,7 @@ def random_feasible_pyramid(k: int, seed: int) -> VertexSet:
     regular = regular_pyramid(k)
     kernel = _Kernel(build_diameter_graph(regular))
     x0 = _gauge_coords(regular.points)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _stream(seed)
     for _ in range(20):
         x = kernel.project(x0 + _PERTURBATION * rng.normal(size=x0.shape))
         if x is None:

@@ -195,7 +195,6 @@ class SurfacePatch:
 class SurfaceDecomposition:
     patches: tuple[SurfacePatch, ...]
     total: float
-    closed_form: float
 
 
 def validate_vertex_set(points: np.ndarray, tol: float = DEFAULT_TOL) -> VertexSet:
@@ -309,8 +308,7 @@ def surface_decomposition(poly: MeissnerPolyhedron) -> SurfaceDecomposition:
         patches.append(
             SurfacePatch("spindle", i, spindle_area(lengths.theta_dual, phi_smoothed))
         )
-    total = math.fsum(p.area for p in patches)
-    return SurfaceDecomposition(tuple(patches), total, meissner_area(poly))
+    return SurfaceDecomposition(tuple(patches), math.fsum(p.area for p in patches))
 
 
 def direction_sphere_partition(poly: MeissnerPolyhedron) -> float:

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DiameterViolation, GeometryError
+from .errors import ArgumentError, DiameterViolation, GeometryError
 
 __all__ = [
     "CLAMP_TOL",
     "EDGE_ARC_MAX",
-    "DIHEDRAL_MAX",
     "PairLengths",
     "chord_to_arc",
     "dihedral_angle",
@@ -35,7 +34,6 @@ __all__ = [
 
 CLAMP_TOL = 1e-9
 EDGE_ARC_MAX = math.pi / 3
-DIHEDRAL_MAX = math.acos(1.0 / 3.0)
 # f is increasing, convex and swap-dominant exactly; its O(1) grid values may break that by rounding
 _F_GRID_SLACK = 1e-12
 # central differences at step _F_DIFF_STEP carry about 1e-10 of rounding, well inside _F_DERIVATIVE_TOL
@@ -169,6 +167,8 @@ def f_property_check(grid: int) -> tuple[list[float], np.ndarray, dict[str, bool
     for y >= x, and f_partial_x matching central differences of f on a
     fixed 3 x 3 set and on every tenth interior point of a 200-point grid.
     """
+    if grid < 2:
+        raise ArgumentError(f"grid must be at least 2, got {grid}")
     xs = [EDGE_ARC_MAX * i / (grid - 1) for i in range(grid)]
     values = np.array([[f_pair(PairLengths(x, y)) for x in xs] for y in xs])
     fine = np.linspace(0.0, EDGE_ARC_MAX, 200)[5:-5:10]

@@ -275,3 +275,33 @@ def test_zero_restarts_are_rejected(tetra_file, capsys):
         code, _, err = run(capsys, *argv, "--restarts", "0")
         assert code == 2
         assert "restarts" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pyramid", "--n", "4", "--csv", "OUT"),
+        ("analyze", "FILE", "--smoothing", "bits:01", "--csv", "OUT"),
+        ("mc-check", "FILE", "--seed", "-1"),
+        ("search", "FILE", "--restarts", "2", "--seed", "-1"),
+        ("mc-check", "FILE", "--samples", "0"),
+        ("mesh", "FILE", "--refine", "9", "--out", "OUT"),
+        ("f-table", "--grid", "1", "--csv", "OUT"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_invalid_input_exits_2_with_one_error_line(argv, tetra_file, tmp_path, capsys):
+    before = sorted(tmp_path.iterdir())
+    argv = [{"FILE": tetra_file, "OUT": str(tmp_path / "out.txt")}.get(a, a) for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_gen_ignores_the_tolerance_variable(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MEISSNER_TOL", "abc")
+    path = tmp_path / "tetra.txt"
+    code, out, err = run(capsys, "gen", "tetra", "--out", str(path))
+    assert (code, err) == (0, "")
+    assert load_vertex_file(path).m == 4

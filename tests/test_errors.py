@@ -13,6 +13,7 @@ from meissner import (
     mc_volume,
     optimize_meissner,
     optimize_pyramid,
+    random_feasible_pyramid,
     regular_pyramid,
     regular_tetrahedron,
     tessellate,
@@ -20,6 +21,7 @@ from meissner import (
     width_samples,
     write_mesh,
 )
+from meissner.sphere import f_property_check
 
 
 def test_argument_error_is_a_validation_error_and_a_value_error():
@@ -50,3 +52,30 @@ def test_argument_error_is_a_validation_error_and_a_value_error():
 def test_bad_arguments_raise_argument_error(call, tmp_path):
     with pytest.raises(ArgumentError):
         call(tmp_path)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 10, seed=seed),
+        lambda seed: width_samples(BallSystem.from_points(np.zeros((1, 3))), 4, seed=seed),
+        lambda seed: random_feasible_pyramid(2, seed),
+        lambda seed: optimize_meissner(OptimizationProblem.from_vertex_set(regular_tetrahedron()), 2, seed),
+    ],
+    ids=["mc_volume", "width_samples", "random_feasible_pyramid", "optimize_meissner"],
+)
+def test_random_streams_take_non_negative_integer_seeds(call, seed):
+    with pytest.raises(ArgumentError, match="seed"):
+        call(seed)
+
+
+def test_a_single_restart_draws_no_stream_and_takes_any_seed():
+    report = optimize_meissner(OptimizationProblem.from_vertex_set(regular_tetrahedron()), 1, seed=-1)
+    assert len(report.records) == 1
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+def test_f_property_check_needs_two_grid_points(grid):
+    with pytest.raises(ArgumentError, match="grid"):
+        f_property_check(grid)

@@ -31,6 +31,7 @@ from meissner.montecarlo import (
     _max_dist_sq,
     _sampling_box,
     _sphere_corners,
+    _stream,
     support,
 )
 from conftest import triangle_center_set
@@ -293,3 +294,10 @@ def test_estimate_brackets_closed_form_on_random_pyramids(k, seed):
     poly = build_meissner(random_feasible_pyramid(k, seed))
     result = mc_volume(BallSystem.from_meissner(poly), 1 << 16, seed=seed)
     assert abs(result.volume - meissner_volume(poly)) <= 5.0 * result.std_error
+
+
+def test_unkeyed_stream_is_the_plain_seed_sequence_stream():
+    # width_samples and random_feasible_pyramid drew from SeedSequence(seed) before the keyed helper
+    for seed in (0, 7, np.int64(11)):
+        plain = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        assert np.array_equal(_stream(seed).random(16), plain.random(16))

@@ -102,7 +102,7 @@ def test_surface_decomposition(tetra_poly):
     dec = surface_decomposition(tetra_poly)
     kinds = Counter(p.kind for p in dec.patches)
     assert kinds == {"face": 4, "wedge": 3, "spindle": 3}
-    assert abs(dec.total - dec.closed_form) < 1e-12
+    assert abs(dec.total - meissner_area(tetra_poly)) < 1e-12
     faces = [p.area for p in dec.patches if p.kind == "face"]
     for area in faces:
         assert area == pytest.approx(FACE_TRIANGLE_AREA, abs=1e-12)
