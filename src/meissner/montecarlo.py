@@ -11,6 +11,13 @@ instead when that ball is the smaller region, or when the balls share
 no point.  Sampling is chunked, with each chunk driven by its own
 counter-based generator keyed by (seed, chunk index), so results are
 reproducible bit for bit regardless of how chunks are scheduled.
+
+Each chunk is stratified: it splits the unit cube into equal cells,
+deals its samples to the cells in turn and maps the cube onto the
+sampled region by a volume-preserving map.  The chunk's estimate is the
+mean hit fraction of its cells and its variance comes from the spread
+inside each cell, so a cell wholly inside or outside the body adds
+none; only the cells that the boundary crosses do.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -71,19 +79,31 @@ class McResult:
 
 
 def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> McResult:
-    """Rejection-sample the axis box of the point centers' ball polytope.
+    """Stratified rejection sampling of the axis box of the point centers' ball polytope.
 
     The box comes from `support` of the point centers alone in the six
     axis directions, widened by the support slack; arcs only cut that
     polytope down, so the box holds the body, and bodies on the same
     centers share one sample stream.  When the box is no smaller than
     the unit ball around the first point center, or the balls share no
-    point, that ball is sampled instead.  Volume and standard error scale
-    with the volume of the sampled region.
+    point, that ball is sampled instead.
+
+    A chunk of n samples splits the unit cube into L^3 equal cells, L
+    the largest integer with 2 L^3 <= n (at least 1), and sample i goes
+    to cell i mod L^3 at (cell corner + q_i) / L, q_i uniform in the
+    unit cube.  The cube point is then mapped onto the box by an affine
+    map, or onto the ball by the volume-preserving (z, azimuth, cube
+    root of the radius) map, so the cells are of equal volume either
+    way.  The chunk's hit fraction is the mean of its cells' fractions
+    p_c = h_c / n_c, with variance sum_c p_c (1 - p_c) / (n_c - 1)
+    over (L^3)^2, a cell of one sample adding none.  Chunks combine
+    weighted by their share of the samples; volume and standard error
+    scale with the volume of the sampled region, and `hits` is the total
+    count of accepted samples.
 
     Deterministic for fixed (samples, seed): the sample stream is a pure
-    function of the chunk index, so the thread count cannot change the
-    estimate.
+    function of the chunk index and chunks combine in chunk order, so
+    the thread count cannot change the estimate.
     """
     if len(system.centers) == 0:
         raise EmptySystem("no point centers to anchor the sampling ball")
@@ -91,35 +111,85 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
         raise ArgumentError(f"sample count must be positive, got {samples}")
     if threads < 1:
         raise ArgumentError(f"thread count must be positive, got {threads}")
+    _check_seed(seed)
     base = system.centers[0]
     box = _sampling_box(system.centers)
     region = _BALL_VOLUME if box is None else float(np.prod(box[1]))
     nchunks = (samples + CHUNK - 1) // CHUNK
 
-    def run(chunk: int) -> int:
+    def run(chunk: int) -> tuple[int, float, float]:
         n = min(CHUNK, samples - chunk * CHUNK)
-        q = _stream(seed, chunk).random((3, n))
+        strata = _strata(n)
+        v = strata.place(_stream(seed, chunk).random((3, n)))
         if box is not None:
-            pts = box[0] + box[1] * q.T
+            pts = box[0] + (box[1] / strata.side) * v
         else:
-            z = 1.0 - 2.0 * q[0]
-            azimuth = 2.0 * math.pi * q[1]
-            radius = np.cbrt(q[2])
+            u = v / strata.side
+            z = 1.0 - 2.0 * u[:, 0]
+            azimuth = 2.0 * math.pi * u[:, 1]
+            radius = np.cbrt(u[:, 2])
             s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
             pts = base + radius[:, None] * np.stack(
                 (s * np.cos(azimuth), s * np.sin(azimuth), z), axis=1
             )
-        return int(np.count_nonzero(_inside(system, pts)))
+        inside = _inside(system, pts)
+        p = strata.fractions(inside)
+        var = float(np.dot(p * (1.0 - p), strata.spread)) / len(p) ** 2
+        return int(np.count_nonzero(inside)), float(p.mean()), var
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(run, range(nchunks)))
+            parts = list(pool.map(run, range(nchunks)))
     else:
-        hits = sum(run(c) for c in range(nchunks))
-    p = hits / samples
-    volume = region * p
-    std_error = region * math.sqrt(p * (1.0 - p) / samples)
-    return McResult(volume, std_error, samples, seed, hits)
+        parts = [run(c) for c in range(nchunks)]
+    frac = var = 0.0
+    for chunk, (_, f, v) in enumerate(parts):
+        w = min(CHUNK, samples - chunk * CHUNK) / samples
+        frac += w * f
+        var += w * w * v
+    hits = sum(h for h, _, _ in parts)
+    return McResult(region * frac, region * math.sqrt(var), samples, seed, hits)
+
+
+@dataclass(frozen=True, slots=True)
+class _Strata:
+    """The cells of a chunk of n samples: L per side, sample i in cell i mod L^3."""
+
+    side: int  # L
+    # (n, 3) column-major: the low corner (x, y, z) of sample i's cell, (x * L + y) * L + z = i mod L^3
+    corners: np.ndarray
+    count: np.ndarray  # (L^3,) samples per cell
+    spread: np.ndarray  # (L^3,) 1 / (count - 1), 0 for a cell of one sample
+
+    def place(self, q: np.ndarray) -> np.ndarray:
+        """Points (n, 3) of [0, L)^3, in cell units, from uniform q of shape (3, n): each in its cell."""
+        return self.corners + q.T
+
+    def fractions(self, inside: np.ndarray) -> np.ndarray:
+        """Each cell's hit fraction, from the samples' membership mask."""
+        cells = len(self.count)
+        padded = np.zeros(-(-len(inside) // cells) * cells, dtype=np.uint8)
+        padded[: len(inside)] = inside
+        # 2 (L + 1)^3 > n leaves at most 15 samples per cell, so uint8 sums cannot wrap
+        return padded.reshape(-1, cells).sum(axis=0, dtype=np.uint8) / self.count
+
+
+@lru_cache(maxsize=4)
+def _strata(n: int) -> _Strata:
+    side = 1
+    while 2 * (side + 1) ** 3 <= n:
+        side += 1
+    cells = side**3
+    cell = np.arange(n) % cells
+    # column-major like q.T, which it is added to; in C order that sum is several times slower
+    corners = np.asfortranarray(
+        np.stack((cell // (side * side), cell // side % side, cell % side), axis=1), dtype=float
+    )
+    count = np.bincount(cell, minlength=cells).astype(float)
+    spread = np.where(count > 1.0, 1.0 / np.maximum(count - 1.0, 1.0), 0.0)
+    for a in (corners, count, spread):
+        a.flags.writeable = False
+    return _Strata(side, corners, count, spread)
 
 
 def width_samples(
@@ -172,10 +242,15 @@ def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
     return float(h[0]) if u.ndim == 1 else h
 
 
-def _stream(seed: int, *key: int) -> np.random.Generator:
-    """Counter-based generator keyed by (seed, key); the seed must be a non-negative integer."""
+def _check_seed(seed: int) -> None:
+    """Raise ArgumentError unless the seed is a non-negative integer, as every stream needs."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """Counter-based generator keyed by (seed, key); the seed must be a non-negative integer."""
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 

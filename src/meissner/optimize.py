@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 
 from .errors import ArgumentError, InfeasibleStart, ValidationError
 from .generate import regular_pyramid
-from .montecarlo import _stream
+from .montecarlo import _check_seed, _stream
 from .polytope import (
     DiameterGraph,
     VertexSet,
@@ -138,6 +138,8 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
     """
     if restarts < 1:
         raise ArgumentError(f"restarts must be positive, got {restarts}")
+    if restarts > 1:
+        _check_seed(seed)
     kernel = _Kernel(problem.graph)
     x0 = _gauge_coords(np.array(problem.start, dtype=float))
     if kernel.residual(x0) > START_RESIDUAL_MAX:

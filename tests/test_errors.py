@@ -21,6 +21,7 @@ from meissner import (
     width_samples,
     write_mesh,
 )
+from meissner import montecarlo, optimize
 from meissner.sphere import f_property_check
 
 
@@ -68,6 +69,18 @@ def test_bad_arguments_raise_argument_error(call, tmp_path):
 def test_random_streams_take_non_negative_integer_seeds(call, seed):
     with pytest.raises(ArgumentError, match="seed"):
         call(seed)
+
+
+def test_a_bad_seed_is_rejected_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(montecarlo, "_sampling_box", refuse)
+    monkeypatch.setattr(optimize, "_restart", refuse)
+    with pytest.raises(ArgumentError, match="seed"):
+        mc_volume(BallSystem.from_points(np.zeros((1, 3))), 10, seed=-1)
+    with pytest.raises(ArgumentError, match="seed"):
+        optimize_meissner(OptimizationProblem.from_vertex_set(regular_tetrahedron()), 2, seed=-1)
 
 
 def test_a_single_restart_draws_no_stream_and_takes_any_seed():

@@ -31,6 +31,7 @@ from meissner.montecarlo import (
     _max_dist_sq,
     _sampling_box,
     _sphere_corners,
+    _strata,
     _stream,
     support,
 )
@@ -98,6 +99,44 @@ def test_reproducible_and_thread_invariant(tetra_system):
         assert (threaded.volume, threaded.hits) == (base.volume, base.hits)
     other = mc_volume(tetra_system, 200_000, seed=8)
     assert other.hits != base.hits
+    # the last chunk, 3,395 samples in 11^3 cells, holds 2 or 3 samples per cell
+    uneven = mc_volume(tetra_system, 200_003, seed=7)
+    for threads in (2, 3):
+        assert mc_volume(tetra_system, 200_003, seed=7, threads=threads) == uneven
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 3392, 8192, 65536])
+def test_each_sample_lies_in_its_own_cell(n):
+    strata = _strata(n)
+    side = strata.side
+    assert side == 1 or 2 * side**3 <= n
+    assert 2 * (side + 1) ** 3 > n
+    cells = side**3
+    cell = np.arange(n) % cells
+    corner = np.floor(strata.place(_stream(5, 0).random((3, n)))).astype(int)
+    assert ((corner >= 0) & (corner < side)).all()
+    assert np.array_equal((corner[:, 0] * side + corner[:, 1]) * side + corner[:, 2], cell)
+    assert np.array_equal(strata.count, np.bincount(cell, minlength=cells))
+    assert set(strata.count.tolist()) <= {n // cells, n // cells + 1}
+    inside = _stream(6, 0).random(n) < 0.4
+    hits = np.bincount(cell[inside], minlength=cells)
+    assert np.array_equal(strata.fractions(inside), hits / strata.count)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3])
+def test_a_few_samples_give_a_finite_estimate(tetra_system, samples):
+    result = mc_volume(tetra_system, samples, seed=0)
+    assert math.isfinite(result.volume) and math.isfinite(result.std_error)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_strata_halve_the_standard_error_of_plain_sampling(k):
+    # plain sampling's error at the same hit rate; the cells cut it to about a quarter
+    system = BallSystem.from_meissner(build_meissner(random_feasible_pyramid(k, 0)))
+    result = mc_volume(system, 1 << 16, seed=0)
+    _, size = _sampling_box(system.centers)
+    p = result.hits / result.samples
+    assert result.std_error <= 0.5 * float(np.prod(size)) * math.sqrt(p * (1.0 - p) / result.samples)
 
 
 def test_arcs_only_shrink_the_body(tetra_system, reuleaux_system):
