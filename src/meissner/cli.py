@@ -10,6 +10,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -214,7 +215,9 @@ def _cmd_mc_check(args) -> int:
     system = BallSystem.from_meissner(poly)
     result = mc_volume(system, args.samples, args.seed, threads=args.threads)
     closed = meissner_volume(poly)
-    sigmas = abs(result.volume - closed) / result.std_error if result.std_error > 0 else 0.0
+    gap = abs(result.volume - closed)
+    # with no spread a miss is infinitely many sigmas, and an exact hit has no sigma count
+    sigmas = gap / result.std_error if result.std_error > 0 else math.inf if gap > 0 else math.nan
     print("volume,std_error,samples,seed,closed_form,sigmas")
     print(
         f"{result.volume:.17g},{result.std_error:.17g},{result.samples},"

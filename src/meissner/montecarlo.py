@@ -134,7 +134,8 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
             )
         inside = _inside(system, pts)
         p = strata.fractions(inside)
-        var = float(np.dot(p * (1.0 - p), strata.spread)) / len(p) ** 2
+        # an elementwise sum, not np.dot: a BLAS call here wakes BLAS's own thread pool inside every worker
+        var = float((p * (1.0 - p) * strata.spread).sum()) / len(p) ** 2
         return int(np.count_nonzero(inside)), float(p.mean()), var
 
     if threads > 1:

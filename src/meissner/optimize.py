@@ -216,6 +216,7 @@ class _Kernel:
         # the points are linear in the parameters, so d(p_i - p_j)/dx is constant
         self.pair_jacobian = select[self.i] - select[self.j]
         self.m = m
+        self.edges = graph.edges
 
     def points(self, x: np.ndarray) -> np.ndarray:
         flat = np.zeros(3 * self.m)
@@ -238,27 +239,32 @@ class _Kernel:
 
         The smoothing gain f(retained, smoothed) of both orientations of
         every dual pair, from half chords and half arcs; the pair takes
-        the better orientation.
+        the better orientation, and the gains are summed by `math.fsum`.
+        One pass of scalar math per pair: on the few pairs of a wheel it
+        is two to three times faster than numpy calls on (2, m - 1) arrays.
         """
-        half = np.sqrt(d2[self.ends]) / 2.0
-        sin_arc = np.minimum(half, 1.0)[::-1]
-        half_arc = np.arcsin(sin_arc)
-        cos_half = np.cos(half_arc)
-        t = half / cos_half
-        inner = np.arcsin(np.minimum(t, 1.0))
-        f = 2.0 * half_arc * cos_half * 2.0 * inner
-        # f = 4 a cos(a) asin(t), a = asin(h_smoothed), t = h_retained / cos(a);
-        # each derivative is 0 where its arcsine is clamped
-        dinner = np.divide(1.0, np.sqrt(np.maximum(1.0 - t * t, 0.0)), out=np.zeros_like(t), where=t < 1.0)
-        df_retained = 4.0 * half_arc * dinner
-        df_arc = 4.0 * (cos_half * inner - half_arc * sin_arc * inner + half_arc * sin_arc * t * dinner)
-        df_smoothed = np.divide(df_arc, cos_half, out=np.zeros_like(t), where=sin_arc < 1.0)
-        # dh/d(d2) = 1 / (8h); edge row e is retained in orientation e and smoothed in the other
-        dh = np.divide(1.0, 8.0 * half, out=np.zeros_like(half), where=half > 0.0)
-        pick = f[1] > f[0]
+        slopes: tuple[list[float], list[float]] = ([], [])
+        gains = []
+        for half in zip(*(np.sqrt(d2[self.ends]) / 2.0).tolist()):
+            # orientation o retains edge row o and smooths row 1 - o
+            both = (_gain(half[0], half[1]), _gain(half[1], half[0]))
+            o = int(both[1][0] > both[0][0])
+            f, sin_arc, half_arc, cos_half, t, inner = both[o]
+            # f = 4 a cos(a) asin(t), a = asin(h_smoothed), t = h_retained / cos(a);
+            # each derivative is 0 where its arcsine is clamped
+            dinner = 1.0 / math.sqrt(1.0 - t * t) if t < 1.0 else 0.0
+            df_arc = 4.0 * (cos_half * inner - half_arc * sin_arc * inner + half_arc * sin_arc * t * dinner)
+            df_retained = 4.0 * half_arc * dinner
+            df_smoothed = df_arc / cos_half if sin_arc < 1.0 else 0.0
+            df = (df_smoothed, df_retained) if o else (df_retained, df_smoothed)
+            # dh/d(d2) = 1 / (8h)
+            for row in (0, 1):
+                slopes[row].append(df[row] * (1.0 / (8.0 * half[row])) if half[row] > 0.0 else 0.0)
+            gains.append(f)
         grad = np.zeros_like(d2)
-        grad[self.ends] = np.where(pick == np.arange(2)[:, None], df_retained * dh, (df_smoothed * dh[::-1])[::-1])
-        return float(np.maximum(f[0], f[1]).sum()), grad
+        grad[self.ends[0]] = slopes[0]
+        grad[self.ends[1]] = slopes[1]
+        return math.fsum(gains), grad
 
     def merit(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
         """-objective + mu * penalty and its gradient, what L-BFGS-B minimizes."""
@@ -288,15 +294,21 @@ class _Kernel:
     def evaluate(self, x: np.ndarray) -> tuple[float, float, bool, bool]:
         """Objective, area, strict-validity flag, on-domain flag.
 
-        Validated points are scored by the closed form `meissner_area`,
-        whatever their diameter graph, and their objective is read back
-        from the area.  Points that fail strict validation get a second
-        chance after merging coincident vertices: the collapse of a
-        pyramid onto a smaller wheel (the tetrahedron, in the limit) is
-        then scored by the closed form of the merged body.  The soft
-        objective applied to anything else no longer measures an area,
-        so such points are flagged off-domain and only ever reported for
-        runs that found nothing better.
+        A point whose unit distances are the kernel's own graph edges
+        has the kernel's dual pairs, so it is scored from them without
+        building the body: its area is
+        2*pi minus the `soft` objective of its squared distances, with
+        chords clamped at one as `chord_to_arc` clamps them, which is the
+        closed form `meissner_area` up to rounding.  A point that
+        validates with other edges is scored by `meissner_area` of the
+        body `build_meissner` makes from it.  Either way the objective
+        is read back from the area.  Points that fail strict validation
+        get a second chance after merging coincident vertices: the
+        collapse of a pyramid onto a smaller wheel (the tetrahedron, in
+        the limit) is then scored by the closed form of the merged body.
+        The soft objective applied to anything else no longer measures an
+        area, so such points are flagged off-domain and only ever
+        reported for runs that found nothing better.
         """
         pts = self.points(x)
         for merge in (False, True):
@@ -304,12 +316,26 @@ class _Kernel:
             if candidate is None:
                 break
             try:
-                area = meissner_area(build_meissner(validate_vertex_set(candidate, tol=VALIDATION_TOL)))
+                vs = validate_vertex_set(candidate, tol=VALIDATION_TOL)
+                if vs.edges == self.edges:
+                    area = 2.0 * math.pi - self.soft(np.minimum(self.squared(x), 1.0))[0]
+                else:
+                    area = meissner_area(build_meissner(vs))
             except ValidationError:
                 continue
             return 2.0 * math.pi - area, area, not merge, True
         objective, _ = self.soft(self.squared(x))
         return objective, 2.0 * math.pi - objective, False, False
+
+
+def _gain(retained: float, smoothed: float) -> tuple[float, float, float, float, float, float]:
+    """f(retained, smoothed) from half chords, and the parts `soft` differentiates: sin, a, cos(a), t, asin(t)."""
+    sin_arc = min(smoothed, 1.0)
+    half_arc = math.asin(sin_arc)
+    cos_half = math.cos(half_arc)
+    t = retained / cos_half
+    inner = math.asin(min(t, 1.0))
+    return 4.0 * half_arc * cos_half * inner, sin_arc, half_arc, cos_half, t, inner
 
 
 def _merged_distinct(pts: np.ndarray) -> np.ndarray | None:

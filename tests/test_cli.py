@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from meissner import build_meissner, load_vertex_file, regular_tetrahedron
+import meissner.cli
+from meissner import McResult, build_meissner, load_vertex_file, meissner_volume, regular_tetrahedron
 from meissner.cli import main
 from conftest import TETRA_AREA, TETRA_VOLUME, triangle_center_set
 
@@ -136,6 +137,23 @@ def test_mc_check_deterministic(tetra_file, capsys):
     fields = row.split(",")
     assert fields[2] == "20000" and fields[3] == "3"
     assert float(fields[5]) < 6.0
+
+
+def test_mc_check_sigmas_without_spread(tetra_file, capsys, monkeypatch):
+    # one sample has no spread: a miss by more than the whole volume is infinitely many sigmas
+    code, out, _ = run(capsys, "mc-check", tetra_file, "--samples", "1", "--seed", "3")
+    assert code == 0
+    assert out.splitlines()[1] == "1.0000000060000003,0,1,3,0.41986004596508053,inf"
+    # and an exact hit without spread has no sigma count
+    closed = meissner_volume(build_meissner(load_vertex_file(tetra_file)))
+
+    def exact(system, samples, seed, threads):
+        return McResult(closed, 0.0, samples, seed, 1)
+
+    monkeypatch.setattr(meissner.cli, "mc_volume", exact)
+    code, out, _ = run(capsys, "mc-check", tetra_file, "--samples", "1", "--seed", "3")
+    assert code == 0
+    assert out.splitlines()[1].split(",")[5] == "nan"
 
 
 def test_mc_check_bad_arguments(tetra_file, capsys):

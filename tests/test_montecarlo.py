@@ -1,6 +1,7 @@
 """Rejection sampling oracle and direction width sampling."""
 
 import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -103,6 +104,17 @@ def test_reproducible_and_thread_invariant(tetra_system):
     uneven = mc_volume(tetra_system, 200_003, seed=7)
     for threads in (2, 3):
         assert mc_volume(tetra_system, 200_003, seed=7, threads=threads) == uneven
+
+
+def test_one_thread_uses_one_core(tetra_system):
+    # a BLAS call inside a chunk wakes BLAS's own thread pool, which doubles the CPU time of a
+    # one-thread call on two cores; process time counts only this process, not other tenants.
+    # The first call also outlasts the spinning of BLAS threads woken by earlier tests.
+    mc_volume(tetra_system, 2**20, seed=11)
+    wall, cpu = time.perf_counter(), time.process_time()
+    mc_volume(tetra_system, 2**20, seed=11)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    assert cpu <= 1.3 * wall
 
 
 @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 3392, 8192, 65536])

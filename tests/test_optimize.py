@@ -14,6 +14,7 @@ from meissner import (
     RestartRecord,
     TETRAHEDRON_AREA,
     TETRAHEDRON_VOLUME,
+    ValidationError,
     build_diameter_graph,
     build_meissner,
     dual_pair_indices,
@@ -28,6 +29,7 @@ from meissner import (
 from meissner.optimize import (
     FEASIBILITY_TOL,
     MERGE_TOL,
+    VALIDATION_TOL,
     _assemble_report,
     _gauge_coords,
     _Kernel,
@@ -269,6 +271,121 @@ def _check_kernel(kernel, x, reference):
     for mu in (0.0, 1.0, 1e4):
         assert kernel.merit(x, mu)[0] == pytest.approx(-soft + mu * penalty, rel=1e-12, abs=1e-12)
     assert kernel.residual(x) == pytest.approx(residual, rel=1e-12, abs=1e-12)
+
+
+def _reference_soft(kernel, d2):
+    """Soft objective and its gradient by the array formula over (2, m - 1) rows that `_Kernel.soft` replaced."""
+    half = np.sqrt(d2[kernel.ends]) / 2.0
+    sin_arc = np.minimum(half, 1.0)[::-1]
+    half_arc = np.arcsin(sin_arc)
+    cos_half = np.cos(half_arc)
+    t = half / cos_half
+    inner = np.arcsin(np.minimum(t, 1.0))
+    f = 2.0 * half_arc * cos_half * 2.0 * inner
+    dinner = np.divide(1.0, np.sqrt(np.maximum(1.0 - t * t, 0.0)), out=np.zeros_like(t), where=t < 1.0)
+    df_retained = 4.0 * half_arc * dinner
+    df_arc = 4.0 * (cos_half * inner - half_arc * sin_arc * inner + half_arc * sin_arc * t * dinner)
+    df_smoothed = np.divide(df_arc, cos_half, out=np.zeros_like(t), where=sin_arc < 1.0)
+    dh = np.divide(1.0, 8.0 * half, out=np.zeros_like(half), where=half > 0.0)
+    pick = f[1] > f[0]
+    grad = np.zeros_like(d2)
+    grad[kernel.ends] = np.where(pick == np.arange(2)[:, None], df_retained * dh, (df_smoothed * dh[::-1])[::-1])
+    return float(np.maximum(f[0], f[1]).sum()), grad
+
+
+def _check_soft(kernel, d2):
+    value, grad = kernel.soft(d2)
+    ref_value, ref_grad = _reference_soft(kernel, d2)
+    # relative: a sum of gains above 4 has an ulp over 1e-15
+    assert value == pytest.approx(ref_value, rel=1e-15, abs=1e-15)
+    np.testing.assert_allclose(grad, ref_grad, rtol=1e-15, atol=1e-15)
+
+
+def test_soft_matches_the_array_reference():
+    rng = np.random.default_rng(17)
+    for graph, vs in _general_starts():
+        kernel = _Kernel(graph)
+        for _ in range(20):
+            _check_soft(kernel, kernel.squared(_gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)))
+
+
+def test_soft_matches_the_array_reference_where_it_clamps():
+    # half chords (first edge, dual edge) of a pair: t >= 1 in both orientations; a smoothed half chord
+    # of at least one in one or both orientations; coincident endpoints, half == 0, as after a collapse
+    halves = [(0.9, 0.6), (0.6, 0.9), (1.2, 0.3), (0.3, 1.2), (1.2, 1.5), (0.0, 0.4), (0.4, 0.0), (0.0, 0.0)]
+    for graph, vs in _general_starts():
+        kernel = _Kernel(graph)
+        for shift in range(len(halves)):
+            d2 = kernel.squared(_gauge_coords(vs.points))
+            rows = np.array([halves[(p + shift) % len(halves)] for p in range(kernel.ends.shape[1])]).T
+            d2[kernel.ends] = (2.0 * rows) ** 2
+            _check_soft(kernel, d2)
+
+
+def _reference_evaluate(kernel, x):
+    """`_Kernel.evaluate` by the full path: every validated point goes through `build_meissner`."""
+    pts = kernel.points(x)
+    for merge in (False, True):
+        candidate = _merged_distinct(pts) if merge else pts
+        if candidate is None:
+            break
+        try:
+            area = meissner_area(build_meissner(validate_vertex_set(candidate, tol=VALIDATION_TOL)))
+        except ValidationError:
+            continue
+        return 2.0 * math.pi - area, area, not merge, True
+    objective, _ = kernel.soft(kernel.squared(x))
+    return objective, 2.0 * math.pi - objective, False, False
+
+
+def _counted_builds(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build_meissner(*args, **kwargs)
+
+    monkeypatch.setattr(meissner.optimize, "build_meissner", counted)
+    return calls
+
+
+def _check_evaluate(kernel, x):
+    objective, area, validated, on_domain = kernel.evaluate(x)
+    ref_objective, ref_area, ref_validated, ref_on_domain = _reference_evaluate(kernel, x)
+    assert abs(objective - ref_objective) <= 1e-15 and abs(area - ref_area) <= 1e-15
+    assert (validated, on_domain) == (ref_validated, ref_on_domain)
+    return validated
+
+
+def test_evaluate_scores_its_own_pairs_as_the_closed_form(monkeypatch):
+    # random pyramids and points projected from noise around them: those that validate with the
+    # kernel's edges are scored from its pairs, without building the body
+    builds = _counted_builds(monkeypatch)
+    rng = np.random.default_rng(23)
+    scored = 0
+    for k in range(1, 6):
+        kernel = _Kernel(build_diameter_graph(regular_pyramid(k)))
+        for s in range(10):
+            x0 = _gauge_coords(random_feasible_pyramid(k, s).points)
+            projected = (kernel.project(x0 + scale * rng.normal(size=x0.shape)) for scale in (0.01, 0.1))
+            for x in [x0, *(x for x in projected if x is not None)]:
+                before = len(builds)
+                if _check_evaluate(kernel, x):
+                    assert len(builds) == before
+                    scored += 1
+    assert scored >= 100
+
+
+def test_evaluate_builds_the_body_of_another_edge_set(monkeypatch):
+    # the same body with two vertices relabeled validates with other edges than the kernel's graph
+    builds = _counted_builds(monkeypatch)
+    vs = random_feasible_pyramid(2, seed=0)
+    kernel = _Kernel(build_diameter_graph(vs))
+    x = _gauge_coords(vs.points[[0, 3, 2, 1, 4, 5]])
+    assert validate_vertex_set(kernel.points(x), tol=VALIDATION_TOL).edges != kernel.edges
+    assert _check_evaluate(kernel, x)
+    assert len(builds) == 1
+    assert kernel.evaluate(x)[1] == pytest.approx(meissner_area(build_meissner(vs)), abs=1e-12)
 
 
 def test_merit_kernels_match_the_loop_reference():
