@@ -1,9 +1,10 @@
 """Area minimization over extremal configurations with fixed combinatorics.
 
 One search maximizes the total smoothing gain, objective = 2*pi - area,
-under the unit-distance constraints of a diameter graph, over
-gauge-fixed vertex coordinates.  Wheel pyramids are one such graph:
-`optimize_pyramid` starts the same search from the regular pyramid.
+under the unit-distance constraints of a validated start's diameter
+graph, over gauge-fixed vertex coordinates.  Wheel pyramids are one
+such graph: `optimize_pyramid` starts the same search from the regular
+pyramid.
 Each round of a quadratic penalty loop, whose weight grows tenfold per
 round until the worst constraint residual drops below FEASIBILITY_TOL,
 is solved by L-BFGS-B on the merit and its analytic gradient: the chain
@@ -22,15 +23,7 @@ from scipy.optimize import minimize
 from .errors import ArgumentError, InfeasibleStart, ValidationError
 from .generate import regular_pyramid
 from .montecarlo import _check_seed, _stream
-from .polytope import (
-    DiameterGraph,
-    VertexSet,
-    build_diameter_graph,
-    build_meissner,
-    dual_pair_indices,
-    meissner_area,
-    validate_vertex_set,
-)
+from .polytope import VertexSet, build_meissner, meissner_area, validate_vertex_set
 
 __all__ = [
     "FEASIBILITY_TOL",
@@ -81,14 +74,13 @@ TETRAHEDRON_VOLUME = TETRAHEDRON_AREA / 2.0 - math.pi / 3.0
 
 @dataclass(frozen=True, slots=True)
 class OptimizationProblem:
-    """Fixed diameter-graph combinatorics plus a starting configuration."""
+    """A validated start; its unit-distance edges and dual pairs fix the combinatorics of the search."""
 
-    graph: DiameterGraph
-    start: np.ndarray
+    start: VertexSet
 
     @classmethod
     def from_vertex_set(cls, vs: VertexSet) -> "OptimizationProblem":
-        return cls(build_diameter_graph(vs), np.array(vs.points))
+        return cls(vs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,7 +119,7 @@ def optimize_pyramid(n: int, restarts: int = 1, seed: int = 0) -> OptimizationRe
 
 
 def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int = 0) -> OptimizationReport:
-    """Search configurations with the problem's diameter graph for minimal area.
+    """Search configurations with the start's diameter graph for minimal area.
 
     Coordinates are gauge-fixed (first vertex pinned, second on the x
     axis, third in the xy plane); graph edges are equality constraints
@@ -140,8 +132,8 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
         raise ArgumentError(f"restarts must be positive, got {restarts}")
     if restarts > 1:
         _check_seed(seed)
-    kernel = _Kernel(problem.graph)
-    x0 = _gauge_coords(np.array(problem.start, dtype=float))
+    kernel = _Kernel(problem.start)
+    x0 = _gauge_coords(problem.start.points)
     if kernel.residual(x0) > START_RESIDUAL_MAX:
         raise InfeasibleStart("start configuration violates the distance constraints")
     records: list[RestartRecord] = []
@@ -168,7 +160,7 @@ def random_feasible_pyramid(k: int, seed: int) -> VertexSet:
     validates at the default tolerance.
     """
     regular = regular_pyramid(k)
-    kernel = _Kernel(build_diameter_graph(regular))
+    kernel = _Kernel(regular)
     x0 = _gauge_coords(regular.points)
     rng = _stream(seed)
     for _ in range(20):
@@ -183,9 +175,11 @@ def random_feasible_pyramid(k: int, seed: int) -> VertexSet:
 
 
 class _Kernel:
-    """Merit, residual, projection and scoring of one diameter graph.
+    """Merit, residual, projection and scoring of the combinatorics of one validated start.
 
-    The parameters are the 3m - 6 gauge-fixed coordinates (see
+    The start fixes the unit-distance edges and, through `build_meissner`,
+    the dual pairs; the kernel never computes pairs itself.  The
+    parameters are the 3m - 6 gauge-fixed coordinates (see
     `_gauge_coords`).  Every evaluation gathers all point pairs (i, j),
     graph edges first, in one difference and reads the soft objective and
     every constraint from the resulting squared distances.  Those come
@@ -199,24 +193,23 @@ class _Kernel:
     parameters.
     """
 
-    def __init__(self, graph: DiameterGraph):
-        m, n_edges = graph.m, len(graph.edges)
-        non_edges = [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in graph.edges]
-        pairs = list(graph.edges) + non_edges
+    def __init__(self, start: VertexSet):
+        m, n_edges = start.m, len(start.edges)
+        non_edges = [(i, j) for i in range(m) for j in range(i + 1, m) if (i, j) not in start.edges]
+        pairs = list(start.edges) + non_edges
         position = {pair: p for p, pair in enumerate(pairs)}
         self.i, self.j = np.array(pairs).T
         self.floor = np.r_[np.full(n_edges, -np.inf), np.zeros(len(pairs) - n_edges)]
         # row 0: each dual pair's first edge, row 1: its dual
-        self.ends = np.array([[position[e] for e in pair] for pair in dual_pair_indices(graph)]).T
-        # flat slots of the free coordinates, see _gauge_coords
-        self.gauge = np.r_[3, 6, 7, 9 : 3 * m]
+        self.ends = np.array([(position[p.edge], position[p.edge_dual]) for p in build_meissner(start).pairs]).T
+        self.gauge = _gauge_slots(m)
         select = np.zeros((3 * m, len(self.gauge)))
         select[self.gauge, np.arange(len(self.gauge))] = 1.0
         select = select.reshape(m, 3, len(self.gauge))
         # the points are linear in the parameters, so d(p_i - p_j)/dx is constant
         self.pair_jacobian = select[self.i] - select[self.j]
         self.m = m
-        self.edges = graph.edges
+        self.edges = start.edges
 
     def points(self, x: np.ndarray) -> np.ndarray:
         flat = np.zeros(3 * self.m)
@@ -294,8 +287,8 @@ class _Kernel:
     def evaluate(self, x: np.ndarray) -> tuple[float, float, bool, bool]:
         """Objective, area, strict-validity flag, on-domain flag.
 
-        A point whose unit distances are the kernel's own graph edges
-        has the kernel's dual pairs, so it is scored from them without
+        A point whose unit distances are the start's edges has the
+        start's dual pairs, so it is scored from them without
         building the body: its area is
         2*pi minus the `soft` objective of its squared distances, with
         chords clamped at one as `chord_to_arc` clamps them, which is the
@@ -349,8 +342,17 @@ def _merged_distinct(pts: np.ndarray) -> np.ndarray | None:
     return pts[~near] if near.any() else None
 
 
+def _gauge_slots(m: int) -> np.ndarray:
+    """Flat indices of the 3m - 6 free coordinates of m points in the gauge frame.
+
+    The first point sits at the origin, the second on the x axis and
+    the third in the xy plane, so those six coordinates are zero.
+    """
+    return np.r_[3, 6, 7, 9 : 3 * m]
+
+
 def _gauge_coords(points: np.ndarray) -> np.ndarray:
-    """Rigid-motion-normalized coordinates with 3m - 6 free entries."""
+    """Rigid-motion-normalized coordinates with 3m - 6 free entries, at `_gauge_slots`."""
     pts = points - points[0]
     e1 = pts[1]
     n1 = np.linalg.norm(e1)
@@ -367,11 +369,7 @@ def _gauge_coords(points: np.ndarray) -> np.ndarray:
     e2 = helper / n2
     e3 = np.cross(e1, e2)
     frame = np.stack((e1, e2, e3), axis=1)
-    local = pts @ frame
-    coords = [local[1, 0], local[2, 0], local[2, 1]]
-    for i in range(3, len(pts)):
-        coords.extend(local[i])
-    return np.array(coords)
+    return (pts @ frame).ravel()[_gauge_slots(len(pts))]
 
 
 def _restart(run: int, x: np.ndarray, kernel: _Kernel) -> tuple[RestartRecord, np.ndarray]:

@@ -50,7 +50,6 @@ __all__ = [
     "SurfaceDecomposition",
     "validate_vertex_set",
     "build_diameter_graph",
-    "dual_pair_indices",
     "find_dual_pairs",
     "optimal_smoothing",
     "enumerate_smoothings",
@@ -114,13 +113,6 @@ class DiameterGraph:
 
     m: int
     edges: tuple[Edge, ...]
-
-    def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.m)]
-        for i, j in self.edges:
-            adj[i].add(j)
-            adj[j].add(i)
-        return adj
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +190,9 @@ class SurfaceDecomposition:
 
 
 def validate_vertex_set(points: np.ndarray, tol: float = DEFAULT_TOL) -> VertexSet:
-    """Check diameter one and the extremal count of 2m - 2 unit distances."""
+    """Check diameter one and the extremal count of 2m - 2 unit distances within tol, 0 < tol < 1."""
+    if not 0.0 < tol < 1.0:
+        raise ArgumentError(f"tol must be in (0, 1), got {tol!r}")
     pts = np.array(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ArgumentError(f"expected an (m, 3) array, got shape {pts.shape}")
@@ -223,13 +217,17 @@ def build_diameter_graph(vs: VertexSet) -> DiameterGraph:
     return DiameterGraph(vs.m, vs.edges)
 
 
-def dual_pair_indices(graph: DiameterGraph) -> tuple[tuple[Edge, Edge], ...]:
-    """Dual edge pairs as the diagonal pairs of 4-cycles of the graph.
+def find_dual_pairs(graph: DiameterGraph, vs: VertexSet) -> tuple[DualEdgePair, ...]:
+    """Dual pairs as the diagonal pairs of 4-cycles of the graph, sorted, with their arc lengths, angles and gains.
 
-    Purely combinatorial; raises WrongPairCount unless exactly m - 1
-    distinct pairs are found.
+    The pairing is purely combinatorial and the one rule for dual pairs
+    in this package; raises WrongPairCount unless exactly m - 1 distinct
+    pairs are found.  The coordinates of vs fill in the rest.
     """
-    adj = graph.adjacency()
+    adj: list[set[int]] = [set() for _ in range(graph.m)]
+    for i, j in graph.edges:
+        adj[i].add(j)
+        adj[j].add(i)
     found: set[tuple[Edge, Edge]] = set()
     for p in range(graph.m):
         for q in range(p + 1, graph.m):
@@ -239,12 +237,7 @@ def dual_pair_indices(graph: DiameterGraph) -> tuple[tuple[Edge, Edge], ...]:
                 found.add((min(d1, d2), max(d1, d2)))
     if len(found) != graph.m - 1:
         raise WrongPairCount(f"{len(found)} dual pairs, expected {graph.m - 1}")
-    return tuple(sorted(found))
-
-
-def find_dual_pairs(graph: DiameterGraph, vs: VertexSet) -> tuple[DualEdgePair, ...]:
-    """Dual pairs with their arc lengths, angles and gains filled in from the coordinates."""
-    return tuple(_dual_pair(vs, e, e_dual) for e, e_dual in dual_pair_indices(graph))
+    return tuple(_dual_pair(vs, e, e_dual) for e, e_dual in sorted(found))
 
 
 def optimal_smoothing(pairs: tuple[DualEdgePair, ...]) -> SmoothingChoice:

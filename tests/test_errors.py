@@ -48,6 +48,12 @@ def test_argument_error_is_a_validation_error_and_a_value_error():
         ),
         lambda tmp: optimize_pyramid(5, restarts=0),
         lambda tmp: optimize_meissner(OptimizationProblem.from_vertex_set(regular_tetrahedron()), restarts=0),
+        # a tolerance outside (0, 1) would accept this set of diameter 2 * sqrt(2), or no set at all
+        lambda tmp: validate_vertex_set([[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]], tol=2.0),
+        lambda tmp: validate_vertex_set(regular_tetrahedron().points, tol=1.0),
+        lambda tmp: validate_vertex_set(regular_tetrahedron().points, tol=0.0),
+        lambda tmp: validate_vertex_set(regular_tetrahedron().points, tol=-1.0),
+        lambda tmp: validate_vertex_set(regular_tetrahedron().points, tol=float("nan")),
     ],
 )
 def test_bad_arguments_raise_argument_error(call, tmp_path):

@@ -15,9 +15,7 @@ from meissner import (
     TETRAHEDRON_AREA,
     TETRAHEDRON_VOLUME,
     ValidationError,
-    build_diameter_graph,
     build_meissner,
-    dual_pair_indices,
     meissner_area,
     optimize_meissner,
     optimize_pyramid,
@@ -53,7 +51,7 @@ def test_tetrahedron_bound_constants():
 
 def _kernel_at_regular_pyramid(k):
     vs = regular_pyramid(k)
-    return _Kernel(build_diameter_graph(vs)), _gauge_coords(vs.points)
+    return _Kernel(vs), _gauge_coords(vs.points)
 
 
 def test_pyramid_objective_regular_values():
@@ -87,7 +85,7 @@ def test_gauge_frame_of_a_collinear_start():
     # points 0, 1 and 2 on one line leave the frame's second axis to the fallback
     pts = regular_tetrahedron().points.copy()
     pts[2] = 0.3 * pts[0] + 0.7 * pts[1]
-    out = _Kernel(build_diameter_graph(regular_tetrahedron())).points(_gauge_coords(pts))
+    out = _Kernel(regular_tetrahedron()).points(_gauge_coords(pts))
     i, j = np.triu_indices(len(pts), 1)
     gaps = np.linalg.norm(out[i] - out[j], axis=1) - np.linalg.norm(pts[i] - pts[j], axis=1)
     assert np.abs(gaps).max() <= 1e-12
@@ -97,7 +95,7 @@ def test_collapsed_wheel_is_scored_as_the_tetrahedron():
     # base vertices paired onto a triangle: strict validation fails, the merged set is a tetrahedron;
     # the first three points are distinct, so the gauge frame is defined
     collapsed = regular_pyramid(1).points[[0, 1, 2, 3, 1, 2]]
-    kernel = _Kernel(build_diameter_graph(regular_pyramid(2)))
+    kernel = _Kernel(regular_pyramid(2))
     objective, area, validated, on_domain = kernel.evaluate(_gauge_coords(collapsed))
     assert objective == pytest.approx(F_TRIPLE, abs=1e-12)
     assert area == pytest.approx(TETRA_AREA, abs=1e-12)
@@ -216,12 +214,10 @@ def test_optimize_meissner_tetrahedron_is_rigid():
 
 
 def test_infeasible_start_rejected():
-    vs = regular_tetrahedron()
-    problem = OptimizationProblem(
-        OptimizationProblem.from_vertex_set(vs).graph, 0.5 * np.array(vs.points)
-    )
+    # a loose tolerance validates edges of length 1.15, a residual of 0.15 over START_RESIDUAL_MAX
+    vs = validate_vertex_set(1.15 * regular_tetrahedron().points, tol=0.2)
     with pytest.raises(InfeasibleStart):
-        optimize_meissner(problem)
+        optimize_meissner(OptimizationProblem.from_vertex_set(vs))
 
 
 def test_random_feasible_pyramid():
@@ -240,19 +236,19 @@ def _soft_f(c_retained, c_smoothed):
     return y * cos_half * 2.0 * math.asin(min(max(c_retained / 2.0, 0.0) / cos_half, 1.0))
 
 
-def _reference_general(coords, graph):
-    """Soft objective, penalty and residual of the general search, by loops."""
+def _reference_general(coords, vs):
+    """Soft objective, penalty and residual of the general search from start vs, by loops."""
     pts = [(0.0, 0.0, 0.0), (coords[0], 0.0, 0.0), (coords[1], coords[2], 0.0)]
-    pts += [tuple(coords[3 * i - 6 : 3 * i - 3]) for i in range(3, graph.m)]
+    pts += [tuple(coords[3 * i - 6 : 3 * i - 3]) for i in range(3, vs.m)]
     soft = 0.0
-    for e, e_dual in dual_pair_indices(graph):
-        c1, c2 = math.dist(*(pts[v] for v in e)), math.dist(*(pts[v] for v in e_dual))
+    for pair in build_meissner(vs).pairs:
+        c1, c2 = math.dist(*(pts[v] for v in pair.edge)), math.dist(*(pts[v] for v in pair.edge_dual))
         soft += max(_soft_f(c1, c2), _soft_f(c2, c1))
     penalty = residual = 0.0
-    for i in range(graph.m):
-        for j in range(i + 1, graph.m):
+    for i in range(vs.m):
+        for j in range(i + 1, vs.m):
             c = math.dist(pts[i], pts[j])
-            if (i, j) in graph.edges:
+            if (i, j) in vs.edges:
                 penalty += (c * c - 1.0) ** 2
                 residual = max(residual, abs(c - 1.0))
             else:
@@ -262,8 +258,9 @@ def _reference_general(coords, graph):
 
 
 def _general_starts():
-    sets = [regular_tetrahedron()] + [random_feasible_pyramid(k, seed=k) for k in (1, 2, 3)]
-    return [(build_diameter_graph(vs), vs) for vs in sets]
+    # the last start is labeled with its apex at vertex 5, not 0
+    relabeled = validate_vertex_set(random_feasible_pyramid(3, seed=3).points[[2, 4, 3, 6, 5, 0, 1, 7]])
+    return [regular_tetrahedron()] + [random_feasible_pyramid(k, seed=k) for k in (1, 2, 3)] + [relabeled]
 
 
 def _check_kernel(kernel, x, reference):
@@ -303,8 +300,8 @@ def _check_soft(kernel, d2):
 
 def test_soft_matches_the_array_reference():
     rng = np.random.default_rng(17)
-    for graph, vs in _general_starts():
-        kernel = _Kernel(graph)
+    for vs in _general_starts():
+        kernel = _Kernel(vs)
         for _ in range(20):
             _check_soft(kernel, kernel.squared(_gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)))
 
@@ -313,8 +310,8 @@ def test_soft_matches_the_array_reference_where_it_clamps():
     # half chords (first edge, dual edge) of a pair: t >= 1 in both orientations; a smoothed half chord
     # of at least one in one or both orientations; coincident endpoints, half == 0, as after a collapse
     halves = [(0.9, 0.6), (0.6, 0.9), (1.2, 0.3), (0.3, 1.2), (1.2, 1.5), (0.0, 0.4), (0.4, 0.0), (0.0, 0.0)]
-    for graph, vs in _general_starts():
-        kernel = _Kernel(graph)
+    for vs in _general_starts():
+        kernel = _Kernel(vs)
         for shift in range(len(halves)):
             d2 = kernel.squared(_gauge_coords(vs.points))
             rows = np.array([halves[(p + shift) % len(halves)] for p in range(kernel.ends.shape[1])]).T
@@ -364,7 +361,7 @@ def test_evaluate_scores_its_own_pairs_as_the_closed_form(monkeypatch):
     rng = np.random.default_rng(23)
     scored = 0
     for k in range(1, 6):
-        kernel = _Kernel(build_diameter_graph(regular_pyramid(k)))
+        kernel = _Kernel(regular_pyramid(k))
         for s in range(10):
             x0 = _gauge_coords(random_feasible_pyramid(k, s).points)
             projected = (kernel.project(x0 + scale * rng.normal(size=x0.shape)) for scale in (0.01, 0.1))
@@ -378,9 +375,10 @@ def test_evaluate_scores_its_own_pairs_as_the_closed_form(monkeypatch):
 
 def test_evaluate_builds_the_body_of_another_edge_set(monkeypatch):
     # the same body with two vertices relabeled validates with other edges than the kernel's graph
-    builds = _counted_builds(monkeypatch)
     vs = random_feasible_pyramid(2, seed=0)
-    kernel = _Kernel(build_diameter_graph(vs))
+    kernel = _Kernel(vs)
+    # counted after the kernel is built, which builds its start's body once
+    builds = _counted_builds(monkeypatch)
     x = _gauge_coords(vs.points[[0, 3, 2, 1, 4, 5]])
     assert validate_vertex_set(kernel.points(x), tol=VALIDATION_TOL).edges != kernel.edges
     assert _check_evaluate(kernel, x)
@@ -390,15 +388,15 @@ def test_evaluate_builds_the_body_of_another_edge_set(monkeypatch):
 
 def test_merit_kernels_match_the_loop_reference():
     rng = np.random.default_rng(5)
-    for graph, vs in _general_starts():
+    for vs in _general_starts():
         coords = _gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)
-        _check_kernel(_Kernel(graph), coords, _reference_general(coords, graph))
+        _check_kernel(_Kernel(vs), coords, _reference_general(coords, vs))
 
 
 def test_merit_kernels_at_feasible_points():
-    for graph, vs in _general_starts():
+    for vs in _general_starts():
         coords = _gauge_coords(vs.points)
-        kernel = _Kernel(graph)
+        kernel = _Kernel(vs)
         expected = 2.0 * math.pi - meissner_area(build_meissner(vs))
         assert -kernel.merit(coords, 0.0)[0] == pytest.approx(expected, abs=1e-12)
         assert kernel.merit(coords, 1.0)[0] - kernel.merit(coords, 0.0)[0] == pytest.approx(0.0, abs=1e-15)
@@ -425,7 +423,7 @@ def _perturbed_kernels():
     sets = [regular_tetrahedron(), regular_pyramid(2)] + [random_feasible_pyramid(k, seed=k) for k in (1, 2, 3)]
     for vs in sets:
         near = _gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)
-        yield _Kernel(build_diameter_graph(vs)), (near, 1.7 * near)
+        yield _Kernel(vs), (near, 1.7 * near)
 
 
 def test_merit_gradient_and_jacobian_match_finite_differences():

@@ -17,7 +17,6 @@ from meissner import (
     build_diameter_graph,
     build_meissner,
     direction_sphere_partition,
-    dual_pair_indices,
     enumerate_smoothings,
     find_dual_pairs,
     meissner_area,
@@ -385,9 +384,9 @@ def _reference_face_area(pts: np.ndarray, i: int, cycle: list[int]) -> float:
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_face_cycles_and_areas_match_the_per_vertex_reference(k, seed):
     vs = random_feasible_pyramid(k, seed)
-    adj = build_diameter_graph(vs).adjacency()
+    neighbors = [sorted({v for e in vs.edges if i in e for v in e} - {i}) for i in range(vs.m)]
     cycles = face_cycles(vs)
-    assert cycles == [_reference_face_cycle(vs.points, sorted(adj[i]), i) for i in range(vs.m)]
+    assert cycles == [_reference_face_cycle(vs.points, neighbors[i], i) for i in range(vs.m)]
     # the batched angles round differently from the per-corner ones: a few ulps per face
     reference = [_reference_face_area(vs.points, i, cycle) for i, cycle in enumerate(cycles)]
     assert np.abs(np.array(vs.faces.areas) - reference).max() <= 1e-13
@@ -500,14 +499,14 @@ def test_extra_point_breaks_pair_count(tetra_vs):
         find_dual_pairs(build_diameter_graph(vs5), vs5)
 
 
-def test_dual_pair_indices_are_diagonals(tetra_vs, pyr2_vs):
+def test_dual_pairs_are_diagonals(tetra_vs, pyr2_vs):
     for vs in (tetra_vs, pyr2_vs):
         graph = build_diameter_graph(vs)
         edges = set(graph.edges)
-        for e, e_dual in dual_pair_indices(graph):
+        for pair in find_dual_pairs(graph, vs):
             # the four cycle vertices alternate between the two edges
-            i, j = e
-            k, l = e_dual
+            i, j = pair.edge
+            k, l = pair.edge_dual
             assert len({i, j, k, l}) == 4
             cycle_edges = {tuple(sorted(p)) for p in ((i, k), (k, j), (j, l), (l, i))}
             assert cycle_edges <= edges
