@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ArgumentError, InfeasibleStart, ValidationError
 from .generate import regular_pyramid
@@ -70,6 +69,13 @@ _PERTURBATION = 0.05
 
 TETRAHEDRON_AREA = 2.0 * math.pi - (math.sqrt(3.0) / 2.0) * math.pi * math.acos(1.0 / 3.0)
 TETRAHEDRON_VOLUME = TETRAHEDRON_AREA / 2.0 - math.pi / 3.0
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on first call: that import takes 0.34-0.55 s on a 2-core x86 host."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True, slots=True)

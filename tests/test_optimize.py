@@ -1,6 +1,9 @@
 """Constrained area optimization over wheels and general configurations."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,6 +231,45 @@ def test_random_feasible_pyramid():
         assert objective <= F_TRIPLE + 1e-9
         # perturbations sit near, and generically below, the regular value
         assert abs(objective - PI3 * PYR2_OBJECTIVE) < PI3 * 0.05
+
+
+_SCIPY_ON_DEMAND = """
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[2])
+from meissner import cli, optimize_pyramid
+
+out = Path(sys.argv[1])
+tetra = str(out / "tetra.txt")
+commands = [
+    ["gen", "tetra", "--out", tetra],
+    ["validate", tetra],
+    ["analyze", tetra],
+    ["enumerate", tetra],
+    ["mc-check", tetra, "--samples", "4096"],
+    ["f-table", "--grid", "5", "--csv", str(out / "f.csv")],
+    ["mesh", tetra, "--refine", "0", "--out", str(out / "tetra.obj")],
+]
+for argv in commands:
+    assert cli.main(argv) == 0, argv
+loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+assert not loaded, loaded[:3]
+assert optimize_pyramid(3).records[0].converged
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_scipy_is_loaded_only_by_a_search(tmp_path):
+    # in a fresh interpreter, because this module imports scipy itself
+    package_root = str(Path(meissner.optimize.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_ON_DEMAND, str(tmp_path), package_root],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def _soft_f(c_retained, c_smoothed):
