@@ -3,8 +3,11 @@
 A body is represented by its generating centers: a finite point set
 plus circular arcs, the body being the intersection of all unit balls
 centered there.  Membership therefore reduces to one distance per point
-center and one farthest-distance computation per arc, the arcs tested
-only on the points inside every point ball.  The volume estimate
+center and one farthest distance per arc, the arcs tested only on the
+points inside every point ball.  An arc's farthest point from a sample
+is one of its endpoints, themselves point centers, unless the sample
+lies in the arc's wedge, so each arc computes a distance only there.
+The volume estimate
 samples the axis box of the point centers' ball polytope, which holds
 the body; it samples the unit ball around the first point center
 instead when that ball is the smaller region, or when the balls share
@@ -46,6 +49,9 @@ CHUNK = 1 << 16
 _BALL_VOLUME = 4.0 * math.pi / 3.0
 # support candidates are computed on the balls' boundaries and land outside them by rounding
 _SUPPORT_SLACK = 1e-9
+# an `_edge_arc` endpoint lies off its vertex by up to its plane slack, 4 tol / |c2 - c1|, and a
+# like radial gap; 1e-4 holds that for sets validated at tol up to 1e-5
+_ENDPOINT_TOL = 1e-4
 # squared center distance below which two spheres coincide and share no circle
 _COINCIDENT_SQ = 1e-30
 _AXES = np.concatenate((np.eye(3), -np.eye(3)))
@@ -54,10 +60,33 @@ _NO_ARCS = Arc(np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty((0, 3))
 
 @dataclass(frozen=True, slots=True)
 class BallSystem:
-    """Generating centers of an intersection of unit balls."""
+    """Generating centers of an intersection of unit balls.
+
+    The membership test relies on two properties of the arcs, checked
+    here (ArgumentError otherwise): every arc endpoint is a point center,
+    to within `_ENDPOINT_TOL`, and every sweep lies in [0, pi].
+    """
 
     centers: np.ndarray
     arcs: Arc  # one row per arc; none for a points-only system
+
+    def __post_init__(self) -> None:
+        arcs = self.arcs
+        if not arcs:
+            return
+        bad = np.flatnonzero(~((arcs.sweep >= 0.0) & (arcs.sweep <= math.pi)))
+        if len(bad):
+            raise ArgumentError(f"arc {bad[0]} sweeps {arcs.sweep[bad[0]]!r}, outside [0, pi]")
+        ends = arcs.point(np.stack((np.zeros(len(arcs)), arcs.sweep), axis=1)).reshape(-1, 3)
+        gap = np.full(len(ends), np.inf)
+        for c in self.centers:
+            gap = np.minimum(gap, np.linalg.norm(ends - c, axis=1))
+        bad = np.flatnonzero(~(gap <= _ENDPOINT_TOL))
+        if len(bad):
+            raise ArgumentError(
+                f"arc {bad[0] // 2} ends {gap[bad[0]]:.3g} from the nearest point center, "
+                f"over {_ENDPOINT_TOL:g}"
+            )
 
     @classmethod
     def from_meissner(cls, poly: MeissnerPolyhedron) -> "BallSystem":
@@ -122,6 +151,7 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
         strata = _strata(n)
         v = strata.place(_stream(seed, chunk).random((3, n)))
         if box is not None:
+            # column-major like v, so `_inside` takes its x, y, z columns without a copy
             pts = box[0] + (box[1] / strata.side) * v
         else:
             u = v / strata.side
@@ -238,7 +268,10 @@ def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
     )
     if not ok.any(axis=1).all():
         raise NoIntersection("no feasible support candidate; the balls may not intersect")
-    heights = np.concatenate((np.einsum("nkj,nj->nk", pts, dirs), dirs @ corners.T), axis=1)
+    # einsum, not a matrix product: BLAS would wake its own thread pool
+    heights = np.concatenate(
+        (np.einsum("nkj,nj->nk", pts, dirs), np.einsum("nj,cj->nc", dirs, corners)), axis=1
+    )
     h = np.where(ok, heights, -np.inf).max(axis=1)
     return float(h[0]) if u.ndim == 1 else h
 
@@ -277,7 +310,8 @@ def _arc_critical_points(arcs: Arc, dirs: np.ndarray) -> np.ndarray:
     falls off the arc.
     """
     sweep = arcs.sweep
-    peak = np.arctan2(dirs @ arcs.v.T, dirs @ arcs.u.T) % (2.0 * math.pi)
+    peak = np.arctan2(np.einsum("nj,kj->nk", dirs, arcs.v), np.einsum("nj,kj->nk", dirs, arcs.u))
+    peak %= 2.0 * math.pi
     trough = (peak + math.pi) % (2.0 * math.pi)
     ts = np.stack(
         (
@@ -300,12 +334,12 @@ def _circle_tops(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     such point: the two spheres must meet in a circle, and the direction
     must not be parallel to the centers' axis.
     """
-    i, j = np.triu_indices(len(centers), 1)
+    i, j = _pairs(len(centers))
     d = centers[j] - centers[i]
     d2 = np.einsum("pj,pj->p", d, d)
     meets = (d2 < 4.0) & (d2 >= _COINCIDENT_SQ)
     radius = np.sqrt(1.0 - 0.25 * np.where(meets, d2, 0.0))
-    axial = (dirs @ d.T) / np.where(meets, d2, 1.0)
+    axial = np.einsum("nj,pj->np", dirs, d) / np.where(meets, d2, 1.0)
     perp = dirs[:, None] - axial[..., None] * d
     norm = np.linalg.norm(perp, axis=-1)
     ok = meets & (norm >= _NORM_FLOOR)
@@ -313,9 +347,25 @@ def _circle_tops(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     return np.where(ok[..., None], tops, np.nan)
 
 
+@lru_cache(maxsize=16)
+def _pairs(m: int) -> np.ndarray:
+    """Rows i and j of every index pair i < j of m centers; read-only, built once per m."""
+    pairs = np.array(np.triu_indices(m, 1))
+    pairs.flags.writeable = False
+    return pairs
+
+
+@lru_cache(maxsize=16)
+def _triples(m: int) -> np.ndarray:
+    """Rows i, j and k of every index triple i < j < k of m centers; read-only, built once per m."""
+    triples = np.array(list(combinations(range(m), 3)), dtype=np.intp).reshape(-1, 3).T.copy()
+    triples.flags.writeable = False
+    return triples
+
+
 def _sphere_corners(centers: np.ndarray) -> np.ndarray:
     """The points where three of the unit spheres meet, two per triple that meets."""
-    i, j, k = np.array(list(combinations(range(len(centers)), 3)), dtype=np.intp).reshape(-1, 3).T
+    i, j, k = _triples(len(centers))
     a = centers[j] - centers[i]
     b = centers[k] - centers[i]
     normal = _cross(a, b)
@@ -333,35 +383,66 @@ def _sphere_corners(centers: np.ndarray) -> np.ndarray:
 
 
 def _inside(system: BallSystem, pts: np.ndarray, slack: float = 0.0) -> np.ndarray:
-    """Membership; the arcs are tested only on the points inside every point ball."""
+    """Membership of (n, 3) points: every point ball, then each arc on the rows still inside.
+
+    With w a row's offset from an arc's center, the arc's farthest point
+    from the row is the antipode of w's projection (wu, wv) on the arc's
+    circle when (-wu, -wv) lies at an angle in [0, sweep], the arc's
+    wedge, and an endpoint otherwise.  Every endpoint is a point center,
+    already tested, so an arc computes the far distance only on the rows
+    in its wedge, and a row that fails leaves the survivors at once.
+    """
     limit = (1.0 + slack) ** 2
-    mask = np.ones(len(pts), dtype=bool)
-    for c in system.centers:
-        d = pts - c
-        mask &= np.einsum("ij,ij->i", d, d) <= limit
-    if system.arcs:
-        rows = np.flatnonzero(mask)
-        survivors = pts[rows]
-        keep = np.ones(len(rows), dtype=bool)
-        for i in range(len(system.arcs)):
-            keep &= _max_dist_sq(system.arcs, i, survivors) <= limit
-        mask[rows] = keep
-    return mask
+    x, y, z = np.ascontiguousarray(pts.T)
+    n = len(x)
+    # scratch rows shared by every test, so no test allocates a temporary per operation
+    acc, tmp, ok = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+    mask = np.ones(n, dtype=bool)
+    for cx, cy, cz in system.centers.tolist():
+        np.subtract(x, cx, out=acc)
+        acc *= acc
+        np.subtract(y, cy, out=tmp)
+        acc += np.multiply(tmp, tmp, out=tmp)
+        np.subtract(z, cz, out=tmp)
+        acc += np.multiply(tmp, tmp, out=tmp)
+        mask &= np.less_equal(acc, limit, out=ok)
+    if not system.arcs:
+        return mask
+    rows = np.flatnonzero(mask)
+    x, y, z = x[rows], y[rows], z[rows]
+    arcs = system.arcs
+    for center, u, v, r, sweep in zip(
+        arcs.center.tolist(), arcs.u.tolist(), arcs.v.tolist(), arcs.radius.tolist(), arcs.sweep.tolist()
+    ):
+        k = len(rows)
+        # the wedge is wv <= 0 and wv cos(sweep) - wu sin(sweep) >= 0, two half-planes that
+        # meet in that angle for sweep <= pi; as half-spaces of the rows they need no w
+        end = [math.cos(sweep) * b - math.sin(sweep) * a for a, b in zip(u, v)]
+        below = np.less_equal(_project(x, y, z, v, acc[:k], tmp[:k]), _dot(center, v), out=ok[:k])
+        wedge = np.flatnonzero(below & (_project(x, y, z, end, acc[:k], tmp[:k]) >= _dot(center, end)))
+        wx, wy, wz = x[wedge] - center[0], y[wedge] - center[1], z[wedge] - center[2]
+        wu = wx * u[0] + wy * u[1] + wz * u[2]
+        wv = wx * v[0] + wy * v[1] + wz * v[2]
+        far = wx * wx + wy * wy + wz * wz + r * r + 2.0 * r * np.sqrt(wu * wu + wv * wv)
+        out = wedge[far > limit]
+        if len(out):
+            keep = np.ones(k, dtype=bool)
+            keep[out] = False
+            rows, x, y, z = rows[keep], x[keep], y[keep], z[keep]
+    inside = np.zeros(n, dtype=bool)
+    inside[rows] = True
+    return inside
 
 
-def _max_dist_sq(arcs: Arc, i: int, pts: np.ndarray) -> np.ndarray:
-    """Squared distance from each point to the farthest point of arc i."""
-    w = pts - arcs.center[i]
-    wu = w @ arcs.u[i]
-    wv = w @ arcs.v[i]
-    w2 = np.einsum("ij,ij->i", w, w)
-    r = float(arcs.radius[i])
-    sweep = float(arcs.sweep[i])
-    # at a fraction of the cost of hypot and %: rho to within an ulp, t mod 2*pi exactly
-    rho = np.sqrt(wu * wu + wv * wv)
-    t = np.arctan2(-wv, -wu)
-    t = np.where(t < 0.0, t + 2.0 * math.pi, t)
-    far = w2 + r * r + 2.0 * r * rho
-    d0 = w2 + r * r - 2.0 * r * wu
-    d1 = w2 + r * r - 2.0 * r * (wu * math.cos(sweep) + wv * math.sin(sweep))
-    return np.where(t <= sweep, far, np.maximum(d0, d1))
+def _project(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, a: list[float], out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """x a_0 + y a_1 + z a_2 into out, tmp as scratch."""
+    np.multiply(x, a[0], out=out)
+    out += np.multiply(y, a[1], out=tmp)
+    out += np.multiply(z, a[2], out=tmp)
+    return out
+
+
+def _dot(a: list[float], b: list[float]) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]

@@ -3,7 +3,8 @@
 The constants below were computed once with 30-digit arithmetic from
 the closed forms and rounded to double precision; tests compare against
 them instead of re-deriving them, so a regression in any formula shows
-up as a plain numeric mismatch.
+up as a plain numeric mismatch.  `max_dist_sq` is the reference for the
+Monte Carlo oracle's arc test.
 """
 
 import math
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from meissner import (
+    Arc,
     build_diameter_graph,
     build_meissner,
     find_dual_pairs,
@@ -93,3 +95,28 @@ def triangle_center_set() -> np.ndarray:
             [0.5, h / 3.0, 0.0],
         ]
     )
+
+
+def noisy_tetrahedron(seed: int) -> np.ndarray:
+    """Regular tetrahedron with 4e-7 noise: inside tol=1e-5, outside the default."""
+    return regular_tetrahedron().points + np.random.default_rng(seed).normal(scale=4e-7, size=(4, 3))
+
+
+def max_dist_sq(arcs: Arc, i: int, pts: np.ndarray) -> np.ndarray:
+    """Squared distance from each point to the farthest point of arc i.
+
+    The farthest point is where the arc meets the ray opposite the
+    point's projection on the arc's circle when that ray crosses the
+    arc, found by angle, and otherwise an endpoint.
+    """
+    w = pts - arcs.center[i]
+    wu = w @ arcs.u[i]
+    wv = w @ arcs.v[i]
+    w2 = np.einsum("ij,ij->i", w, w)
+    r = float(arcs.radius[i])
+    sweep = float(arcs.sweep[i])
+    t = np.arctan2(-wv, -wu) % (2.0 * math.pi)
+    far = w2 + r * r + 2.0 * r * np.hypot(wu, wv)
+    d0 = w2 + r * r - 2.0 * r * wu
+    d1 = w2 + r * r - 2.0 * r * (wu * math.cos(sweep) + wv * math.sin(sweep))
+    return np.where(t <= sweep, far, np.maximum(d0, d1))

@@ -19,9 +19,9 @@ from meissner import (
     tessellate_reuleaux,
     write_mesh,
 )
-from meissner.montecarlo import BallSystem, _max_dist_sq
+from meissner.montecarlo import BallSystem
 from meissner.polytope import _by_vertex
-from conftest import REULEAUX_TETRA_AREA
+from conftest import REULEAUX_TETRA_AREA, max_dist_sq
 
 
 def edge_counts(mesh: TriangleMesh) -> Counter:
@@ -73,7 +73,7 @@ def farthest_generator(system: BallSystem, pts: np.ndarray) -> np.ndarray:
     for c in system.centers:
         far = np.maximum(far, ((pts - c) ** 2).sum(axis=1))
     for i in range(len(system.arcs)):
-        far = np.maximum(far, _max_dist_sq(system.arcs, i, pts))
+        far = np.maximum(far, max_dist_sq(system.arcs, i, pts))
     return np.sqrt(far)
 
 

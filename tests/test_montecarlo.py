@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from meissner import (
     Arc,
+    ArgumentError,
     BallSystem,
     EmptySystem,
     NoIntersection,
@@ -22,21 +23,22 @@ from meissner import (
     regular_tetrahedron,
     tessellate,
     tessellate_reuleaux,
+    validate_vertex_set,
     width_samples,
 )
 from meissner.montecarlo import (
     _COINCIDENT_SQ,
+    _ENDPOINT_TOL,
     _NORM_FLOOR,
     _SUPPORT_SLACK,
     _inside,
-    _max_dist_sq,
     _sampling_box,
     _sphere_corners,
     _strata,
     _stream,
     support,
 )
-from conftest import triangle_center_set
+from conftest import max_dist_sq, noisy_tetrahedron, triangle_center_set
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +58,96 @@ def test_max_dist_point_to_arc_matches_brute_force(tetra_poly):
     for i, samples in enumerate(all_samples):
         pts = np.stack([rng.normal(scale=1.5, size=3) for _ in range(20)])
         brute = np.array([np.max(np.linalg.norm(samples - p, axis=1)) for p in pts])
-        exact = np.sqrt(_max_dist_sq(arcs, i, pts))
+        exact = np.sqrt(max_dist_sq(arcs, i, pts))
         assert np.all(brute <= exact + 1e-12)
         assert np.all(exact <= brute + 1e-6)
+
+
+def reference_inside(system: BallSystem, pts: np.ndarray, slack: float) -> np.ndarray:
+    """Every center and every arc's farthest point within 1 + slack, by the reference arc distance."""
+    limit = (1.0 + slack) ** 2
+    far = np.max([np.einsum("ij,ij->i", pts - c, pts - c) for c in system.centers], axis=0)
+    for i in range(len(system.arcs)):
+        far = np.maximum(far, max_dist_sq(system.arcs, i, pts))
+    return far <= limit
+
+
+def near_far_sphere(arcs: Arc, ts: np.ndarray, dist: np.ndarray, lift: np.ndarray) -> np.ndarray:
+    """Points at distance dist from the arc points at ts, each that arc's farthest point from them.
+
+    Row i of ts, dist and lift is arc i.  Each point's projection on the
+    arc's circle points away from the arc point at ts, so the point lies
+    in the arc's wedge; lift, in (-1, 1), sets its height off the
+    circle's plane as a share of the most that dist allows.
+    """
+    axis = np.cross(arcs.u, arcs.v)
+    r = arcs.radius[:, None]
+    height = lift * np.sqrt(dist * dist - r * r)
+    rho = np.sqrt(dist * dist - height * height) - r
+    radial = np.cos(ts)[..., None] * arcs.u[:, None] + np.sin(ts)[..., None] * arcs.v[:, None]
+    pts = arcs.center[:, None] - rho[..., None] * radial + height[..., None] * axis[:, None]
+    return pts.reshape(-1, 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.just(regular_tetrahedron()),
+        st.builds(random_feasible_pyramid, st.integers(1, 5), st.integers(0, 10_000)),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_wedge_first_arc_test_matches_the_reference(vs, seed):
+    system = BallSystem.from_meissner(build_meissner(vs))
+    arcs = system.arcs
+    rng = np.random.default_rng(seed)
+    lo, size = _sampling_box(system.centers)
+    box = lo + size * rng.random((2048, 3))
+    shape = (len(arcs), 64)
+    # each arc's wedge edges and its interior, just inside and just outside the far-point sphere
+    sweep = np.broadcast_to(arcs.sweep[:, None], shape)
+    ts = np.concatenate((np.zeros(shape), sweep, sweep * rng.random(shape)), axis=1)
+    offset = np.where(rng.random(ts.shape) < 0.5, -1e-7, 1e-7)
+    lift = rng.uniform(-0.9, 0.9, ts.shape)
+    for slack in (0.0, _SUPPORT_SLACK):
+        near = near_far_sphere(arcs, ts, (1.0 + slack) * (1.0 + offset), lift)
+        near_inside = reference_inside(system, near, slack)
+        assert near_inside.any() and not near_inside.all()
+        assert np.array_equal(_inside(system, near, slack=slack), near_inside)
+        assert np.array_equal(_inside(system, box, slack=slack), reference_inside(system, box, slack))
+
+
+def test_ball_system_rejects_a_sweep_past_pi(tetra_poly, tetra_system):
+    half_turn = Arc(np.zeros((1, 3)), np.array([0.5]), np.eye(3)[:1], np.eye(3)[1:2], np.array([math.pi]))
+    BallSystem(np.array([[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]), half_turn)
+    arcs = tetra_system.arcs
+    centers = tetra_poly.vertices.points
+    for sweep in (math.pi + 1e-12, -1e-12, math.nan):
+        bent = Arc(arcs.center, arcs.radius, arcs.u, arcs.v, np.r_[arcs.sweep[:-1], sweep])
+        with pytest.raises(ArgumentError, match="arc 2 sweeps"):
+            BallSystem(centers, bent)
+
+
+def test_ball_system_rejects_an_arc_that_ends_off_every_center(tetra_poly, tetra_system):
+    arcs = tetra_system.arcs
+    centers = tetra_poly.vertices.points
+    nudge = np.zeros_like(arcs.center)
+    nudge[1] = np.cross(arcs.u[1], arcs.v[1])  # along the circle's axis, so both endpoints move
+    for step, ok in ((0.5, True), (2.0, False)):
+        moved = Arc(arcs.center + step * _ENDPOINT_TOL * nudge, arcs.radius, arcs.u, arcs.v, arcs.sweep)
+        if ok:
+            BallSystem(centers, moved)
+        else:
+            with pytest.raises(ArgumentError, match="arc 1 ends"):
+                BallSystem(centers, moved)
+    with pytest.raises(ArgumentError, match="arc 0 ends"):
+        BallSystem(np.empty((0, 3)), arcs)
+
+
+def test_ball_systems_of_sets_validated_at_a_loose_tolerance():
+    # at tol=1e-5 these sets' arcs end up to 2.6e-6 off their vertices, inside _ENDPOINT_TOL
+    for seed in range(20):
+        BallSystem.from_meissner(build_meissner(validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5)))
 
 
 def test_contains(tetra_poly, tetra_system):
@@ -114,6 +203,17 @@ def test_one_thread_uses_one_core(tetra_system):
     mc_volume(tetra_system, 2**20, seed=11)
     cpu, own = time.process_time(), time.thread_time()
     mc_volume(tetra_system, 2**20, seed=11)
+    cpu, own = time.process_time() - cpu, time.thread_time() - own
+    assert cpu - own <= 0.1 * own
+
+
+def test_width_samples_use_one_core():
+    # as above: support's products are elementwise, so no BLAS pool wakes for 2,000 directions
+    system = BallSystem.from_meissner(build_meissner(random_feasible_pyramid(5, 1)))
+    width_samples(system, 1000, seed=5)
+    cpu, own = time.process_time(), time.thread_time()
+    for _ in range(2):
+        width_samples(system, 1000, seed=5)
     cpu, own = time.process_time() - cpu, time.thread_time() - own
     assert cpu - own <= 0.1 * own
 

@@ -49,6 +49,7 @@ from conftest import (
     REULEAUX_TETRA_AREA,
     TETRA_AREA,
     TETRA_VOLUME,
+    noisy_tetrahedron,
     triangle_center_set,
 )
 
@@ -429,11 +430,6 @@ def test_tolerance_threshold():
     with pytest.raises(ValidationError):
         validate_vertex_set(pts)
     assert validate_vertex_set(pts, tol=1e-6).diameter_count == 6
-
-
-def noisy_tetrahedron(seed: int) -> np.ndarray:
-    """Regular tetrahedron with 4e-7 noise: inside tol=1e-5, outside the default."""
-    return regular_tetrahedron().points + np.random.default_rng(seed).normal(scale=4e-7, size=(4, 3))
 
 
 def test_arcs_of_sets_validated_at_a_loose_tolerance():
