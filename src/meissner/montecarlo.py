@@ -77,10 +77,7 @@ class BallSystem:
         bad = np.flatnonzero(~((arcs.sweep >= 0.0) & (arcs.sweep <= math.pi)))
         if len(bad):
             raise ArgumentError(f"arc {bad[0]} sweeps {arcs.sweep[bad[0]]!r}, outside [0, pi]")
-        ends = arcs.point(np.stack((np.zeros(len(arcs)), arcs.sweep), axis=1)).reshape(-1, 3)
-        gap = np.full(len(ends), np.inf)
-        for c in self.centers:
-            gap = np.minimum(gap, np.linalg.norm(ends - c, axis=1))
+        gap = _endpoint_gaps(self.centers, arcs)
         bad = np.flatnonzero(~(gap <= _ENDPOINT_TOL))
         if len(bad):
             raise ArgumentError(
@@ -243,26 +240,42 @@ def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
 
     Takes one direction, shape (3,), and returns a float, or n directions,
     shape (n, 3), and returns shape (n,).  The support point of an
-    intersection of unit balls is on a sphere patch (center + direction
-    for the generating center), on a sharp edge (a generator arc, or the
-    intersection circle of two of the spheres), or at a corner: a
-    generating point or a point where three of the spheres meet
-    (Kupitz, Martini and Perles).  All such candidates, for all
-    directions at once, are screened against the ball constraints with a
-    small slack; the best survivor is exact up to that slack.
+    intersection of unit balls lies on a sphere patch, a sharp edge or a
+    corner (Kupitz, Martini and Perles), so per direction u it is one of:
+
+    - center + u for every point center (a sphere patch);
+    - the highest point of every intersection circle of two of the spheres;
+    - every arc's peak, its point where u . x is greatest (its sharp edge);
+    - every arc's trough + u, the trough its point where u . x is least
+      (the spindle its balls sweep);
+    - a corner: a point center or a point where three of the spheres meet.
+
+    No other arc point can win.  An endpoint is a point center, which
+    stands for it.  c(t) + u lies in every ball around the arc only if
+    u . c(s) >= u . c(t) + |c(s) - c(t)|^2 / 2 for every s, so t is the
+    trough.  An arc point below the peak is dominated by the peak, or by
+    an endpoint where the peak is off the arc.  A peak or trough off its
+    arc is NaN and fails the screen.
+
+    The candidates are screened against the balls with a slack, the
+    larger of `_SUPPORT_SLACK` and the largest distance from an arc
+    endpoint to its point center: a center at distance one from that
+    point center lies up to that distance outside the endpoint's ball.
+    The best survivor is exact up to the slack.
     """
     u = np.asarray(direction, dtype=float)
     dirs = u.reshape(-1, 3)
     centers = system.centers
     cands = [centers + dirs[:, None], _circle_tops(centers, dirs)]
     if system.arcs:
-        pts = _arc_critical_points(system.arcs, dirs)
-        cands += [pts + dirs[:, None], pts]
+        peak, trough = _arc_extremes(system.arcs, dirs)
+        cands += [peak, trough + dirs[:, None]]
     pts = np.concatenate(cands, axis=1)
     n, k = pts.shape[:2]
     # corners do not move with the direction, so they are screened once
     corners = np.concatenate((centers, _sphere_corners(centers)))
-    ok = _inside(system, np.concatenate((pts.reshape(-1, 3), corners)), slack=_SUPPORT_SLACK)
+    slack = max(_SUPPORT_SLACK, float(_endpoint_gaps(centers, system.arcs).max(initial=0.0)))
+    ok = _inside(system, np.concatenate((pts.reshape(-1, 3), corners)), slack=slack)
     ok = np.concatenate(
         (ok[: n * k].reshape(n, k), np.broadcast_to(ok[n * k :], (n, len(corners)))), axis=1
     )
@@ -302,29 +315,24 @@ def _sampling_box(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return (lo, size) if float(np.prod(size)) < _BALL_VOLUME else None
 
 
-def _arc_critical_points(arcs: Arc, dirs: np.ndarray) -> np.ndarray:
-    """Per direction, the points of every arc where u . arc.point(t) can be extremal.
+def _endpoint_gaps(centers: np.ndarray, arcs: Arc) -> np.ndarray:
+    """Distance from each arc endpoint to the nearest point center: arc i's ends are rows 2i, 2i + 1."""
+    ends = arcs.point(np.stack((np.zeros(len(arcs)), arcs.sweep), axis=1)).reshape(-1, 1, 3)
+    return np.linalg.norm(ends - centers, axis=-1).min(axis=1, initial=np.inf)
 
-    Shape (n, 4 * len(arcs), 3): both endpoints, then the peak and the
-    trough of the arc's circle, each replaced by the start point when it
-    falls off the arc.
+
+def _arc_extremes(arcs: Arc, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per direction, every arc's peak and trough: its points where u . x is greatest and least.
+
+    Two arrays of shape (n, len(arcs), 3); NaN, which `_inside` rejects,
+    where the point of the arc's circle falls off the arc.
     """
-    sweep = arcs.sweep
     peak = np.arctan2(np.einsum("nj,kj->nk", dirs, arcs.v), np.einsum("nj,kj->nk", dirs, arcs.u))
     peak %= 2.0 * math.pi
-    trough = (peak + math.pi) % (2.0 * math.pi)
-    ts = np.stack(
-        (
-            np.zeros_like(peak),
-            np.broadcast_to(sweep, peak.shape),
-            np.where(peak < sweep, peak, 0.0),
-            np.where(trough < sweep, trough, 0.0),
-        ),
-        axis=-1,
-    )
-    # (n, k, 4) parameters to one row per arc and back
-    pts = arcs.point(ts.transpose(1, 0, 2).reshape(len(arcs), -1))
-    return pts.reshape(len(arcs), len(dirs), 4, 3).transpose(1, 0, 2, 3).reshape(len(dirs), -1, 3)
+    # both parameters of every direction, one row per arc, (k, 2n); the points back to (2n, k, 3)
+    ts = np.concatenate((peak, (peak + math.pi) % (2.0 * math.pi))).T
+    pts = np.where((ts < arcs.sweep[:, None])[..., None], arcs.point(ts), np.nan).transpose(1, 0, 2)
+    return pts[: len(dirs)], pts[len(dirs) :]
 
 
 def _circle_tops(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:

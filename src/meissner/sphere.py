@@ -2,9 +2,11 @@
 
 All angles are radians.  Edge arcs are angular measures of chords of
 length at most one, so they live in [0, pi/3]; dihedral angles live in
-[0, arccos(1/3)].  Arguments of arcsin/arccos may spill out of [-1, 1]
-by floating-point noise; spill within CLAMP_TOL is clamped, anything
-larger raises GeometryError.
+[0, arccos(1/3)].  Within those ranges, which PairLengths enforces up
+to CLAMP_TOL, the pair formulas take arcsin of at most about tan(pi/6)
+and need no clamping.  rect_area, whose parameters run to pi, and
+chord_to_arc clamp spill within CLAMP_TOL and raise GeometryError
+beyond it.
 """
 
 from __future__ import annotations
@@ -41,8 +43,6 @@ _F_DIFF_STEP = 1e-6
 _F_DERIVATIVE_TOL = 1e-6
 # a face's angles are arccos values a few ulps off; an excess below minus this is a real error
 _POLYGON_AREA_SLACK = 1e-9
-# df/dx grows like rad^(-1/2): a radicand under this (a slope over 1e6) puts the pair on the admissible boundary
-_BOUNDARY_RAD_FLOOR = 1e-12
 
 
 def _clamped(value: float) -> float:
@@ -53,7 +53,7 @@ def _clamped(value: float) -> float:
 
 @dataclass(frozen=True, slots=True)
 class PairLengths:
-    """Arc lengths (theta, theta_dual) of a dual edge pair.
+    """Arc lengths (theta, theta_dual) of a dual edge pair, each in [0, pi/3] up to CLAMP_TOL.
 
     By convention the first entry is the retained (wedge) edge and the
     second the smoothed (spindle) edge whenever a smoothing is in play.
@@ -66,9 +66,6 @@ class PairLengths:
         for value in (self.theta, self.theta_dual):
             if not -CLAMP_TOL <= value <= EDGE_ARC_MAX + CLAMP_TOL:
                 raise GeometryError(f"edge arc {value!r} outside [0, pi/3]")
-        s = math.sin(self.theta / 2) ** 2 + math.sin(self.theta_dual / 2) ** 2
-        if s > 1.0:
-            raise GeometryError(f"inadmissible pair {self!r}")
 
     def swapped(self) -> "PairLengths":
         return PairLengths(self.theta_dual, self.theta)
@@ -88,7 +85,7 @@ def chord_to_arc(chord: float, tol: float = CLAMP_TOL) -> float:
 def dihedral_angle(lengths: PairLengths) -> float:
     """Dihedral angle phi(e) of the first edge: sin(phi/2) = sin(theta'/2)/cos(theta/2)."""
     s = math.sin(lengths.theta_dual / 2) / math.cos(lengths.theta / 2)
-    return 2.0 * math.asin(_clamped(s))
+    return 2.0 * math.asin(s)
 
 
 def wedge_angle(lengths: PairLengths) -> float:
@@ -100,7 +97,7 @@ def wedge_angle(lengths: PairLengths) -> float:
     there.
     """
     t = math.tan(lengths.theta / 2) * math.tan(lengths.theta_dual / 2)
-    return math.asin(_clamped(t))
+    return math.asin(t)
 
 
 def rect_area(theta: float, theta_dual: float) -> float:
@@ -150,12 +147,11 @@ def f_pair(lengths: PairLengths) -> float:
 def f_partial_x(lengths: PairLengths) -> float:
     """Partial derivative of f_pair in its first argument.
 
-    df/dx = y*cos(x/2)*cos(y/2) / sqrt(1 - sin^2(x/2) - sin^2(y/2)).
+    df/dx = y*cos(x/2)*cos(y/2) / sqrt(1 - sin^2(x/2) - sin^2(y/2)),
+    whose radicand is at least 1/2 - 2e-9 on PairLengths' range.
     """
     x, y = lengths.theta, lengths.theta_dual
     rad = 1.0 - math.sin(x / 2) ** 2 - math.sin(y / 2) ** 2
-    if rad < _BOUNDARY_RAD_FLOOR:
-        raise GeometryError(f"pair {lengths!r} on the admissible boundary")
     return y * math.cos(x / 2) * math.cos(y / 2) / math.sqrt(rad)
 
 

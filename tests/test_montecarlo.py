@@ -15,6 +15,7 @@ from meissner import (
     BallSystem,
     EmptySystem,
     NoIntersection,
+    SmoothingChoice,
     build_meissner,
     mc_volume,
     meissner_volume,
@@ -145,9 +146,13 @@ def test_ball_system_rejects_an_arc_that_ends_off_every_center(tetra_poly, tetra
 
 
 def test_ball_systems_of_sets_validated_at_a_loose_tolerance():
-    # at tol=1e-5 these sets' arcs end up to 2.6e-6 off their vertices, inside _ENDPOINT_TOL
-    for seed in range(20):
-        BallSystem.from_meissner(build_meissner(validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5)))
+    # at tol=1e-5 these sets' arcs end up to 1.9e-6 off their vertices: inside _ENDPOINT_TOL, and
+    # far over _SUPPORT_SLACK, at which slack alone the support rejected the true candidates and
+    # read widths down to 0.143
+    for seed in range(30):
+        vs = validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5)
+        lo, hi = width_samples(BallSystem.from_meissner(build_meissner(vs)), 500, seed=1)
+        assert 1.0 - 1e-5 <= lo <= hi <= 1.0 + 1e-5
 
 
 def test_contains(tetra_poly, tetra_system):
@@ -295,15 +300,26 @@ def test_width_of_a_single_ball():
     assert hi == pytest.approx(2.0, abs=1e-12)
 
 
-def _reference_arc_criticals(arcs: Arc, i: int, u: np.ndarray) -> np.ndarray:
-    """Parameters where u . arcs.point(t) can be extremal on [0, sweep] of arc i."""
-    sweep = arcs.sweep[i]
-    ts = [0.0, sweep]
+def _arc_parameter(arcs: Arc, i: int, t: float) -> np.ndarray:
+    """Point of arc i at parameter t, every arc evaluated there and the others' rows dropped."""
+    return arcs.point(np.full((len(arcs), 1), t))[i]
+
+
+def _reference_arc_criticals(arcs: Arc, i: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arc i's support candidates along u: its peak, and its trough + u; each only when on the arc."""
     peak = math.atan2(float(u @ arcs.v[i]), float(u @ arcs.u[i])) % (2.0 * math.pi)
-    for t in (peak, (peak + math.pi) % (2.0 * math.pi)):
-        if t < sweep:
-            ts.append(t)
-    return np.array(ts)
+    ts = (peak, (peak + math.pi) % (2.0 * math.pi))
+    return tuple(_arc_parameter(arcs, i, t) if t < arcs.sweep[i] else np.empty((0, 3)) for t in ts)
+
+
+def _eight_arc_criticals(arcs: Arc, i: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The superset rule: both endpoints, the peak and the trough (or else the start), each as
+    an arc point and as a sphere point."""
+    sweep = arcs.sweep[i]
+    peak = math.atan2(float(u @ arcs.v[i]), float(u @ arcs.u[i])) % (2.0 * math.pi)
+    ts = [0.0, sweep] + [t if t < sweep else 0.0 for t in (peak, (peak + math.pi) % (2.0 * math.pi))]
+    pts = np.concatenate([_arc_parameter(arcs, i, t) for t in ts])
+    return pts, pts
 
 
 def _reference_circle_top(c1: np.ndarray, c2: np.ndarray, u: np.ndarray) -> np.ndarray | None:
@@ -339,16 +355,26 @@ def _reference_corners(centers: np.ndarray) -> list[np.ndarray]:
     return corners
 
 
-def _reference_support(system: BallSystem, u: np.ndarray, corners: list[np.ndarray]) -> float:
+def _max_endpoint_gap(system: BallSystem) -> float:
+    """The farthest any arc endpoint lies from its nearest point center; 0 without arcs."""
+    arcs = system.arcs
+    ends = arcs.point(np.stack((np.zeros(len(arcs)), arcs.sweep), axis=1)).reshape(-1, 3).tolist()
+    return max((min(math.dist(end, c) for c in system.centers.tolist()) for end in ends), default=0.0)
+
+
+def _reference_support(
+    system: BallSystem,
+    u: np.ndarray,
+    corners: list[np.ndarray],
+    slack: float,
+    arc_criticals=_reference_arc_criticals,
+) -> float:
     """Support in one direction, its candidates built one arc and one point pair at a time."""
     centers = system.centers
     cands = [centers + u, centers] + [c[None] for c in corners]
     for i in range(len(system.arcs)):
-        ts = _reference_arc_criticals(system.arcs, i, u)
-        # the other arcs' rows are evaluated at the same parameters and dropped
-        pts = system.arcs.point(np.broadcast_to(ts, (len(system.arcs), len(ts))))[i]
-        cands.append(pts + u)
-        cands.append(pts)
+        edge, spindle = arc_criticals(system.arcs, i, u)
+        cands += [edge, spindle + u]
     tops = []
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
@@ -358,32 +384,81 @@ def _reference_support(system: BallSystem, u: np.ndarray, corners: list[np.ndarr
     if tops:
         cands.append(np.stack(tops))
     pts = np.concatenate(cands, axis=0)
-    ok = _inside(system, pts, slack=_SUPPORT_SLACK)
+    ok = _inside(system, pts, slack=slack)
     if not ok.any():
         raise NoIntersection("no feasible support candidate")
     return float((pts[ok] @ u).max())
 
 
-def test_batched_support_matches_the_per_direction_reference(tetra_vs):
+def _support_systems(tetra_vs) -> list[BallSystem]:
+    """A single ball; the tetrahedron, regular and random pyramids, each smoothed and unsmoothed;
+    two tetrahedra validated at tol=1e-5, whose arcs end 1.3e-6 and 4.9e-7 off their vertices."""
     point_sets = [tetra_vs, regular_pyramid(2), regular_pyramid(3)]
     point_sets += [random_feasible_pyramid(k, 0) for k in range(1, 6)]
     systems = [BallSystem.from_points(np.array([[0.3, -0.2, 0.1]]))]
     for vs in point_sets:
         systems += [BallSystem.from_meissner(build_meissner(vs)), BallSystem.from_points(vs.points)]
+    for seed in (5, 29):
+        loose = validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5)
+        systems.append(BallSystem.from_meissner(build_meissner(loose)))
+    return systems
+
+
+def _support_directions(tetra_vs, count: int) -> np.ndarray:
+    """The axes, a tetrahedron edge axis both ways, then count random unit directions."""
     pts = tetra_vs.points
     edge_axis = (pts[0] + pts[1]) / 2.0 - (pts[2] + pts[3]) / 2.0
-    dirs = np.random.default_rng(23).normal(size=(200, 3))
+    dirs = np.random.default_rng(23).normal(size=(count, 3))
     dirs = np.concatenate((np.eye(3), -np.eye(3), [edge_axis, -edge_axis], dirs))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for system in systems:
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
+
+
+def test_batched_support_matches_the_per_direction_reference(tetra_vs):
+    dirs = _support_directions(tetra_vs, 200)
+    for system in _support_systems(tetra_vs):
         batched = support(system, dirs)
         assert batched.shape == (len(dirs),)
         corners = _reference_corners(system.centers)
-        reference = np.array([_reference_support(system, u, corners) for u in dirs])
+        slack = max(_SUPPORT_SLACK, _max_endpoint_gap(system))
+        reference = np.array([_reference_support(system, u, corners, slack) for u in dirs])
         assert np.abs(batched - reference).max() <= 1e-15
         single = support(system, dirs[7])
         assert isinstance(single, float)
         assert abs(single - reference[7]) <= 1e-15
+
+
+def test_support_is_the_eight_candidate_support_up_to_the_endpoint_gaps(tetra_vs):
+    # the superset also screens each arc's endpoints, its peak + u and its trough: the endpoints lie
+    # within the gap of point centers, and the other two never win
+    dirs = _support_directions(tetra_vs, 64)
+    for system in _support_systems(tetra_vs):
+        corners = _reference_corners(system.centers)
+        gap = _max_endpoint_gap(system)
+        slack = max(_SUPPORT_SLACK, gap)
+        superset = np.array(
+            [_reference_support(system, u, corners, slack, _eight_arc_criticals) for u in dirs]
+        )
+        below = superset - support(system, dirs)
+        assert below.min() >= -1e-15
+        assert below.max() <= gap + 1e-15
+
+
+@pytest.mark.parametrize("vs", [regular_tetrahedron()] + [random_feasible_pyramid(k, 0) for k in range(1, 6)])
+def test_support_meets_the_tessellated_surface(vs):
+    # the mesh vertices lie on the surface, so none rises above the support; between them the
+    # mesh sags below it by O(h^2): 2.5e-3 at refinement 3, 6.1e-4 at refinement 4
+    refinement, sag = 3, 6e-3
+    dirs = np.random.default_rng(0).normal(size=(500, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    poly = build_meissner(vs)
+    other = build_meissner(vs, SmoothingChoice(tuple(not bit for bit in poly.choice.bits)))
+    bodies = [(BallSystem.from_meissner(p), tessellate(p, refinement)) for p in (poly, other)]
+    bodies.append((BallSystem.from_points(vs.points), tessellate_reuleaux(vs, poly.pairs, refinement)))
+    for system, mesh in bodies:
+        h = support(system, dirs)
+        top = np.einsum("vj,nj->nv", mesh.vertices, dirs).max(axis=1)
+        assert (top - h).max() <= 1e-12
+        assert (h - top).max() < sag
 
 
 def test_sphere_corners_of_the_tetrahedron(tetra_vs):
