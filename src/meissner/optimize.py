@@ -9,7 +9,9 @@ Each round of a quadratic penalty loop, whose weight grows tenfold per
 round until the worst constraint residual drops below FEASIBILITY_TOL,
 is solved by L-BFGS-B on the merit and its analytic gradient: the chain
 rule from the squared pair distances through the closed-form soft
-objective and penalty.
+objective and penalty.  A restart whose start is accepted and rigid (its
+unit distances fix it, as six fix the regular tetrahedron) runs no round:
+no other feasible point lies near it, so the start is its result.
 """
 
 from __future__ import annotations
@@ -63,6 +65,9 @@ _PROJECT_STEPS = 60
 _GAUGE_TOL = 1e-9
 # restart noise spread: 0.01 at restart 1, 0.01 wider each restart up to 0.1, so early restarts search near the start
 _NOISE_FIRST, _NOISE_STEP, _NOISE_MAX = 0.01, 0.01, 0.1
+# a start is rigid when the smallest singular value of its unit-distance Jacobian exceeds this fraction
+# of the largest: a rank-deficient Jacobian keeps it at rounding level, and the regular tetrahedron's is 0.33
+_RIGID_TOL = 1e-6
 # per-coordinate spread of random_feasible_pyramid: far enough from the
 # regular pyramid to vary every closed form, near enough to project back
 _PERTURBATION = 0.05
@@ -95,7 +100,7 @@ class RestartRecord:
     objective: float
     area: float
     residual: float
-    rounds: int
+    rounds: int  # 0 marks a rigid start, returned without a search
     evaluations: int
     capped_rounds: int  # rounds whose solve missed its convergence test: a cap or a failed line search
     converged: bool
@@ -132,7 +137,10 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
     at distance one, non-edges inequality constraints at most one.  The
     objective for each dual pair takes the better smoothing orientation.
     Restart 0 starts at the problem's start; restart r adds noise whose
-    spread grows with r, projected back onto the equalities.
+    spread grows with r, projected back onto the equalities.  A restart
+    whose start is feasible, validates and is rigid (the tetrahedron, and
+    so `optimize_pyramid(3)`) returns that start with no penalty round,
+    so it neither searches nor imports scipy.
     """
     if restarts < 1:
         raise ArgumentError(f"restarts must be positive, got {restarts}")
@@ -378,6 +386,20 @@ def _gauge_coords(points: np.ndarray) -> np.ndarray:
     return (pts @ frame).ravel()[_gauge_slots(len(pts))]
 
 
+def _rigid(kernel: _Kernel, x: np.ndarray) -> bool:
+    """Whether the unit-distance Jacobian at x has full column rank 3m - 6.
+
+    Then x is an isolated solution of the equalities (inverse function
+    theorem).  A diameter graph has at most 2m - 2 edges, fewer rows than
+    coordinates for m > 4, so only four-point starts reach the SVD.
+    """
+    equalities = kernel.floor < 0.0
+    if np.count_nonzero(equalities) < len(x):
+        return False
+    singular = np.linalg.svd(kernel.squared_jacobian(x)[1][equalities], compute_uv=False)
+    return bool(singular[-1] > _RIGID_TOL * singular[0])
+
+
 def _restart(run: int, x: np.ndarray, kernel: _Kernel) -> tuple[RestartRecord, np.ndarray]:
     """One restart from x: L-BFGS-B rounds with a tenfold penalty ramp, reported at its best iterate.
 
@@ -388,7 +410,9 @@ def _restart(run: int, x: np.ndarray, kernel: _Kernel) -> tuple[RestartRecord, n
     `kernel.evaluate`, which rejects off-domain points; the best accepted
     iterate (the start competes too) is the restart's result.  A restart
     that accepts none is not converged and reports its final point as
-    `evaluate` scores it.  Returns the record and the result's points.
+    `evaluate` scores it.  An accepted start that `_rigid` finds rigid is
+    the result at once, with no round run: every feasible point near it
+    is the start itself.  Returns the record and the result's points.
     """
     mu = _MU_START
     evaluations = capped_rounds = improved_at = 0
@@ -403,24 +427,25 @@ def _restart(run: int, x: np.ndarray, kernel: _Kernel) -> tuple[RestartRecord, n
                 return True
         return False
 
-    consider(x, kernel.residual(x))
-    for rounds in range(1, _MAX_ROUNDS + 1):
-        result = minimize(kernel.merit, x, args=(mu,), jac=True, method="L-BFGS-B", options=_LBFGSB_OPTIONS)
-        evaluations += result.nfev
-        # an iteration or evaluation cap, or a line search that found no descent
-        capped_rounds += not result.success
-        x = result.x
-        restored = kernel.project(x)
-        if restored is not None:
-            x = restored
-        r = kernel.residual(x)
-        if consider(x, r):
-            improved_at = rounds
-        # ramp to full stiffness first, then keep restarting the solve
-        # until progress stalls
-        if mu >= _MU_MAX and r <= FEASIBILITY_TOL and rounds - improved_at >= _STALL_ROUNDS:
-            break
-        mu = min(mu * 10.0, _MU_MAX)
+    rounds = 0
+    if not (consider(x, kernel.residual(x)) and _rigid(kernel, x)):
+        for rounds in range(1, _MAX_ROUNDS + 1):
+            result = minimize(kernel.merit, x, args=(mu,), jac=True, method="L-BFGS-B", options=_LBFGSB_OPTIONS)
+            evaluations += result.nfev
+            # an iteration or evaluation cap, or a line search that found no descent
+            capped_rounds += not result.success
+            x = result.x
+            restored = kernel.project(x)
+            if restored is not None:
+                x = restored
+            r = kernel.residual(x)
+            if consider(x, r):
+                improved_at = rounds
+            # ramp to full stiffness first, then keep restarting the solve
+            # until progress stalls
+            if mu >= _MU_MAX and r <= FEASIBILITY_TOL and rounds - improved_at >= _STALL_ROUNDS:
+                break
+            mu = min(mu * 10.0, _MU_MAX)
     if best is not None:
         objective, area, validated, residual, x = best
     else:

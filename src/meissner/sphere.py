@@ -138,10 +138,14 @@ def f_pair(lengths: PairLengths) -> float:
     f(x, y) = 2*y*cos(y/2)*arcsin(sin(x/2)/cos(y/2)) with x the retained
     arc and y the smoothed arc; equivalently y*cos(y/2)*phi(e'), and also
     rect_area(x, y) - wedge_area - spindle_area.  The Meissner surface
-    area is 2*pi minus the sum of f over all dual pairs.
+    area is 2*pi minus the sum of f over all dual pairs.  phi(e') is
+    inlined with `dihedral_angle`'s operations, so f is bitwise
+    y*cos(y/2)*dihedral_angle(lengths.swapped()) without building and
+    revalidating the swapped pair.
     """
-    phi_dual = dihedral_angle(lengths.swapped())
-    return lengths.theta_dual * math.cos(lengths.theta_dual / 2) * phi_dual
+    x, y = lengths.theta, lengths.theta_dual
+    cos_half = math.cos(y / 2)
+    return y * cos_half * (2.0 * math.asin(math.sin(x / 2) / cos_half))
 
 
 def f_partial_x(lengths: PairLengths) -> float:

@@ -1,5 +1,6 @@
 """Constrained area optimization over wheels and general configurations."""
 
+import dataclasses
 import math
 import subprocess
 import sys
@@ -255,7 +256,10 @@ for argv in commands:
     assert cli.main(argv) == 0, argv
 loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 assert not loaded, loaded[:3]
+# the triangular pyramid is the rigid tetrahedron: its restart returns the start and runs no round
 assert optimize_pyramid(3).records[0].converged
+assert "scipy" not in sys.modules
+assert optimize_pyramid(5).records[0].converged
 assert "scipy.optimize" in sys.modules
 """
 
@@ -446,11 +450,43 @@ def test_merit_kernels_at_feasible_points():
 
 def test_optimizers_are_deterministic():
     problem = OptimizationProblem.from_vertex_set(regular_tetrahedron())
-    for search in (lambda: optimize_pyramid(3, restarts=2), lambda: optimize_meissner(problem, restarts=3)):
+    for search, rigid in (
+        (lambda: optimize_pyramid(5, restarts=2), False),
+        (lambda: optimize_meissner(problem, restarts=3), True),
+    ):
         first, second = search(), search()
         assert first.records == second.records
         assert np.array_equal(first.best_points, second.best_points)
-        assert all(r.evaluations > r.rounds for r in first.records)
+        if rigid:
+            assert all(r.rounds == r.evaluations == 0 for r in first.records)
+        else:
+            assert all(r.evaluations > r.rounds for r in first.records)
+
+
+def _without_search_counts(records):
+    return [dataclasses.replace(r, rounds=0, evaluations=0, capped_rounds=0) for r in records]
+
+
+def test_rigid_start_returns_what_the_search_returns(monkeypatch):
+    problem = OptimizationProblem.from_vertex_set(regular_tetrahedron())
+    searches = (lambda: optimize_meissner(problem, restarts=4), lambda: optimize_pyramid(3, restarts=3))
+    skipped = [search() for search in searches]
+    for report in skipped:
+        assert all(r.rounds == r.evaluations == r.capped_rounds == 0 and r.converged for r in report.records)
+    monkeypatch.setattr(meissner.optimize, "_rigid", lambda kernel, x: False)
+    for search, skip in zip(searches, skipped):
+        report = search()
+        assert all(r.rounds >= 1 for r in report.records)
+        assert _without_search_counts(report.records) == _without_search_counts(skip.records)
+        assert np.array_equal(report.best_points, skip.best_points)
+
+
+def test_flexible_starts_always_search():
+    for vs in (regular_pyramid(2), random_feasible_pyramid(2, seed=0)):
+        kernel, x = _Kernel(vs), _gauge_coords(vs.points)
+        assert not meissner.optimize._rigid(kernel, x)
+        report = optimize_meissner(OptimizationProblem.from_vertex_set(vs), restarts=2, seed=0)
+        assert all(r.rounds >= 1 for r in report.records)
 
 
 def _central_difference(fn, x, h=1e-6):

@@ -82,6 +82,15 @@ def test_f_equals_rect_minus_wedge_minus_spindle(x, y):
     assert abs(direct - composed) < 1e-12
 
 
+def test_f_is_bitwise_the_dual_dihedral_form():
+    # f = y * cos(y/2) * phi(e'), with phi(e') taken from the swapped pair
+    xs = np.linspace(0.0, PI3, 200).tolist()
+    for x in xs:
+        for y in xs:
+            lengths = PairLengths(x, y)
+            assert f_pair(lengths) == y * math.cos(y / 2) * dihedral_angle(lengths.swapped()), (x, y)
+
+
 @given(arc, arc)
 def test_rect_area_is_four_wedge_angles(x, y):
     assert abs(rect_area(x, y) - 4.0 * wedge_angle(PairLengths(x, y))) < 1e-12
