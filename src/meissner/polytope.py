@@ -10,6 +10,7 @@ constant width one.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
@@ -252,12 +253,19 @@ def optimal_smoothing(pairs: tuple[DualEdgePair, ...]) -> SmoothingChoice:
 def enumerate_smoothings(
     vs: VertexSet, pairs: tuple[DualEdgePair, ...]
 ) -> list[tuple[SmoothingChoice, float]]:
-    """All 2^(m-1) smoothings, areas summed from the pairs' gains; pair i's bit is bit i of the row index."""
+    """All 2^(m-1) smoothings with their areas; pair i's bit is bit i of the row index.
+
+    A row's area is one `math.fsum` over its row of the product of the
+    pairs' gain pairs.  fsum is correctly rounded, so the order of the
+    terms cannot change it: each area equals `meissner_area` of its
+    choice bit for bit.
+    """
     n = len(pairs)
     if n > 20:
         raise TooManyPairs(f"{n} pairs gives 2^{n} smoothings; refusing beyond 20")
-    rows = [bits[::-1] for bits in product((False, True), repeat=n)]
-    return [(SmoothingChoice(bits), _smoothed_area(pairs, bits)) for bits in rows]
+    # product varies its last factor fastest, so reversing the pairs makes pair 0 the lowest bit
+    choices = [SmoothingChoice(bits[::-1]) for bits in product((False, True), repeat=n)]
+    return list(zip(choices, map(_smoothed_area, product(*[p.gain for p in reversed(pairs)]))))
 
 
 def build_meissner(vs: VertexSet, choice: SmoothingChoice | None = None) -> MeissnerPolyhedron:
@@ -272,7 +280,7 @@ def build_meissner(vs: VertexSet, choice: SmoothingChoice | None = None) -> Meis
 
 def meissner_area(poly: MeissnerPolyhedron) -> float:
     """Surface area 2*pi - sum of f over the smoothed pairs."""
-    return _smoothed_area(poly.pairs, poly.choice.bits)
+    return _smoothed_area(p.gain[b] for p, b in zip(poly.pairs, poly.choice.bits))
 
 
 def meissner_volume(poly: MeissnerPolyhedron) -> float:
@@ -333,8 +341,9 @@ def _build_faces(vs: VertexSet) -> Faces:
     return Faces(owner, ring, after, units, tuple(geodesic_polygon_area(c) for c in _by_vertex(owner, angles)))
 
 
-def _smoothed_area(pairs: tuple[DualEdgePair, ...], bits: tuple[bool, ...]) -> float:
-    return 2.0 * math.pi - math.fsum(p.gain[b] for p, b in zip(pairs, bits))
+def _smoothed_area(gains: Iterable[float]) -> float:
+    """2*pi less the gains of the smoothed pairs."""
+    return 2.0 * math.pi - math.fsum(gains)
 
 
 def _pairwise(pts: np.ndarray) -> np.ndarray:

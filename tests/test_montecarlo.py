@@ -300,41 +300,52 @@ def test_width_of_a_single_ball():
     assert hi == pytest.approx(2.0, abs=1e-12)
 
 
-def _arc_parameter(arcs: Arc, i: int, t: float) -> np.ndarray:
-    """Point of arc i at parameter t, every arc evaluated there and the others' rows dropped."""
-    return arcs.point(np.full((len(arcs), 1), t))[i]
+def _arc_parameters(arcs: Arc, i: int, ts: np.ndarray) -> np.ndarray:
+    """Points of arc i at the (n, s) parameters ts, every arc evaluated there and the others' rows dropped."""
+    n, s = ts.shape
+    return arcs.point(np.broadcast_to(ts.reshape(1, -1), (len(arcs), n * s)))[i].reshape(n, s, 3)
 
 
-def _reference_arc_criticals(arcs: Arc, i: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arc i's support candidates along u: its peak, and its trough + u; each only when on the arc."""
-    peak = math.atan2(float(u @ arcs.v[i]), float(u @ arcs.u[i])) % (2.0 * math.pi)
-    ts = (peak, (peak + math.pi) % (2.0 * math.pi))
-    return tuple(_arc_parameter(arcs, i, t) if t < arcs.sweep[i] else np.empty((0, 3)) for t in ts)
+def _peak_parameters(arcs: Arc, i: int, dirs: np.ndarray) -> np.ndarray:
+    """Per direction, the parameter of the point of arc i's circle where u . x is greatest."""
+    return np.array([math.atan2(float(u @ arcs.v[i]), float(u @ arcs.u[i])) % (2.0 * math.pi) for u in dirs])
 
 
-def _eight_arc_criticals(arcs: Arc, i: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reference_arc_criticals(arcs: Arc, i: int, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arc i's support candidates along each direction: its peak, and its trough + u; each (n, 1, 3),
+    NaN where the point is off the arc."""
+    peak = _peak_parameters(arcs, i, dirs)
+    ts = np.stack((peak, (peak + math.pi) % (2.0 * math.pi)), axis=1)
+    pts = np.where((ts < arcs.sweep[i])[..., None], _arc_parameters(arcs, i, ts), np.nan)
+    return pts[:, :1], pts[:, 1:]
+
+
+def _eight_arc_criticals(arcs: Arc, i: int, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The superset rule: both endpoints, the peak and the trough (or else the start), each as
     an arc point and as a sphere point."""
     sweep = arcs.sweep[i]
-    peak = math.atan2(float(u @ arcs.v[i]), float(u @ arcs.u[i])) % (2.0 * math.pi)
-    ts = [0.0, sweep] + [t if t < sweep else 0.0 for t in (peak, (peak + math.pi) % (2.0 * math.pi))]
-    pts = np.concatenate([_arc_parameter(arcs, i, t) for t in ts])
+    peak = _peak_parameters(arcs, i, dirs)
+    ts = np.stack([np.zeros(len(dirs)), np.full(len(dirs), sweep)] + [
+        np.where(t < sweep, t, 0.0) for t in (peak, (peak + math.pi) % (2.0 * math.pi))
+    ], axis=1)
+    pts = _arc_parameters(arcs, i, ts)
     return pts, pts
 
 
-def _reference_circle_top(c1: np.ndarray, c2: np.ndarray, u: np.ndarray) -> np.ndarray | None:
-    """Highest point along u of the unit spheres' intersection circle."""
+def _reference_circle_top(c1: np.ndarray, c2: np.ndarray, dirs: np.ndarray) -> np.ndarray | None:
+    """Highest point along each direction of the unit spheres' intersection circle, (n, 3);
+    NaN where the direction is along the centers' axis, None when the spheres meet in no circle."""
     d = c2 - c1
     d2 = float(d @ d)
     if d2 >= 4.0 or d2 < _COINCIDENT_SQ:
         return None
     radius = math.sqrt(1.0 - 0.25 * d2)
-    axial = float(u @ d) / d2
-    perp = u - axial * d
-    norm = float(np.linalg.norm(perp))
-    if norm < _NORM_FLOOR:
-        return None
-    return (c1 + c2) / 2.0 + radius / norm * perp
+    axial = (dirs @ d) / d2
+    perp = dirs - axial[:, None] * d
+    norm = np.linalg.norm(perp, axis=1)
+    ok = norm >= _NORM_FLOOR
+    tops = (c1 + c2) / 2.0 + (radius / np.where(ok, norm, 1.0))[:, None] * perp
+    return np.where(ok[:, None], tops, np.nan)
 
 
 def _reference_corners(centers: np.ndarray) -> list[np.ndarray]:
@@ -364,30 +375,38 @@ def _max_endpoint_gap(system: BallSystem) -> float:
 
 def _reference_support(
     system: BallSystem,
-    u: np.ndarray,
+    dirs: np.ndarray,
     corners: list[np.ndarray],
     slack: float,
     arc_criticals=_reference_arc_criticals,
-) -> float:
-    """Support in one direction, its candidates built one arc and one point pair at a time."""
+) -> np.ndarray:
+    """Support in each direction, its candidates built one arc and one point pair at a time.
+
+    The candidates of every direction are screened in one `_inside` call, which tests each
+    row alone; the point centers and the corners do not move with the direction, so they
+    are screened once.
+    """
     centers = system.centers
-    cands = [centers + u, centers] + [c[None] for c in corners]
+    fixed = np.concatenate([centers] + [c[None] for c in corners])
+    fixed = fixed[_inside(system, fixed, slack=slack)]
+    cands = [centers + dirs[:, None]]
     for i in range(len(system.arcs)):
-        edge, spindle = arc_criticals(system.arcs, i, u)
-        cands += [edge, spindle + u]
-    tops = []
+        edge, spindle = arc_criticals(system.arcs, i, dirs)
+        cands += [edge, spindle + dirs[:, None]]
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
-            top = _reference_circle_top(centers[i], centers[j], u)
+            top = _reference_circle_top(centers[i], centers[j], dirs)
             if top is not None:
-                tops.append(top)
-    if tops:
-        cands.append(np.stack(tops))
-    pts = np.concatenate(cands, axis=0)
-    ok = _inside(system, pts, slack=slack)
-    if not ok.any():
-        raise NoIntersection("no feasible support candidate")
-    return float((pts[ok] @ u).max())
+                cands.append(top[:, None])
+    pts = np.concatenate(cands, axis=1)
+    ok = _inside(system, pts.reshape(-1, 3), slack=slack).reshape(pts.shape[:2])
+    heights = []
+    for u, row, keep in zip(dirs, pts, ok):
+        feasible = np.concatenate((row[keep], fixed))
+        if not len(feasible):
+            raise NoIntersection("no feasible support candidate")
+        heights.append(float((feasible @ u).max()))
+    return np.array(heights)
 
 
 def _support_systems(tetra_vs) -> list[BallSystem]:
@@ -420,7 +439,7 @@ def test_batched_support_matches_the_per_direction_reference(tetra_vs):
         assert batched.shape == (len(dirs),)
         corners = _reference_corners(system.centers)
         slack = max(_SUPPORT_SLACK, _max_endpoint_gap(system))
-        reference = np.array([_reference_support(system, u, corners, slack) for u in dirs])
+        reference = _reference_support(system, dirs, corners, slack)
         assert np.abs(batched - reference).max() <= 1e-15
         single = support(system, dirs[7])
         assert isinstance(single, float)
@@ -435,9 +454,7 @@ def test_support_is_the_eight_candidate_support_up_to_the_endpoint_gaps(tetra_vs
         corners = _reference_corners(system.centers)
         gap = _max_endpoint_gap(system)
         slack = max(_SUPPORT_SLACK, gap)
-        superset = np.array(
-            [_reference_support(system, u, corners, slack, _eight_arc_criticals) for u in dirs]
-        )
+        superset = _reference_support(system, dirs, corners, slack, _eight_arc_criticals)
         below = superset - support(system, dirs)
         assert below.min() >= -1e-15
         assert below.max() <= gap + 1e-15

@@ -150,6 +150,41 @@ def test_smoothing_table_matches_each_built_body(k, seed):
         assert area == meissner_area(build_meissner(vs, choice))
 
 
+def _summed_area(pairs, bits) -> float:
+    """The area rule written out: 2*pi less the fsum of the chosen gains, in pair order."""
+    return 2.0 * math.pi - math.fsum(p.gain[b] for p, b in zip(pairs, bits))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_smoothing_table_at_twelve_points(seed):
+    # m = 12, 2048 rows: every row's order and area, and the built body on a fixed spread of rows
+    vs = random_feasible_pyramid(5, seed)
+    pairs = find_dual_pairs(build_diameter_graph(vs), vs)
+    table = enumerate_smoothings(vs, pairs)
+    n = len(pairs)
+    assert len(table) == 2**n == 2048
+    for r, (choice, area) in enumerate(table):
+        assert choice.bits == tuple(bool(r >> i & 1) for i in range(n))
+        assert area == _summed_area(pairs, choice.bits)
+    for r in sorted({*range(0, len(table), 97), len(table) - 1}):
+        choice, area = table[r]
+        assert area == meissner_area(build_meissner(vs, choice))
+
+
+def test_enumerate_command_prints_the_summed_areas(tmp_path, capsys):
+    path = str(tmp_path / "pyr3.txt")
+    assert main(["gen", "pyramid:3", "--out", path]) == 0
+    csv = tmp_path / "table.csv"
+    assert main(["enumerate", path, "--csv", str(csv)]) == 0
+    capsys.readouterr()
+    pairs = build_meissner(regular_pyramid(3)).pairs
+    rows = [tuple(bool(r >> i & 1) for i in range(len(pairs))) for r in range(2 ** len(pairs))]
+    expected = ["bits,area"] + [
+        "".join("1" if b else "0" for b in bits) + f",{_summed_area(pairs, bits):.17g}" for bits in rows
+    ]
+    assert csv.read_text().splitlines() == expected
+
+
 def test_flipping_any_bit_never_improves(pyr2_vs):
     pairs = find_dual_pairs(build_diameter_graph(pyr2_vs), pyr2_vs)
     choice = optimal_smoothing(pairs)
