@@ -2,9 +2,9 @@
 
 One search maximizes the total smoothing gain, objective = 2*pi - area,
 under the unit-distance constraints of a validated start's diameter
-graph, over gauge-fixed vertex coordinates.  Wheel pyramids are one
-such graph: `optimize_pyramid` starts the same search from the regular
-pyramid.
+graph, over the start's vertex coordinates as given.  Wheel pyramids
+are one such graph: `optimize_pyramid` starts the same search from the
+regular pyramid.
 Each round of a quadratic penalty loop, whose weight grows tenfold per
 round until the worst constraint residual drops below FEASIBILITY_TOL,
 is solved by L-BFGS-B on the merit and its analytic gradient: the chain
@@ -61,12 +61,10 @@ _LBFGSB_OPTIONS = {"ftol": 1e-10, "gtol": 1e-8}
 # above rounding; Gauss-Newton converges quadratically, so one still short after 60 steps has failed
 _PROJECT_TOL = 1e-13
 _PROJECT_STEPS = 60
-# the gauge frame needs the second start point this far from the first, and the third this far off their line
-_GAUGE_TOL = 1e-9
 # restart noise spread: 0.01 at restart 1, 0.01 wider each restart up to 0.1, so early restarts search near the start
 _NOISE_FIRST, _NOISE_STEP, _NOISE_MAX = 0.01, 0.01, 0.1
 # a start is rigid when the smallest singular value of its unit-distance Jacobian exceeds this fraction
-# of the largest: a rank-deficient Jacobian keeps it at rounding level, and the regular tetrahedron's is 0.33
+# of the largest: a rank-deficient Jacobian keeps it at rounding level, and the regular tetrahedron's is 0.5
 _RIGID_TOL = 1e-6
 # per-coordinate spread of random_feasible_pyramid: far enough from the
 # regular pyramid to vary every closed form, near enough to project back
@@ -113,7 +111,7 @@ class OptimizationReport:
     best_objective: float
     best_area: float
     best_volume: float
-    best_points: np.ndarray
+    best_points: np.ndarray  # plain coordinates in the start's own frame: the search fixes no rigid motion
     best_residual: float
     records: tuple[RestartRecord, ...]
 
@@ -132,22 +130,24 @@ def optimize_pyramid(n: int, restarts: int = 1, seed: int = 0) -> OptimizationRe
 def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int = 0) -> OptimizationReport:
     """Search configurations with the start's diameter graph for minimal area.
 
-    Coordinates are gauge-fixed (first vertex pinned, second on the x
-    axis, third in the xy plane); graph edges are equality constraints
-    at distance one, non-edges inequality constraints at most one.  The
-    objective for each dual pair takes the better smoothing orientation.
-    Restart 0 starts at the problem's start; restart r adds noise whose
-    spread grows with r, projected back onto the equalities.  A restart
-    whose start is feasible, validates and is rigid (the tetrahedron, and
-    so `optimize_pyramid(3)`) returns that start with no penalty round,
-    so it neither searches nor imports scipy.
+    The parameters are the 3m coordinates of the start's points as
+    given, in the start's own frame: no rigid motion is fixed, since
+    the objective and the constraints do not change under one.  Graph
+    edges are equality constraints at distance one, non-edges
+    inequality constraints at most one.  The objective for each dual
+    pair takes the better smoothing orientation.  Restart 0 starts at
+    the problem's start; restart r adds noise, whose spread grows with
+    r, to those coordinates and projects back onto the equalities.  A
+    restart whose start is feasible, validates and is rigid (the
+    tetrahedron, and so `optimize_pyramid(3)`) returns that start with
+    no penalty round, so it neither searches nor imports scipy.
     """
     if restarts < 1:
         raise ArgumentError(f"restarts must be positive, got {restarts}")
     if restarts > 1:
         _check_seed(seed)
     kernel = _Kernel(problem.start)
-    x0 = _gauge_coords(problem.start.points)
+    x0 = problem.start.points.ravel()
     if kernel.residual(x0) > START_RESIDUAL_MAX:
         raise InfeasibleStart("start configuration violates the distance constraints")
     records: list[RestartRecord] = []
@@ -169,13 +169,13 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
 def random_feasible_pyramid(k: int, seed: int) -> VertexSet:
     """Random extremal wheel pyramid near the regular one.
 
-    Perturbs the gauge coordinates of `regular_pyramid(k)` and projects
-    them back onto the edge constraints by Gauss-Newton, so the result
-    validates at the default tolerance.
+    Perturbs the coordinates of `regular_pyramid(k)` as given and
+    projects them back onto the edge constraints by Gauss-Newton, so the
+    result validates at the default tolerance.
     """
     regular = regular_pyramid(k)
     kernel = _Kernel(regular)
-    x0 = _gauge_coords(regular.points)
+    x0 = regular.points.ravel()
     rng = _stream(seed)
     for _ in range(20):
         x = kernel.project(x0 + _PERTURBATION * rng.normal(size=x0.shape))
@@ -193,10 +193,11 @@ class _Kernel:
 
     The start fixes the unit-distance edges and, through `build_meissner`,
     the dual pairs; the kernel never computes pairs itself.  The
-    parameters are the 3m - 6 gauge-fixed coordinates (see
-    `_gauge_coords`).  Every evaluation gathers all point pairs (i, j),
-    graph edges first, in one difference and reads the soft objective and
-    every constraint from the resulting squared distances.  Those come
+    parameters are the 3m point coordinates, flattened row by row, with
+    no rigid motion fixed: a rigidly moved parameter vector has the same
+    merit.  Every evaluation gathers all point pairs (i, j), graph edges
+    first, in one difference and reads the soft objective and every
+    constraint from the resulting squared distances.  Those come
     from direct differences, not from a Gram matrix: restarts collapse
     toward coincident vertices, where a Gram matrix loses short distances
     to cancellation.  Every pair is constrained; its violation (length
@@ -216,19 +217,11 @@ class _Kernel:
         self.floor = np.r_[np.full(n_edges, -np.inf), np.zeros(len(pairs) - n_edges)]
         # row 0: each dual pair's first edge, row 1: its dual
         self.ends = np.array([(position[p.edge], position[p.edge_dual]) for p in build_meissner(start).pairs]).T
-        self.gauge = _gauge_slots(m)
-        select = np.zeros((3 * m, len(self.gauge)))
-        select[self.gauge, np.arange(len(self.gauge))] = 1.0
-        select = select.reshape(m, 3, len(self.gauge))
-        # the points are linear in the parameters, so d(p_i - p_j)/dx is constant
-        self.pair_jacobian = select[self.i] - select[self.j]
         self.m = m
         self.edges = start.edges
 
     def points(self, x: np.ndarray) -> np.ndarray:
-        flat = np.zeros(3 * self.m)
-        flat[self.gauge] = x
-        return flat.reshape(self.m, 3)
+        return x.reshape(self.m, 3)
 
     def squared(self, x: np.ndarray) -> np.ndarray:
         pts = self.points(x)
@@ -236,10 +229,14 @@ class _Kernel:
         return (d * d).sum(axis=1)
 
     def squared_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Squared pair distances and their Jacobian, 2 d . d(p_i - p_j)/dx."""
+        """Squared pair distances and their Jacobian: 2d in the columns of point i, -2d in those of point j."""
         pts = self.points(x)
         d = pts.take(self.i, axis=0) - pts.take(self.j, axis=0)
-        return (d * d).sum(axis=1), 2.0 * np.einsum("rc,rcp->rp", d, self.pair_jacobian)
+        rows = np.arange(len(d))
+        jac = np.zeros((len(d), self.m, 3))
+        jac[rows, self.i] = 2.0 * d
+        jac[rows, self.j] = -2.0 * d
+        return (d * d).sum(axis=1), jac.reshape(len(d), -1)
 
     def soft(self, d2: np.ndarray) -> tuple[float, np.ndarray]:
         """Soft objective of the squared distances and its gradient in them.
@@ -356,45 +353,18 @@ def _merged_distinct(pts: np.ndarray) -> np.ndarray | None:
     return pts[~near] if near.any() else None
 
 
-def _gauge_slots(m: int) -> np.ndarray:
-    """Flat indices of the 3m - 6 free coordinates of m points in the gauge frame.
-
-    The first point sits at the origin, the second on the x axis and
-    the third in the xy plane, so those six coordinates are zero.
-    """
-    return np.r_[3, 6, 7, 9 : 3 * m]
-
-
-def _gauge_coords(points: np.ndarray) -> np.ndarray:
-    """Rigid-motion-normalized coordinates with 3m - 6 free entries, at `_gauge_slots`."""
-    pts = points - points[0]
-    e1 = pts[1]
-    n1 = np.linalg.norm(e1)
-    if n1 < _GAUGE_TOL:
-        raise InfeasibleStart("first two start points coincide")
-    e1 = e1 / n1
-    helper = pts[2] - (pts[2] @ e1) * e1
-    n2 = np.linalg.norm(helper)
-    if n2 < _GAUGE_TOL:
-        # collinear start; any frame orthogonal to e1 works
-        helper = np.eye(3)[int(np.argmin(np.abs(e1)))]
-        helper = helper - (helper @ e1) * e1
-        n2 = np.linalg.norm(helper)
-    e2 = helper / n2
-    e3 = np.cross(e1, e2)
-    frame = np.stack((e1, e2, e3), axis=1)
-    return (pts @ frame).ravel()[_gauge_slots(len(pts))]
-
-
 def _rigid(kernel: _Kernel, x: np.ndarray) -> bool:
-    """Whether the unit-distance Jacobian at x has full column rank 3m - 6.
+    """Whether the unit-distance Jacobian at x has rank 3m - 6.
 
-    Then x is an isolated solution of the equalities (inverse function
-    theorem).  A diameter graph has at most 2m - 2 edges, fewer rows than
-    coordinates for m > 4, so only four-point starts reach the SVD.
+    The six infinitesimal rigid motions keep every distance, so they lie
+    in its null space and no rank above 3m - 6 is possible.  At that
+    rank x is an isolated solution of the equalities up to a rigid motion
+    (inverse function theorem).  A diameter graph has at most 2m - 2
+    edges, fewer than 3m - 6 for m > 4, so only four-point starts, with
+    exactly six rows, reach the SVD.
     """
     equalities = kernel.floor < 0.0
-    if np.count_nonzero(equalities) < len(x):
+    if np.count_nonzero(equalities) < 3 * kernel.m - 6:
         return False
     singular = np.linalg.svd(kernel.squared_jacobian(x)[1][equalities], compute_uv=False)
     return bool(singular[-1] > _RIGID_TOL * singular[0])

@@ -33,9 +33,9 @@ from meissner.optimize import (
     MERGE_TOL,
     VALIDATION_TOL,
     _assemble_report,
-    _gauge_coords,
     _Kernel,
     _merged_distinct,
+    _rigid,
 )
 
 from conftest import (
@@ -55,7 +55,7 @@ def test_tetrahedron_bound_constants():
 
 def _kernel_at_regular_pyramid(k):
     vs = regular_pyramid(k)
-    return _Kernel(vs), _gauge_coords(vs.points)
+    return _Kernel(vs), vs.points.ravel()
 
 
 def test_pyramid_objective_regular_values():
@@ -74,33 +74,54 @@ def test_objective_ties_out_to_the_area(pyr2_poly):
     assert meissner_area(pyr2_poly) == pytest.approx(2.0 * math.pi - objective, abs=1e-12)
 
 
+def _moved(vs, rng):
+    """vs under a random proper rotation and a random translation, validated again."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return validate_vertex_set(vs.points @ q.T + rng.normal(size=3))
+
+
 def test_objective_is_gauge_invariant():
     rng = np.random.default_rng(21)
     vs = regular_pyramid(2)
     base = meissner_area(build_meissner(vs))
-    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    moved = validate_vertex_set(vs.points @ q.T + rng.normal(size=3))
-    assert meissner_area(build_meissner(moved)) == pytest.approx(base, abs=1e-10)
+    assert meissner_area(build_meissner(_moved(vs, rng))) == pytest.approx(base, abs=1e-10)
 
 
-def test_gauge_frame_of_a_collinear_start():
-    # points 0, 1 and 2 on one line leave the frame's second axis to the fallback
-    pts = regular_tetrahedron().points.copy()
-    pts[2] = 0.3 * pts[0] + 0.7 * pts[1]
-    out = _Kernel(regular_tetrahedron()).points(_gauge_coords(pts))
-    i, j = np.triu_indices(len(pts), 1)
-    gaps = np.linalg.norm(out[i] - out[j], axis=1) - np.linalg.norm(pts[i] - pts[j], axis=1)
-    assert np.abs(gaps).max() <= 1e-12
+def test_squared_jacobian_has_the_rigid_motions_as_null_directions():
+    # the search fixes no frame, so its steps rely on the Jacobian ignoring the six rigid motions
+    for k in range(1, 6):
+        for s in range(3):
+            vs = random_feasible_pyramid(k, s)
+            jac = _Kernel(vs).squared_jacobian(vs.points.ravel())[1]
+            translations = [np.tile(e, vs.m) for e in np.eye(3)]
+            rotations = [np.cross(e, vs.points).ravel() for e in np.eye(3)]
+            assert np.abs(jac @ np.array(translations + rotations).T).max() <= 1e-12
+    # and no other direction keeps the tetrahedron's six distances, wherever it sits
+    moved = _moved(regular_tetrahedron(), np.random.default_rng(3))
+    kernel, x = _Kernel(moved), moved.points.ravel()
+    assert np.linalg.matrix_rank(kernel.squared_jacobian(x)[1][kernel.floor < 0.0]) == 3 * moved.m - 6
+    assert _rigid(kernel, x)
+
+
+def test_search_keeps_the_start_frame():
+    rng = np.random.default_rng(29)
+    moved = _moved(regular_tetrahedron(), rng)
+    assert np.array_equal(optimize_meissner(OptimizationProblem.from_vertex_set(moved)).best_points, moved.points)
+    for k in (1, 2, 3):
+        vs = regular_pyramid(k)
+        problems = (OptimizationProblem.from_vertex_set(v) for v in (vs, _moved(vs, rng)))
+        here, there = (optimize_meissner(problem).records[0] for problem in problems)
+        assert abs(here.area - there.area) <= 1e-12
+        assert (here.converged, here.validated) == (there.converged, there.validated)
 
 
 def test_collapsed_wheel_is_scored_as_the_tetrahedron():
-    # base vertices paired onto a triangle: strict validation fails, the merged set is a tetrahedron;
-    # the first three points are distinct, so the gauge frame is defined
+    # base vertices paired onto a triangle: strict validation fails, the merged set is a tetrahedron
     collapsed = regular_pyramid(1).points[[0, 1, 2, 3, 1, 2]]
     kernel = _Kernel(regular_pyramid(2))
-    objective, area, validated, on_domain = kernel.evaluate(_gauge_coords(collapsed))
+    objective, area, validated, on_domain = kernel.evaluate(collapsed.ravel())
     assert objective == pytest.approx(F_TRIPLE, abs=1e-12)
     assert area == pytest.approx(TETRA_AREA, abs=1e-12)
     assert not validated and on_domain
@@ -284,8 +305,7 @@ def _soft_f(c_retained, c_smoothed):
 
 def _reference_general(coords, vs):
     """Soft objective, penalty and residual of the general search from start vs, by loops."""
-    pts = [(0.0, 0.0, 0.0), (coords[0], 0.0, 0.0), (coords[1], coords[2], 0.0)]
-    pts += [tuple(coords[3 * i - 6 : 3 * i - 3]) for i in range(3, vs.m)]
+    pts = [tuple(coords[3 * i : 3 * i + 3]) for i in range(vs.m)]
     soft = 0.0
     for pair in build_meissner(vs).pairs:
         c1, c2 = math.dist(*(pts[v] for v in pair.edge)), math.dist(*(pts[v] for v in pair.edge_dual))
@@ -349,7 +369,7 @@ def test_soft_matches_the_array_reference():
     for vs in _general_starts():
         kernel = _Kernel(vs)
         for _ in range(20):
-            _check_soft(kernel, kernel.squared(_gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)))
+            _check_soft(kernel, kernel.squared(vs.points.ravel() + 0.05 * rng.normal(size=3 * vs.m)))
 
 
 def test_soft_matches_the_array_reference_where_it_clamps():
@@ -359,7 +379,7 @@ def test_soft_matches_the_array_reference_where_it_clamps():
     for vs in _general_starts():
         kernel = _Kernel(vs)
         for shift in range(len(halves)):
-            d2 = kernel.squared(_gauge_coords(vs.points))
+            d2 = kernel.squared(vs.points.ravel())
             rows = np.array([halves[(p + shift) % len(halves)] for p in range(kernel.ends.shape[1])]).T
             d2[kernel.ends] = (2.0 * rows) ** 2
             _check_soft(kernel, d2)
@@ -409,7 +429,7 @@ def test_evaluate_scores_its_own_pairs_as_the_closed_form(monkeypatch):
     for k in range(1, 6):
         kernel = _Kernel(regular_pyramid(k))
         for s in range(10):
-            x0 = _gauge_coords(random_feasible_pyramid(k, s).points)
+            x0 = random_feasible_pyramid(k, s).points.ravel()
             projected = (kernel.project(x0 + scale * rng.normal(size=x0.shape)) for scale in (0.01, 0.1))
             for x in [x0, *(x for x in projected if x is not None)]:
                 before = len(builds)
@@ -425,7 +445,7 @@ def test_evaluate_builds_the_body_of_another_edge_set(monkeypatch):
     kernel = _Kernel(vs)
     # counted after the kernel is built, which builds its start's body once
     builds = _counted_builds(monkeypatch)
-    x = _gauge_coords(vs.points[[0, 3, 2, 1, 4, 5]])
+    x = vs.points[[0, 3, 2, 1, 4, 5]].ravel()
     assert validate_vertex_set(kernel.points(x), tol=VALIDATION_TOL).edges != kernel.edges
     assert _check_evaluate(kernel, x)
     assert len(builds) == 1
@@ -435,13 +455,13 @@ def test_evaluate_builds_the_body_of_another_edge_set(monkeypatch):
 def test_merit_kernels_match_the_loop_reference():
     rng = np.random.default_rng(5)
     for vs in _general_starts():
-        coords = _gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)
+        coords = vs.points.ravel() + 0.05 * rng.normal(size=3 * vs.m)
         _check_kernel(_Kernel(vs), coords, _reference_general(coords, vs))
 
 
 def test_merit_kernels_at_feasible_points():
     for vs in _general_starts():
-        coords = _gauge_coords(vs.points)
+        coords = vs.points.ravel()
         kernel = _Kernel(vs)
         expected = 2.0 * math.pi - meissner_area(build_meissner(vs))
         assert -kernel.merit(coords, 0.0)[0] == pytest.approx(expected, abs=1e-12)
@@ -483,8 +503,8 @@ def test_rigid_start_returns_what_the_search_returns(monkeypatch):
 
 def test_flexible_starts_always_search():
     for vs in (regular_pyramid(2), random_feasible_pyramid(2, seed=0)):
-        kernel, x = _Kernel(vs), _gauge_coords(vs.points)
-        assert not meissner.optimize._rigid(kernel, x)
+        kernel, x = _Kernel(vs), vs.points.ravel()
+        assert not _rigid(kernel, x)
         report = optimize_meissner(OptimizationProblem.from_vertex_set(vs), restarts=2, seed=0)
         assert all(r.rounds >= 1 for r in report.records)
 
@@ -500,7 +520,7 @@ def _perturbed_kernels():
     rng = np.random.default_rng(11)
     sets = [regular_tetrahedron(), regular_pyramid(2)] + [random_feasible_pyramid(k, seed=k) for k in (1, 2, 3)]
     for vs in sets:
-        near = _gauge_coords(vs.points) + 0.05 * rng.normal(size=3 * vs.m - 6)
+        near = vs.points.ravel() + 0.05 * rng.normal(size=3 * vs.m)
         yield _Kernel(vs), (near, 1.7 * near)
 
 
