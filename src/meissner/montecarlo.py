@@ -8,17 +8,19 @@ points inside every point ball.  An arc's farthest point from a sample
 is one of its endpoints, themselves point centers, unless the sample
 lies in the arc's wedge, so each arc computes a distance only there.
 The volume estimate
-samples the axis box of the point centers' ball polytope, which holds
-the body; it samples the unit ball around the first point center
-instead when that ball is the smaller region, or when the balls share
-no point.  Sampling is chunked, with each chunk driven by its own
-counter-based generator keyed by (seed, chunk index), so results are
-reproducible bit for bit regardless of how chunks are scheduled.
+samples an axis box that holds the body: along each axis, the least
+support over every pair of point balls of their lens.  It samples the
+unit ball around the first point center instead when that ball is the
+smaller region, or when two of the balls miss each other.  Sampling is
+chunked, with each chunk driven by its own counter-based generator
+keyed by (seed, chunk index), so results are reproducible bit for bit
+regardless of how chunks are scheduled.
 
-Each chunk is stratified: it splits the unit cube into equal cells,
-deals its samples to the cells in turn and maps the cube onto the
-sampled region by a volume-preserving map.  The chunk's estimate is the
-mean hit fraction of its cells and its variance comes from the spread
+Each chunk is stratified and antithetic: it splits the unit cube into
+equal cells, deals pairs of samples mirrored through their cell's center
+to the cells in turn and maps the cube onto the sampled region by a
+volume-preserving map.  The chunk's estimate is the mean hit fraction of
+its cells and its variance comes from the spread of the pair means
 inside each cell, so a cell wholly inside or outside the body adds
 none; only the cells that the boundary crosses do.
 """
@@ -54,7 +56,6 @@ _SUPPORT_SLACK = 1e-9
 _ENDPOINT_TOL = 1e-4
 # squared center distance below which two spheres coincide and share no circle
 _COINCIDENT_SQ = 1e-30
-_AXES = np.concatenate((np.eye(3), -np.eye(3)))
 _NO_ARCS = Arc(np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
 
 
@@ -105,27 +106,31 @@ class McResult:
 
 
 def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> McResult:
-    """Stratified rejection sampling of the axis box of the point centers' ball polytope.
+    """Stratified antithetic rejection sampling of the point centers' lens box.
 
-    The box comes from `support` of the point centers alone in the six
-    axis directions, widened by the support slack; arcs only cut that
-    polytope down, so the box holds the body, and bodies on the same
-    centers share one sample stream.  When the box is no smaller than
-    the unit ball around the first point center, or the balls share no
-    point, that ball is sampled instead.
+    Along each axis direction the box reaches the least support, over
+    every pair of point balls, of their lens, widened by the support
+    slack (`_sampling_box`).  The body lies in every lens, so the box
+    holds it, and bodies on the same centers share one sample stream.
+    When the box is no smaller than the unit ball around the first point
+    center, or two of the balls miss each other, that ball is sampled
+    instead.
 
-    A chunk of n samples splits the unit cube into L^3 equal cells, L
-    the largest integer with 2 L^3 <= n (at least 1), and sample i goes
-    to cell i mod L^3 at (cell corner + q_i) / L, q_i uniform in the
-    unit cube.  The cube point is then mapped onto the box by an affine
-    map, or onto the ball by the volume-preserving (z, azimuth, cube
-    root of the radius) map, so the cells are of equal volume either
-    way.  The chunk's hit fraction is the mean of its cells' fractions
-    p_c = h_c / n_c, with variance sum_c p_c (1 - p_c) / (n_c - 1)
-    over (L^3)^2, a cell of one sample adding none.  Chunks combine
-    weighted by their share of the samples; volume and standard error
-    scale with the volume of the sampled region, and `hits` is the total
-    count of accepted samples.
+    A chunk of n samples splits the unit cube into L^3 equal cells, L the
+    largest integer with 4 L^3 <= n (at least 1), and draws ceil(n / 2)
+    points q_p uniform in the unit cube.  Pair p goes to cell p mod L^3,
+    its two samples at (cell corner + q_p) / L and (cell corner + 1 - q_p)
+    / L, mirrored through the cell's center; for an odd n the last pair
+    keeps only its first sample.  The cube point is then mapped onto the
+    box by an affine map, or onto the ball by the volume-preserving (z,
+    azimuth, cube root of the radius) map, so the cells are of equal
+    volume either way.  A cell's hit fraction p_c is the mean of its k_c
+    pair means, with variance the unbiased spread of those pair means
+    over k_c, a cell of one pair adding none.  The chunk's hit fraction
+    is the mean of the p_c, with variance their variances' sum over
+    (L^3)^2.  Chunks combine weighted by their share of the samples;
+    volume and standard error scale with the volume of the sampled
+    region, and `hits` is the total count of accepted samples.
 
     Deterministic for fixed (samples, seed): the sample stream is a pure
     function of the chunk index and chunks combine in chunk order, so
@@ -138,7 +143,7 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     if threads < 1:
         raise ArgumentError(f"thread count must be positive, got {threads}")
     _check_seed(seed)
-    base = system.centers[0]
+    base = system.centers[0][:, None]
     box = _sampling_box(system.centers)
     region = _BALL_VOLUME if box is None else float(np.prod(box[1]))
     nchunks = (samples + CHUNK - 1) // CHUNK
@@ -146,24 +151,18 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     def run(chunk: int) -> tuple[int, float, float]:
         n = min(CHUNK, samples - chunk * CHUNK)
         strata = _strata(n)
-        v = strata.place(_stream(seed, chunk).random((3, n)))
+        # (3, n) rows x, y, z, which `_inside` takes without a copy
+        v = strata.place(_stream(seed, chunk).random((3, strata.corners.shape[1])))
         if box is not None:
-            # column-major like v, so `_inside` takes its x, y, z columns without a copy
-            pts = box[0] + (box[1] / strata.side) * v
+            pts = box[0][:, None] + (box[1] / strata.side)[:, None] * v
         else:
             u = v / strata.side
-            z = 1.0 - 2.0 * u[:, 0]
-            azimuth = 2.0 * math.pi * u[:, 1]
-            radius = np.cbrt(u[:, 2])
+            z = 1.0 - 2.0 * u[0]
+            azimuth = 2.0 * math.pi * u[1]
             s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-            pts = base + radius[:, None] * np.stack(
-                (s * np.cos(azimuth), s * np.sin(azimuth), z), axis=1
-            )
-        inside = _inside(system, pts)
-        p = strata.fractions(inside)
-        # an elementwise sum, not np.dot: a BLAS call here wakes BLAS's own thread pool inside every worker
-        var = float((p * (1.0 - p) * strata.spread).sum()) / len(p) ** 2
-        return int(np.count_nonzero(inside)), float(p.mean()), var
+            pts = base + np.cbrt(u[2]) * np.stack((s * np.cos(azimuth), s * np.sin(azimuth), z))
+        inside = _inside(system, pts.T)
+        return int(np.count_nonzero(inside)), *strata.estimate(inside)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -181,43 +180,68 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
 
 @dataclass(frozen=True, slots=True)
 class _Strata:
-    """The cells of a chunk of n samples: L per side, sample i in cell i mod L^3."""
+    """The cells of a chunk of n samples: L per side, ceil(n / 2) antithetic pairs, pair p in cell p mod L^3."""
 
     side: int  # L
-    # (n, 3) column-major: the low corner (x, y, z) of sample i's cell, (x * L + y) * L + z = i mod L^3
+    samples: int  # n
+    # (3, pairs): the low corner (x, y, z) of pair p's cell, (x * L + y) * L + z = p mod L^3
     corners: np.ndarray
-    count: np.ndarray  # (L^3,) samples per cell
-    spread: np.ndarray  # (L^3,) 1 / (count - 1), 0 for a cell of one sample
+    count: np.ndarray  # (L^3,) pairs per cell
+    spread: np.ndarray  # (L^3,) 1 / (4 count^2 (count - 1)), 0 for a cell of one pair
 
     def place(self, q: np.ndarray) -> np.ndarray:
-        """Points (n, 3) of [0, L)^3, in cell units, from uniform q of shape (3, n): each in its cell."""
-        return self.corners + q.T
+        """Points (3, n) of [0, L)^3, in cell units, from uniform q of shape (3, pairs).
 
-    def fractions(self, inside: np.ndarray) -> np.ndarray:
-        """Each cell's hit fraction, from the samples' membership mask."""
+        Pair p's samples are columns p and pairs + p: its cell's corner + q_p
+        and the mirror, corner + 1 - q_p; an odd n's last pair has no mirror.
+        """
+        pairs = self.corners.shape[1]
+        mirrors = self.samples - pairs
+        v = np.empty((3, self.samples))
+        np.add(self.corners, q, out=v[:, :pairs])
+        np.subtract(self.corners[:, :mirrors] + 1.0, q[:, :mirrors], out=v[:, pairs:])
+        return v
+
+    def estimate(self, inside: np.ndarray) -> tuple[float, float]:
+        """The chunk's hit fraction and its variance, from the membership mask of `place`'s columns."""
         cells = len(self.count)
-        padded = np.zeros(-(-len(inside) // cells) * cells, dtype=np.uint8)
-        padded[: len(inside)] = inside
-        # 2 (L + 1)^3 > n leaves at most 15 samples per cell, so uint8 sums cannot wrap
-        return padded.reshape(-1, cells).sum(axis=0, dtype=np.uint8) / self.count
+        pairs = self.corners.shape[1]
+        mirrors = self.samples - pairs
+        # twice each pair's mean: its two hits, or twice the hit of an odd n's lone last sample
+        twice = np.zeros(-(-pairs // cells) * cells, dtype=np.uint8)
+        twice[:pairs] = inside[:pairs]
+        twice[:mirrors] += inside[pairs:]
+        twice[mirrors:pairs] *= 2
+        twice = twice.reshape(-1, cells)
+        # 4 (L + 1)^3 > n leaves at most 16 pairs per cell, so the uint8 sums of twice (at most 32)
+        # and of its squares (at most 64) cannot wrap
+        s1 = twice.sum(axis=0, dtype=np.uint8).astype(float)
+        s2 = (twice * twice).sum(axis=0, dtype=np.uint8)
+        # k s2 - s1^2 is an exact integer, 4 k^2 (k - 1) times the variance of the cell's mean;
+        # an elementwise sum, not np.dot: a BLAS call here wakes BLAS's own thread pool inside every worker
+        var = float(((self.count * s2 - s1 * s1) * self.spread).sum()) / cells**2
+        return float((s1 / self.count).mean()) / 2.0, var
 
 
 @lru_cache(maxsize=4)
 def _strata(n: int) -> _Strata:
+    """The cells of a chunk of n samples, L the largest integer with 4 L^3 <= n (at least 1).
+
+    ceil(n / 2) pairs over L^3 cells give each cell at least two pairs once
+    n >= 4, and 4 (L + 1)^3 > n gives it at most 16, which keeps
+    `_Strata.estimate`'s uint8 sums from wrapping.
+    """
     side = 1
-    while 2 * (side + 1) ** 3 <= n:
+    while 4 * (side + 1) ** 3 <= n:
         side += 1
     cells = side**3
-    cell = np.arange(n) % cells
-    # column-major like q.T, which it is added to; in C order that sum is several times slower
-    corners = np.asfortranarray(
-        np.stack((cell // (side * side), cell // side % side, cell % side), axis=1), dtype=float
-    )
+    cell = np.arange((n + 1) // 2) % cells
+    corners = np.stack((cell // (side * side), cell // side % side, cell % side)).astype(float)
     count = np.bincount(cell, minlength=cells).astype(float)
-    spread = np.where(count > 1.0, 1.0 / np.maximum(count - 1.0, 1.0), 0.0)
+    spread = np.where(count > 1.0, 1.0 / (4.0 * count * count * np.maximum(count - 1.0, 1.0)), 0.0)
     for a in (corners, count, spread):
         a.flags.writeable = False
-    return _Strata(side, corners, count, spread)
+    return _Strata(side, n, corners, count, spread)
 
 
 def width_samples(
@@ -302,17 +326,32 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _sampling_box(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """Low corner and edge lengths of the axis box around the centers' ball polytope.
+    """Low corner and edge lengths of an axis box that holds the centers' ball polytope.
 
-    None when the polytope is empty or the box is no smaller than a unit ball.
+    Along each axis direction e the bound is the least support over every
+    pair of balls of their lens.  That is c . e + 1 for the pair's lower
+    center c when its cap point c + e lies in the other ball, which holds
+    when |d|^2 <= 2 |d . e| for d the centers' difference, and otherwise
+    the top of the spheres' intersection circle: its center's height plus
+    its radius sqrt(1 - |d|^2 / 4) times sqrt(1 - (d . e)^2 / |d|^2).  The
+    polytope lies in every lens, so the box, widened by the support
+    slack, holds it.  None when two of the balls miss each other, or when
+    the box is empty or no smaller than a unit ball, as for a single ball.
     """
-    try:
-        h = support(BallSystem(centers, _NO_ARCS), _AXES)
-    except NoIntersection:
+    i, j = _pairs(len(centers))
+    d = centers[j] - centers[i]
+    d2 = np.einsum("pj,pj->p", d, d)[:, None]
+    if (d2 > 4.0).any():
         return None
-    lo = -h[3:] - _SUPPORT_SLACK
-    size = h[:3] + _SUPPORT_SLACK - lo
-    return (lo, size) if float(np.prod(size)) < _BALL_VOLUME else None
+    # coincident centers take the cap, so the circle's division never meets |d| = 0
+    cap = d2 <= 2.0 * np.abs(d)
+    rim = np.sqrt((1.0 - 0.25 * d2) * np.maximum(1.0 - d * d / np.where(cap, 1.0, d2), 0.0))
+    mid = (centers[i] + centers[j]) / 2.0
+    hi = np.where(cap, np.minimum(centers[i], centers[j]) + 1.0, mid + rim).min(axis=0, initial=np.inf)
+    lo = np.where(cap, np.maximum(centers[i], centers[j]) - 1.0, mid - rim).max(axis=0, initial=-np.inf)
+    lo = lo - _SUPPORT_SLACK
+    size = hi + _SUPPORT_SLACK - lo
+    return (lo, size) if size.min() > 0.0 and float(np.prod(size)) < _BALL_VOLUME else None
 
 
 def _endpoint_gaps(centers: np.ndarray, arcs: Arc) -> np.ndarray:

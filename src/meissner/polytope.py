@@ -263,8 +263,13 @@ def enumerate_smoothings(
     n = len(pairs)
     if n > 20:
         raise TooManyPairs(f"{n} pairs gives 2^{n} smoothings; refusing beyond 20")
+    # each row's slot is set through its descriptor: a frozen dataclass's __init__ per row costs
+    # more than the row's fsum
+    new, set_bits = object.__new__, SmoothingChoice.bits.__set__
+    choices = [new(SmoothingChoice) for _ in range(1 << n)]
     # product varies its last factor fastest, so reversing the pairs makes pair 0 the lowest bit
-    choices = [SmoothingChoice(bits[::-1]) for bits in product((False, True), repeat=n)]
+    for choice, bits in zip(choices, product((False, True), repeat=n)):
+        set_bits(choice, bits[::-1])
     return list(zip(choices, map(_smoothed_area, product(*[p.gain for p in reversed(pairs)]))))
 
 

@@ -194,7 +194,8 @@ def test_reproducible_and_thread_invariant(tetra_system):
         assert (threaded.volume, threaded.hits) == (base.volume, base.hits)
     other = mc_volume(tetra_system, 200_000, seed=8)
     assert other.hits != base.hits
-    # the last chunk, 3,395 samples in 11^3 cells, holds 2 or 3 samples per cell
+    # the last chunk, 3,395 samples, deals 1,698 pairs to 9^3 cells, 2 or 3 per cell, and keeps
+    # the last pair's first sample alone
     uneven = mc_volume(tetra_system, 200_003, seed=7)
     for threads in (2, 3):
         assert mc_volume(tetra_system, 200_003, seed=7, threads=threads) == uneven
@@ -223,22 +224,37 @@ def test_width_samples_use_one_core():
     assert cpu - own <= 0.1 * own
 
 
-@pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 3392, 8192, 65536])
+@pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 31, 32, 1001, 3392, 3395, 8192, 65536])
 def test_each_sample_lies_in_its_own_cell(n):
     strata = _strata(n)
     side = strata.side
-    assert side == 1 or 2 * side**3 <= n
-    assert 2 * (side + 1) ** 3 > n
+    assert side == 1 or 4 * side**3 <= n
+    assert 4 * (side + 1) ** 3 > n
     cells = side**3
-    cell = np.arange(n) % cells
-    corner = np.floor(strata.place(_stream(5, 0).random((3, n)))).astype(int)
+    pairs = (n + 1) // 2
+    cell = np.arange(pairs) % cells
+    v = strata.place(_stream(5, 0).random((3, pairs)))
+    assert v.shape == (3, n)
+    corner = np.floor(v[:, :pairs]).astype(int)
     assert ((corner >= 0) & (corner < side)).all()
-    assert np.array_equal((corner[:, 0] * side + corner[:, 1]) * side + corner[:, 2], cell)
+    assert np.array_equal((corner[0] * side + corner[1]) * side + corner[2], cell)
+    # each pair's second sample mirrors its first through their cell's center; an odd n's last has none
+    mirrors = n - pairs
+    assert mirrors == pairs - n % 2
+    assert np.abs(v[:, :mirrors] + v[:, pairs:] - (2.0 * corner[:, :mirrors] + 1.0)).max(initial=0.0) <= 1e-12
     assert np.array_equal(strata.count, np.bincount(cell, minlength=cells))
-    assert set(strata.count.tolist()) <= {n // cells, n // cells + 1}
+    assert set(strata.count.tolist()) <= {pairs // cells, pairs // cells + 1}
+    # the estimate: each cell's mean pair mean, and the unbiased spread of its pair means over their count
     inside = _stream(6, 0).random(n) < 0.4
-    hits = np.bincount(cell[inside], minlength=cells)
-    assert np.array_equal(strata.fractions(inside), hits / strata.count)
+    pair_means = inside[:pairs].astype(float)
+    pair_means[:mirrors] = (pair_means[:mirrors] + inside[pairs:]) / 2.0
+    frac, var = strata.estimate(inside)
+    count = np.bincount(cell, minlength=cells)
+    means = np.bincount(cell, pair_means, minlength=cells) / count
+    squares = np.bincount(cell, (pair_means - means[cell]) ** 2, minlength=cells)
+    spread = np.where(count > 1, squares / np.maximum(count - 1, 1) / count, 0.0)
+    assert frac == pytest.approx(means.mean(), rel=1e-12)
+    assert var == pytest.approx(spread.sum() / cells**2, rel=1e-12, abs=1e-300)
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3])
@@ -499,13 +515,14 @@ def test_disjoint_balls_have_no_support_and_no_volume():
 
 def test_sampling_box_holds_a_body_whose_corners_are_not_centers():
     # a unit triangle and its centroid: the body's top and bottom are where
-    # the triangle's three spheres meet, at height sqrt(2/3), not at a center
+    # the triangle's three spheres meet, at height sqrt(2/3), not at a center;
+    # every pair's lens reaches higher, so the box holds them with room to spare
     system = BallSystem.from_points(triangle_center_set())
     top = math.sqrt(2.0 / 3.0)
     up = np.array([0.0, 0.0, 1.0])
     assert support(system, np.stack((up, -up))) == pytest.approx([top, top], abs=1e-12)
     lo, size = _sampling_box(system.centers)
-    assert (lo[2], size[2]) == pytest.approx((-top, 2.0 * top), abs=1e-8)
+    assert lo[2] <= -top and lo[2] + size[2] >= top
     # uniform points of the first center's ball that the body keeps
     rng = np.random.default_rng(1)
     pts = rng.uniform(-1.0, 1.0, size=(400_000, 3))
@@ -530,6 +547,33 @@ def test_random_pyramids_have_constant_width_inside_the_sampling_box(k, seed):
     lo, size = _sampling_box(vs.points)
     for mesh in (tessellate(poly, 2), tessellate_reuleaux(vs, poly.pairs, 2)):
         assert (mesh.vertices >= lo).all() and (mesh.vertices <= lo + size).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.builds(lambda k, seed: random_feasible_pyramid(k, seed).points, st.integers(1, 5), st.integers(0, 10_000)),
+        st.builds(lambda seed: validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5).points, st.integers(0, 10_000)),
+        st.just(np.concatenate((regular_tetrahedron().points, regular_tetrahedron().points[:1]))),
+    )
+)
+def test_lens_box_holds_the_ball_polytope(centers):
+    h = support(BallSystem.from_points(centers), np.concatenate((np.eye(3), -np.eye(3))))
+    lo, size = _sampling_box(centers)
+    assert (lo <= -h[3:]).all() and (lo + size >= h[:3]).all()
+
+
+@pytest.mark.parametrize("k, samples", [(1, 1 << 13), (3, 1 << 13), (5, 1 << 13), (3, 1001)])
+def test_estimates_center_on_the_closed_form_with_honest_errors(k, samples):
+    # over 200 seeds: the mean estimate within 4 sigma of the closed form, and the estimates'
+    # spread matching the mean reported standard error
+    poly = build_meissner(random_feasible_pyramid(k, 11))
+    system = BallSystem.from_meissner(poly)
+    results = [mc_volume(system, samples, seed=seed) for seed in range(200)]
+    volumes = np.array([r.volume for r in results])
+    spread = volumes.std(ddof=1)
+    assert abs(volumes.mean() - meissner_volume(poly)) <= 4.0 * spread / math.sqrt(len(volumes))
+    assert 0.8 <= spread / np.mean([r.std_error for r in results]) <= 1.25
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
