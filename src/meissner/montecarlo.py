@@ -7,22 +7,19 @@ center and one farthest distance per arc, the arcs tested only on the
 points inside every point ball.  An arc's farthest point from a sample
 is one of its endpoints, themselves point centers, unless the sample
 lies in the arc's wedge, so each arc computes a distance only there.
-The volume estimate
-samples an axis box that holds the body: along each axis, the least
-support over every pair of point balls of their lens.  It samples the
-unit ball around the first point center instead when that ball is the
-smaller region, or when two of the balls miss each other.  Sampling is
-chunked, with each chunk driven by its own counter-based generator
-keyed by (seed, chunk index), so results are reproducible bit for bit
-regardless of how chunks are scheduled.
+The volume estimate samples an axis box that holds the body: along each
+axis, the least support over every pair of point balls of their lens.
+Sampling is chunked, with each chunk driven by its own counter-based
+generator keyed by (seed, chunk index), so results are reproducible bit
+for bit regardless of how chunks are scheduled.
 
 Each chunk is stratified and antithetic: it splits the unit cube into
 equal cells, deals pairs of samples mirrored through their cell's center
-to the cells in turn and maps the cube onto the sampled region by a
-volume-preserving map.  The chunk's estimate is the mean hit fraction of
-its cells and its variance comes from the spread of the pair means
-inside each cell, so a cell wholly inside or outside the body adds
-none; only the cells that the boundary crosses do.
+to the cells in turn and maps the cube affinely onto the box.  The
+chunk's estimate is the mean hit fraction of its cells and its variance
+comes from the spread of the pair means inside each cell, so a cell
+wholly inside or outside the body adds none; only the cells that the
+boundary crosses do.
 """
 
 from __future__ import annotations
@@ -48,12 +45,13 @@ __all__ = [
 ]
 
 CHUNK = 1 << 16
-_BALL_VOLUME = 4.0 * math.pi / 3.0
 # support candidates are computed on the balls' boundaries and land outside them by rounding
 _SUPPORT_SLACK = 1e-9
 # an `_edge_arc` endpoint lies off its vertex by up to its plane slack, 4 tol / |c2 - c1|, and a
 # like radial gap; 1e-4 holds that for sets validated at tol up to 1e-5
 _ENDPOINT_TOL = 1e-4
+# how far a direction's norm may stray from one; `width_samples` normalizes to within a few ulps
+_UNIT_TOL = 1e-12
 # squared center distance below which two spheres coincide and share no circle
 _COINCIDENT_SQ = 1e-30
 _NO_ARCS = Arc(np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
@@ -73,8 +71,6 @@ class BallSystem:
 
     def __post_init__(self) -> None:
         arcs = self.arcs
-        if not arcs:
-            return
         bad = np.flatnonzero(~((arcs.sweep >= 0.0) & (arcs.sweep <= math.pi)))
         if len(bad):
             raise ArgumentError(f"arc {bad[0]} sweeps {arcs.sweep[bad[0]]!r}, outside [0, pi]")
@@ -111,41 +107,40 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     Along each axis direction the box reaches the least support, over
     every pair of point balls, of their lens, widened by the support
     slack (`_sampling_box`).  The body lies in every lens, so the box
-    holds it, and bodies on the same centers share one sample stream.
-    When the box is no smaller than the unit ball around the first point
-    center, or two of the balls miss each other, that ball is sampled
-    instead.
+    holds it, and bodies on the same centers share one sample stream.  A
+    single ball is sampled in its cube.  When there is no box, two balls
+    missing each other or the box empty, the balls share no point: the
+    result is volume 0, standard error 0 and no hits, with no sample drawn.
 
     A chunk of n samples splits the unit cube into L^3 equal cells, L the
     largest integer with 4 L^3 <= n (at least 1), and draws ceil(n / 2)
     points q_p uniform in the unit cube.  Pair p goes to cell p mod L^3,
     its two samples at (cell corner + q_p) / L and (cell corner + 1 - q_p)
     / L, mirrored through the cell's center; for an odd n the last pair
-    keeps only its first sample.  The cube point is then mapped onto the
-    box by an affine map, or onto the ball by the volume-preserving (z,
-    azimuth, cube root of the radius) map, so the cells are of equal
-    volume either way.  A cell's hit fraction p_c is the mean of its k_c
-    pair means, with variance the unbiased spread of those pair means
-    over k_c, a cell of one pair adding none.  The chunk's hit fraction
-    is the mean of the p_c, with variance their variances' sum over
-    (L^3)^2.  Chunks combine weighted by their share of the samples;
-    volume and standard error scale with the volume of the sampled
-    region, and `hits` is the total count of accepted samples.
+    keeps only its first sample.  The cube point is then mapped affinely
+    onto the box, so the cells are of equal volume.  A cell's hit
+    fraction p_c is the mean of its k_c pair means, with variance the
+    unbiased spread of those pair means over k_c, a cell of one pair
+    adding none.  The chunk's hit fraction is the mean of the p_c, with
+    variance their variances' sum over (L^3)^2.  Chunks combine weighted
+    by their share of the samples; volume and standard error scale with
+    the box's volume, and `hits` is the total count of accepted samples.
 
     Deterministic for fixed (samples, seed): the sample stream is a pure
     function of the chunk index and chunks combine in chunk order, so
     the thread count cannot change the estimate.
     """
     if len(system.centers) == 0:
-        raise EmptySystem("no point centers to anchor the sampling ball")
+        raise EmptySystem("no point centers to bound the sampling box")
     if samples < 1:
         raise ArgumentError(f"sample count must be positive, got {samples}")
     if threads < 1:
         raise ArgumentError(f"thread count must be positive, got {threads}")
     _check_seed(seed)
-    base = system.centers[0][:, None]
     box = _sampling_box(system.centers)
-    region = _BALL_VOLUME if box is None else float(np.prod(box[1]))
+    if box is None:
+        return McResult(0.0, 0.0, samples, seed, 0)
+    lo, size = box
     nchunks = (samples + CHUNK - 1) // CHUNK
 
     def run(chunk: int) -> tuple[int, float, float]:
@@ -153,14 +148,7 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
         strata = _strata(n)
         # (3, n) rows x, y, z, which `_inside` takes without a copy
         v = strata.place(_stream(seed, chunk).random((3, strata.corners.shape[1])))
-        if box is not None:
-            pts = box[0][:, None] + (box[1] / strata.side)[:, None] * v
-        else:
-            u = v / strata.side
-            z = 1.0 - 2.0 * u[0]
-            azimuth = 2.0 * math.pi * u[1]
-            s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-            pts = base + np.cbrt(u[2]) * np.stack((s * np.cos(azimuth), s * np.sin(azimuth), z))
+        pts = lo[:, None] + (size / strata.side)[:, None] * v
         inside = _inside(system, pts.T)
         return int(np.count_nonzero(inside)), *strata.estimate(inside)
 
@@ -175,6 +163,7 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
         frac += w * f
         var += w * w * v
     hits = sum(h for h, _, _ in parts)
+    region = float(np.prod(size))
     return McResult(region * frac, region * math.sqrt(var), samples, seed, hits)
 
 
@@ -263,7 +252,9 @@ def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
     """Support function of the body in unit directions.
 
     Takes one direction, shape (3,), and returns a float, or n directions,
-    shape (n, 3), and returns shape (n,).  The support point of an
+    shape (n, 3), and returns shape (n,); ArgumentError unless every
+    direction is finite with a norm within `_UNIT_TOL` of one, since h(u)
+    is not homogeneous in u.  The support point of an
     intersection of unit balls lies on a sphere patch, a sharp edge or a
     corner (Kupitz, Martini and Perles), so per direction u it is one of:
 
@@ -288,13 +279,17 @@ def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
     The best survivor is exact up to the slack.
     """
     u = np.asarray(direction, dtype=float)
+    if u.ndim not in (1, 2) or u.shape[-1] != 3:
+        raise ArgumentError(f"directions must have shape (3,) or (n, 3), got {u.shape}")
     dirs = u.reshape(-1, 3)
+    off = np.flatnonzero(~(np.abs(np.sqrt(np.einsum("nj,nj->n", dirs, dirs)) - 1.0) <= _UNIT_TOL))
+    if len(off):
+        raise ArgumentError(f"direction {off[0]} is not a finite unit vector: {dirs[off[0]].tolist()}")
     centers = system.centers
-    cands = [centers + dirs[:, None], _circle_tops(centers, dirs)]
-    if system.arcs:
-        peak, trough = _arc_extremes(system.arcs, dirs)
-        cands += [peak, trough + dirs[:, None]]
-    pts = np.concatenate(cands, axis=1)
+    peak, trough = _arc_extremes(system.arcs, dirs)
+    pts = np.concatenate(
+        (centers + dirs[:, None], _circle_tops(centers, dirs), peak, trough + dirs[:, None]), axis=1
+    )
     n, k = pts.shape[:2]
     # corners do not move with the direction, so they are screened once
     corners = np.concatenate((centers, _sphere_corners(centers)))
@@ -335,9 +330,12 @@ def _sampling_box(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     the top of the spheres' intersection circle: its center's height plus
     its radius sqrt(1 - |d|^2 / 4) times sqrt(1 - (d . e)^2 / |d|^2).  The
     polytope lies in every lens, so the box, widened by the support
-    slack, holds it.  None when two of the balls miss each other, or when
-    the box is empty or no smaller than a unit ball, as for a single ball.
+    slack, holds it.  A single ball is paired with a copy of itself, so
+    its box is its cube.  None when two of the balls miss each other or
+    the box is empty, so the polytope is.
     """
+    if len(centers) == 1:
+        centers = np.repeat(centers, 2, axis=0)
     i, j = _pairs(len(centers))
     d = centers[j] - centers[i]
     d2 = np.einsum("pj,pj->p", d, d)[:, None]
@@ -347,11 +345,11 @@ def _sampling_box(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     cap = d2 <= 2.0 * np.abs(d)
     rim = np.sqrt((1.0 - 0.25 * d2) * np.maximum(1.0 - d * d / np.where(cap, 1.0, d2), 0.0))
     mid = (centers[i] + centers[j]) / 2.0
-    hi = np.where(cap, np.minimum(centers[i], centers[j]) + 1.0, mid + rim).min(axis=0, initial=np.inf)
-    lo = np.where(cap, np.maximum(centers[i], centers[j]) - 1.0, mid - rim).max(axis=0, initial=-np.inf)
+    hi = np.where(cap, np.minimum(centers[i], centers[j]) + 1.0, mid + rim).min(axis=0)
+    lo = np.where(cap, np.maximum(centers[i], centers[j]) - 1.0, mid - rim).max(axis=0)
     lo = lo - _SUPPORT_SLACK
     size = hi + _SUPPORT_SLACK - lo
-    return (lo, size) if size.min() > 0.0 and float(np.prod(size)) < _BALL_VOLUME else None
+    return (lo, size) if size.min() > 0.0 else None
 
 
 def _endpoint_gaps(centers: np.ndarray, arcs: Arc) -> np.ndarray:

@@ -164,12 +164,16 @@ def test_contains(tetra_poly, tetra_system):
     assert _inside(tetra_system, probes).tolist() == [True, False]
 
 
-def test_single_ball_is_exact():
-    system = BallSystem.from_points(np.array([[0.3, -1.0, 2.0]]))
-    result = mc_volume(system, 10_000, seed=4)
-    assert result.volume == pytest.approx(4.0 * math.pi / 3.0, abs=1e-12)
-    assert result.std_error == 0.0
-    assert result.hits == result.samples == 10_000
+@pytest.mark.parametrize("copies", [1, 2], ids=["one", "coincident"])
+def test_a_single_ball_is_sampled_in_its_cube(copies):
+    center = np.array([0.3, -1.0, 2.0])
+    system = BallSystem.from_points(np.tile(center, (copies, 1)))
+    lo, size = _sampling_box(system.centers)
+    assert np.array_equal(lo, center - 1.0 - _SUPPORT_SLACK)
+    assert np.prod(size) == pytest.approx(8.0, rel=1e-8)
+    result = mc_volume(system, 1 << 16, seed=4)
+    assert result.std_error > 0.0
+    assert abs(result.volume - 4.0 * math.pi / 3.0) <= 4.0 * result.std_error
 
 
 def test_empty_system_rejected():
@@ -307,6 +311,20 @@ def test_support_along_edge_axis(tetra_vs, reuleaux_system):
     u /= np.linalg.norm(u)
     width = support(reuleaux_system, u) + support(reuleaux_system, -u)
     assert width == pytest.approx(math.sqrt(3.0) - math.sqrt(2.0) / 2.0, abs=1e-9)
+
+
+def test_support_takes_only_finite_unit_directions(tetra_system):
+    # the support is not homogeneous: h(2u) is in general neither h(u) nor 2 h(u), and h(0) is 0
+    u = _stream(9).normal(size=(2000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    support(tetra_system, u * (1.0 + 1e-13))
+    nan_row = np.array([[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]])
+    for bad in (2.0 * u, [0.0, 0.0, 0.0], nan_row, [[math.inf, 0.0, 0.0]]):
+        with pytest.raises(ArgumentError, match="not a finite unit vector"):
+            support(tetra_system, bad)
+    for bad in (np.ones((1, 4)), np.ones((2, 3, 3)), [1.0, 0.0], 1.0):
+        with pytest.raises(ArgumentError, match="shape"):
+            support(tetra_system, bad)
 
 
 def test_width_of_a_single_ball():
@@ -511,6 +529,21 @@ def test_disjoint_balls_have_no_support_and_no_volume():
         support(system, np.eye(3))
     result = mc_volume(system, 1000, seed=0)
     assert (result.hits, result.volume, result.std_error) == (0, 0.0, 0.0)
+    with pytest.raises(ArgumentError, match="seed"):
+        mc_volume(system, 1000, seed=-1)
+
+
+@pytest.mark.parametrize("side", [1.75, 1.9])
+def test_balls_that_meet_pairwise_but_share_no_point_have_no_volume(side):
+    # an equilateral triangle of circumradius side / sqrt(3), 1.01 or 1.10: every two balls meet,
+    # all three do not
+    angles = 2.0 * math.pi / 3.0 * np.arange(3)
+    centers = side / math.sqrt(3.0) * np.stack((np.cos(angles), np.sin(angles), np.zeros(3)), axis=1)
+    system = BallSystem.from_points(centers)
+    result = mc_volume(system, 5000, seed=1)
+    assert (result.volume, result.std_error, result.hits) == (0.0, 0.0, 0)
+    with pytest.raises(ArgumentError, match="seed"):
+        mc_volume(system, 5000, seed=-1)
 
 
 def test_sampling_box_holds_a_body_whose_corners_are_not_centers():
