@@ -60,8 +60,8 @@ class TooManyPairs(ValidationError):
     """Exhaustive smoothing enumeration was requested for too many pairs."""
 
 
-class EmptySystem(ValidationError):
-    """A ball system without point centers cannot be sampled."""
+class EmptySystem(ArgumentError):
+    """A ball system needs at least one point center."""
 
 
 class ParseError(ValidationError):

@@ -33,7 +33,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ArgumentError, EmptySystem, NoIntersection
-from .polytope import Arc, MeissnerPolyhedron, _NORM_FLOOR, _cross
+from .polytope import Arc, MeissnerPolyhedron, _NORM_FLOOR, _cross, _pairs
 
 __all__ = [
     "CHUNK",
@@ -61,15 +61,24 @@ _NO_ARCS = Arc(np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty((0, 3))
 class BallSystem:
     """Generating centers of an intersection of unit balls.
 
-    The membership test relies on two properties of the arcs, checked
-    here (ArgumentError otherwise): every arc endpoint is a point center,
-    to within `_ENDPOINT_TOL`, and every sweep lies in [0, pi].
+    The centers must be a finite (m, 3) array with m >= 1 (ArgumentError
+    otherwise, EmptySystem for m = 0).  The membership test relies on two
+    properties of the arcs, checked here (ArgumentError otherwise): every
+    arc endpoint is a point center, to within `_ENDPOINT_TOL`, and every
+    sweep lies in [0, pi].
     """
 
     centers: np.ndarray
     arcs: Arc  # one row per arc; none for a points-only system
 
     def __post_init__(self) -> None:
+        shape = np.shape(self.centers)
+        if len(shape) != 2 or shape[1] != 3:
+            raise ArgumentError(f"centers must have shape (m, 3), got {shape}")
+        if shape[0] == 0:
+            raise EmptySystem("no point centers")
+        if not np.isfinite(self.centers).all():
+            raise ArgumentError("centers must be finite")
         arcs = self.arcs
         bad = np.flatnonzero(~((arcs.sweep >= 0.0) & (arcs.sweep <= math.pi)))
         if len(bad):
@@ -130,8 +139,6 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     function of the chunk index and chunks combine in chunk order, so
     the thread count cannot change the estimate.
     """
-    if len(system.centers) == 0:
-        raise EmptySystem("no point centers to bound the sampling box")
     if samples < 1:
         raise ArgumentError(f"sample count must be positive, got {samples}")
     if threads < 1:
@@ -237,8 +244,6 @@ def width_samples(
     system: BallSystem, directions: int, seed: int
 ) -> tuple[float, float]:
     """Min and max width h(u) + h(-u) over random unit directions."""
-    if len(system.centers) == 0:
-        raise EmptySystem("no point centers")
     if directions < 1:
         raise ArgumentError(f"direction count must be positive, got {directions}")
     dirs = _stream(seed).normal(size=(directions, 3))
@@ -355,7 +360,7 @@ def _sampling_box(centers: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def _endpoint_gaps(centers: np.ndarray, arcs: Arc) -> np.ndarray:
     """Distance from each arc endpoint to the nearest point center: arc i's ends are rows 2i, 2i + 1."""
     ends = arcs.point(np.stack((np.zeros(len(arcs)), arcs.sweep), axis=1)).reshape(-1, 1, 3)
-    return np.linalg.norm(ends - centers, axis=-1).min(axis=1, initial=np.inf)
+    return np.linalg.norm(ends - centers, axis=-1).min(axis=1)
 
 
 def _arc_extremes(arcs: Arc, dirs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -390,14 +395,6 @@ def _circle_tops(centers: np.ndarray, dirs: np.ndarray) -> np.ndarray:
     ok = meets & (norm >= _NORM_FLOOR)
     tops = (centers[i] + centers[j]) / 2.0 + (radius / np.where(ok, norm, 1.0))[..., None] * perp
     return np.where(ok[..., None], tops, np.nan)
-
-
-@lru_cache(maxsize=16)
-def _pairs(m: int) -> np.ndarray:
-    """Rows i and j of every index pair i < j of m centers; read-only, built once per m."""
-    pairs = np.array(np.triu_indices(m, 1))
-    pairs.flags.writeable = False
-    return pairs
 
 
 @lru_cache(maxsize=16)

@@ -9,7 +9,9 @@ Each round of a quadratic penalty loop, whose weight grows tenfold per
 round until the worst constraint residual drops below FEASIBILITY_TOL,
 is solved by L-BFGS-B on the merit and its analytic gradient: the chain
 rule from the squared pair distances through the closed-form soft
-objective and penalty.  A restart whose start is accepted and rigid (its
+objective and penalty.  `_lbfgsb` runs scipy's L-BFGS-B routine directly:
+the loop of `scipy.optimize.minimize` without its wrapping, with bitwise
+the same results.  A restart whose start is accepted and rigid (its
 unit distances fix it, as six fix the regular tetrahedron) runs no round:
 no other feasible point lies near it, so the start is its result.
 """
@@ -57,6 +59,11 @@ _STALL_ROUNDS = 3
 # a round ends when a step gains under 1e-10 relative or the projected gradient drops under 1e-8;
 # at ftol 1e-15, gtol 1e-10 the stiff mu = 1e8 rounds end in failed line searches instead
 _LBFGSB_OPTIONS = {"ftol": 1e-10, "gtol": 1e-8}
+# scipy's L-BFGS-B defaults: stored corrections, line-search steps per iteration, iteration and evaluation caps
+_LBFGSB_MAXCOR = 10
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXITER = 15000
+_LBFGSB_MAXFUN = 15000
 # projection target in squared edge length, far inside FEASIBILITY_TOL and a few hundred ulps
 # above rounding; Gauss-Newton converges quadratically, so one still short after 60 steps has failed
 _PROJECT_TOL = 1e-13
@@ -74,11 +81,56 @@ TETRAHEDRON_AREA = 2.0 * math.pi - (math.sqrt(3.0) / 2.0) * math.pi * math.acos(
 TETRAHEDRON_VOLUME = TETRAHEDRON_AREA / 2.0 - math.pi / 3.0
 
 
-def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on first call: that import takes 0.34-0.55 s on a 2-core x86 host."""
-    from scipy.optimize import minimize as scipy_minimize
+def _lbfgsb(
+    fun, x0: np.ndarray, args: tuple, *, ftol: float, gtol: float
+) -> tuple[np.ndarray, float, int, bool]:
+    """Unbounded L-BFGS-B on fun(x, *args) -> (value, gradient): final x, value, evaluations, success.
 
-    return scipy_minimize(*args, **kwargs)
+    The loop of scipy's `_minimize_lbfgsb` (Zhu, Byrd, Lu and Nocedal,
+    Algorithm 778), driving its `setulb` directly, so each round pays
+    none of `minimize`'s per-call and per-evaluation wrapping.  Like
+    scipy's `ScalarFunction`, it evaluates fun at x0 first and caches
+    the last point it evaluated, so an evaluation request at that point
+    counts and costs nothing; iteration and evaluation caps are checked
+    when an iteration completes.  Success is convergence by ftol or
+    gtol; a cap or a failed line search is not.  Bitwise equal to
+    `scipy.optimize.minimize(fun, x0, args, jac=True, method="L-BFGS-B")`
+    with the same ftol and gtol.  scipy is imported on the first call:
+    that import takes 0.34-0.55 s on a 2-core x86 host.
+    """
+    from scipy.optimize._lbfgsb import setulb
+
+    n, m = x0.size, _LBFGSB_MAXCOR
+    x = np.array(x0, dtype=np.float64)
+    at = x.copy()
+    f, grad = fun(x, *args)
+    g = grad.copy()  # after a failed line search setulb writes a restored gradient into g, never into the cached one
+    bound = np.zeros(n)
+    no_bounds = np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task, lsave = np.zeros(2, np.int32), np.zeros(2, np.int32), np.zeros(4, np.int32)
+    isave, dsave = np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    nfev, iterations = 1, 0
+    while True:
+        setulb(
+            m, x, bound, bound, no_bounds, f, g, factr, gtol, wa, iwa, task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task
+        )
+        if task[0] == 3:  # f and g wanted at x
+            if not np.array_equal(x, at):
+                at = x.copy()
+                f, grad = fun(x, *args)
+                nfev += 1
+            g = grad.copy()
+        elif task[0] == 1:  # an iteration completed
+            iterations += 1
+            if iterations >= _LBFGSB_MAXITER:
+                task[:] = 5, 504
+            elif nfev > _LBFGSB_MAXFUN:
+                task[:] = 5, 502
+        else:
+            return x, f, nfev, bool(task[0] == 4)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,15 +280,21 @@ class _Kernel:
         d = pts.take(self.i, axis=0) - pts.take(self.j, axis=0)
         return (d * d).sum(axis=1)
 
-    def squared_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Squared pair distances and their Jacobian: 2d in the columns of point i, -2d in those of point j."""
+    def squared_jacobian(self, x: np.ndarray, edges_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Squared pair distances and their Jacobian: 2d in the columns of point i, -2d in those of point j.
+
+        With edges_only, the rows of the graph edges alone: the equality
+        constraints, which lead the pairs.
+        """
+        count = len(self.edges) if edges_only else len(self.i)
+        i, j = self.i[:count], self.j[:count]
         pts = self.points(x)
-        d = pts.take(self.i, axis=0) - pts.take(self.j, axis=0)
-        rows = np.arange(len(d))
-        jac = np.zeros((len(d), self.m, 3))
-        jac[rows, self.i] = 2.0 * d
-        jac[rows, self.j] = -2.0 * d
-        return (d * d).sum(axis=1), jac.reshape(len(d), -1)
+        d = pts.take(i, axis=0) - pts.take(j, axis=0)
+        rows = np.arange(count)
+        jac = np.zeros((count, self.m, 3))
+        jac[rows, i] = 2.0 * d
+        jac[rows, j] = -2.0 * d
+        return (d * d).sum(axis=1), jac.reshape(count, -1)
 
     def soft(self, d2: np.ndarray) -> tuple[float, np.ndarray]:
         """Soft objective of the squared distances and its gradient in them.
@@ -284,14 +342,13 @@ class _Kernel:
 
     def project(self, x: np.ndarray) -> np.ndarray | None:
         """Restore the equality constraints by Gauss-Newton; None when it fails."""
-        eq = self.floor < 0.0
         x = x.copy()
         for _ in range(_PROJECT_STEPS):
-            d2, jac = self.squared_jacobian(x)
-            r = d2[eq] - 1.0
+            d2, jac = self.squared_jacobian(x, edges_only=True)
+            r = d2 - 1.0
             if float(np.abs(r).max()) <= _PROJECT_TOL:
                 return x
-            step, *_ = np.linalg.lstsq(jac[eq], r, rcond=None)
+            step, *_ = np.linalg.lstsq(jac, r, rcond=None)
             x = x - step
         return None
 
@@ -363,10 +420,9 @@ def _rigid(kernel: _Kernel, x: np.ndarray) -> bool:
     edges, fewer than 3m - 6 for m > 4, so only four-point starts, with
     exactly six rows, reach the SVD.
     """
-    equalities = kernel.floor < 0.0
-    if np.count_nonzero(equalities) < 3 * kernel.m - 6:
+    if len(kernel.edges) < 3 * kernel.m - 6:
         return False
-    singular = np.linalg.svd(kernel.squared_jacobian(x)[1][equalities], compute_uv=False)
+    singular = np.linalg.svd(kernel.squared_jacobian(x, edges_only=True)[1], compute_uv=False)
     return bool(singular[-1] > _RIGID_TOL * singular[0])
 
 
@@ -400,11 +456,10 @@ def _restart(run: int, x: np.ndarray, kernel: _Kernel) -> tuple[RestartRecord, n
     rounds = 0
     if not (consider(x, kernel.residual(x)) and _rigid(kernel, x)):
         for rounds in range(1, _MAX_ROUNDS + 1):
-            result = minimize(kernel.merit, x, args=(mu,), jac=True, method="L-BFGS-B", options=_LBFGSB_OPTIONS)
-            evaluations += result.nfev
+            x, _, nfev, success = _lbfgsb(kernel.merit, x, (mu,), **_LBFGSB_OPTIONS)
+            evaluations += nfev
             # an iteration or evaluation cap, or a line search that found no descent
-            capped_rounds += not result.success
-            x = result.x
+            capped_rounds += not success
             restored = kernel.project(x)
             if restored is not None:
                 x = restored

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -200,7 +200,7 @@ def validate_vertex_set(points: np.ndarray, tol: float = DEFAULT_TOL) -> VertexS
     m = pts.shape[0]
     if m < 4:
         raise ArgumentError(f"at least four points required, got {m}")
-    i, j = np.triu_indices(m, 1)
+    i, j = _pairs(m)
     upper = _pairwise(pts)[i, j]
     max_distance = float(upper.max())
     if max_distance > 1.0 + tol:
@@ -349,6 +349,14 @@ def _build_faces(vs: VertexSet) -> Faces:
 def _smoothed_area(gains: Iterable[float]) -> float:
     """2*pi less the gains of the smoothed pairs."""
     return 2.0 * math.pi - math.fsum(gains)
+
+
+@lru_cache(maxsize=16)
+def _pairs(m: int) -> np.ndarray:
+    """Rows i and j of every index pair i < j of m points; read-only, built once per m."""
+    pairs = np.array(np.triu_indices(m, 1))
+    pairs.flags.writeable = False
+    return pairs
 
 
 def _pairwise(pts: np.ndarray) -> np.ndarray:

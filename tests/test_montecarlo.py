@@ -142,7 +142,7 @@ def test_ball_system_rejects_an_arc_that_ends_off_every_center(tetra_poly, tetra
             with pytest.raises(ArgumentError, match="arc 1 ends"):
                 BallSystem(centers, moved)
     with pytest.raises(ArgumentError, match="arc 0 ends"):
-        BallSystem(np.empty((0, 3)), arcs)
+        BallSystem(centers[:1] + 5.0, arcs)
 
 
 def test_ball_systems_of_sets_validated_at_a_loose_tolerance():
@@ -176,12 +176,25 @@ def test_a_single_ball_is_sampled_in_its_cube(copies):
     assert abs(result.volume - 4.0 * math.pi / 3.0) <= 4.0 * result.std_error
 
 
-def test_empty_system_rejected():
-    system = BallSystem.from_points(np.empty((0, 3)))
+def test_empty_system_rejected(tetra_system):
+    # before any sampling: EmptySystem is an ArgumentError raised by the constructor
+    with pytest.raises(EmptySystem, match="no point centers"):
+        BallSystem.from_points(np.empty((0, 3)))
     with pytest.raises(EmptySystem):
-        mc_volume(system, 100, seed=0)
-    with pytest.raises(EmptySystem):
-        width_samples(system, 10, seed=0)
+        BallSystem(np.empty((0, 3)), tetra_system.arcs)
+    assert issubclass(EmptySystem, ArgumentError)
+
+
+@pytest.mark.parametrize(
+    "centers",
+    [np.array([[0.0, 0.0, math.nan]]), np.array([[0.0, math.inf, 0.0], [0.5, 0.0, 0.0]]), np.zeros((1, 4)),
+     np.zeros(3), np.zeros((2, 3, 1))],
+    ids=["nan", "inf", "four-columns", "flat", "three-dims"],
+)
+def test_ball_system_rejects_centers_that_are_not_finite_rows_of_three(centers):
+    # a NaN center used to give volume 0, and a (1, 4) array numpy's bare ValueError
+    with pytest.raises(ArgumentError, match="centers must"):
+        BallSystem.from_points(centers)
 
 
 def test_bad_sample_count(tetra_system):

@@ -32,8 +32,10 @@ from meissner.optimize import (
     FEASIBILITY_TOL,
     MERGE_TOL,
     VALIDATION_TOL,
+    _LBFGSB_OPTIONS,
     _assemble_report,
     _Kernel,
+    _lbfgsb,
     _merged_distinct,
     _rigid,
 )
@@ -171,16 +173,18 @@ def test_optimize_pyramid_n5():
 def test_unconverged_rounds_are_counted(monkeypatch):
     # cap the first penalty round at one iteration; the later rounds converge
     results = []
+    solve = meissner.optimize._lbfgsb
 
-    def first_round_capped(*args, options, **kwargs):
-        if not results:
-            options = {**options, "maxiter": 1}
-        results.append(minimize(*args, options=options, **kwargs))
+    def first_round_capped(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            if not results:
+                patch.setattr(meissner.optimize, "_LBFGSB_MAXITER", 1)
+            results.append(solve(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(meissner.optimize, "minimize", first_round_capped)
+    monkeypatch.setattr(meissner.optimize, "_lbfgsb", first_round_capped)
     rec = optimize_pyramid(5).records[0]
-    assert [r.success for r in results] == [False] + [True] * (rec.rounds - 1)
+    assert [success for *_, success in results] == [False] + [True] * (rec.rounds - 1)
     assert rec.capped_rounds == 1
 
 
@@ -190,23 +194,76 @@ def test_restart_without_an_accepted_iterate_reports_its_final_point(monkeypatch
         raise NotExtremal("rejected")
 
     results = []
+    solve = meissner.optimize._lbfgsb
 
     def recorded(*args, **kwargs):
-        results.append(minimize(*args, **kwargs))
+        results.append(solve(*args, **kwargs))
         return results[-1]
 
     monkeypatch.setattr(meissner.optimize, "validate_vertex_set", never_extremal)
-    monkeypatch.setattr(meissner.optimize, "minimize", recorded)
+    monkeypatch.setattr(meissner.optimize, "_lbfgsb", recorded)
     report = optimize_pyramid(3)
     rec = report.records[0]
     assert not rec.converged and not rec.validated
     assert rec.area == 2.0 * math.pi - rec.objective
     assert rec.rounds == len(results)
     kernel, _ = _kernel_at_regular_pyramid(1)
-    final = kernel.project(results[-1].x)
-    final = results[-1].x if final is None else final
+    last = results[-1][0]
+    final = kernel.project(last)
+    final = last if final is None else final
     assert np.array_equal(report.best_points, kernel.points(final))
     assert report.best_objective == rec.objective and report.best_residual == kernel.residual(final)
+
+
+def _check_lbfgsb_is_minimize(fun, x0, args, **options):
+    """`_lbfgsb` against scipy's minimize, bitwise in x, value, evaluations and success: both results.
+
+    options go to scipy alone, for caps that the caller has set on the driver's constants.
+    """
+    expected = minimize(fun, x0, args=args, jac=True, method="L-BFGS-B", options={**_LBFGSB_OPTIONS, **options})
+    solved = _lbfgsb(fun, x0, args, **_LBFGSB_OPTIONS)
+    x, f, nfev, success = solved
+    assert np.array_equal(x, expected.x)
+    assert (f, nfev, success) == (expected.fun, expected.nfev, expected.success)
+    return expected, solved
+
+
+def test_lbfgsb_matches_minimize_on_every_round_of_a_search(monkeypatch):
+    solves = []
+
+    def checked(fun, x0, args, **options):
+        assert options == _LBFGSB_OPTIONS
+        expected, solved = _check_lbfgsb_is_minimize(fun, x0, args)
+        solves.append(expected)
+        return solved
+
+    monkeypatch.setattr(meissner.optimize, "_lbfgsb", checked)
+    report = optimize_pyramid(5, restarts=20, seed=0)
+    assert len(solves) == sum(r.rounds for r in report.records)
+
+
+@pytest.mark.parametrize(
+    ("cap", "value", "option"), [("_LBFGSB_MAXITER", 1, "maxiter"), ("_LBFGSB_MAXFUN", 5, "maxfun")]
+)
+def test_lbfgsb_matches_minimize_at_its_caps(monkeypatch, cap, value, option):
+    kernel, x0 = _kernel_at_regular_pyramid(2)
+    monkeypatch.setattr(meissner.optimize, cap, value)
+    expected, _ = _check_lbfgsb_is_minimize(kernel.merit, x0 + 0.01, (1e2,), **{option: value})
+    assert not expected.success and expected.status == 1
+
+
+def test_lbfgsb_matches_minimize_when_the_line_search_fails():
+    # the gradient's entries in reverse order: the line search fails twice, and each time setulb
+    # restores its previous iterate and gradient (writing into g); the second time it stops abnormally
+    kernel, x0 = _kernel_at_regular_pyramid(2)
+
+    def reversed_gradient(x, mu):
+        f, g = kernel.merit(x, mu)
+        return f, g[::-1].copy()
+
+    x0 = x0 + 0.01 * np.random.default_rng(0).normal(size=x0.shape)
+    expected, _ = _check_lbfgsb_is_minimize(reversed_gradient, x0, (1e2,))
+    assert expected.message.startswith("ABNORMAL") and expected.nit == 1
 
 
 def test_tied_restarts_report_the_lowest_index():
@@ -522,6 +579,15 @@ def _perturbed_kernels():
     for vs in sets:
         near = vs.points.ravel() + 0.05 * rng.normal(size=3 * vs.m)
         yield _Kernel(vs), (near, 1.7 * near)
+
+
+def test_edge_rows_lead_the_squared_jacobian():
+    for kernel, points in _perturbed_kernels():
+        edges = len(kernel.edges)
+        for x in points:
+            d2, jac = kernel.squared_jacobian(x)
+            d2_edges, jac_edges = kernel.squared_jacobian(x, edges_only=True)
+            assert np.array_equal(d2_edges, d2[:edges]) and np.array_equal(jac_edges, jac[:edges])
 
 
 def test_merit_gradient_and_jacobian_match_finite_differences():
