@@ -36,6 +36,7 @@ from meissner.optimize import (
     _assemble_report,
     _Kernel,
     _lbfgsb,
+    _least_norm_step,
     _merged_distinct,
     _rigid,
 )
@@ -395,7 +396,8 @@ def _check_kernel(kernel, x, reference):
 
 def _reference_soft(kernel, d2):
     """Soft objective and its gradient by the array formula over (2, m - 1) rows that `_Kernel.soft` replaced."""
-    half = np.sqrt(d2[kernel.ends]) / 2.0
+    ends = np.array(kernel.ends).T
+    half = np.sqrt(d2[ends]) / 2.0
     sin_arc = np.minimum(half, 1.0)[::-1]
     half_arc = np.arcsin(sin_arc)
     cos_half = np.cos(half_arc)
@@ -409,7 +411,7 @@ def _reference_soft(kernel, d2):
     dh = np.divide(1.0, 8.0 * half, out=np.zeros_like(half), where=half > 0.0)
     pick = f[1] > f[0]
     grad = np.zeros_like(d2)
-    grad[kernel.ends] = np.where(pick == np.arange(2)[:, None], df_retained * dh, (df_smoothed * dh[::-1])[::-1])
+    grad[ends] = np.where(pick == np.arange(2)[:, None], df_retained * dh, (df_smoothed * dh[::-1])[::-1])
     return float(np.maximum(f[0], f[1]).sum()), grad
 
 
@@ -437,8 +439,8 @@ def test_soft_matches_the_array_reference_where_it_clamps():
         kernel = _Kernel(vs)
         for shift in range(len(halves)):
             d2 = kernel.squared(vs.points.ravel())
-            rows = np.array([halves[(p + shift) % len(halves)] for p in range(kernel.ends.shape[1])]).T
-            d2[kernel.ends] = (2.0 * rows) ** 2
+            rows = np.array([halves[(p + shift) % len(halves)] for p in range(len(kernel.ends))]).T
+            d2[np.array(kernel.ends).T] = (2.0 * rows) ** 2
             _check_soft(kernel, d2)
 
 
@@ -603,3 +605,45 @@ def test_merit_gradient_and_jacobian_match_finite_differences():
                 _, grad = kernel.merit(x, mu)
                 expected = _central_difference(lambda v: kernel.merit(v, mu)[0], x)
                 np.testing.assert_allclose(grad, expected, rtol=0, atol=1e-7 * max(1.0, np.abs(expected).max()))
+
+
+def test_least_norm_step_matches_lstsq():
+    for kernel, points in _perturbed_kernels():
+        for x in points:
+            d2, jac = kernel.squared_jacobian(x, edges_only=True)
+            r = d2 - 1.0
+            reference = np.linalg.lstsq(jac, r, rcond=None)[0]
+            step = _least_norm_step(jac, r)
+            assert np.linalg.norm(step - reference) <= 1e-12 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_project_gives_up_on_a_collapsed_edge(k):
+    # an edge whose endpoints coincide has a zero Jacobian row, so the Gram matrix is singular at once;
+    # a RuntimeWarning would fail the suite
+    vs = regular_pyramid(k)
+    kernel = _Kernel(vs)
+    i, j = vs.edges[0]
+    pts = vs.points.copy()
+    pts[j] = pts[i]
+    d2, jac = kernel.squared_jacobian(pts.ravel(), edges_only=True)
+    assert _least_norm_step(jac, d2 - 1.0) is None
+    assert kernel.project(pts.ravel()) is None
+
+
+def test_merit_and_jacobian_outputs_own_their_memory():
+    # the kernel writes every Jacobian into one buffer of its own; nothing returned may alias it
+    for kernel, (x1, x2) in _perturbed_kernels():
+        first = kernel.merit(x1, 1e4)
+        d2, jac = kernel.squared_jacobian(x1)
+        edges = kernel.squared_jacobian(x1, edges_only=True)
+        kept = [first[1], d2, jac, *edges]
+        snapshots = [a.copy() for a in kept]
+        kernel.merit(x2, 1e4)
+        kernel.squared_jacobian(x2, edges_only=True)
+        kernel.project(x2)
+        again = kernel.merit(x1, 1e4)
+        assert again[0] == first[0] and np.array_equal(again[1], first[1])
+        for array, snapshot in zip(kept, snapshots):
+            assert np.array_equal(array, snapshot)
+            assert not np.shares_memory(array, kernel._jac)
