@@ -13,13 +13,15 @@ Sampling is chunked, with each chunk driven by its own counter-based
 generator keyed by (seed, chunk index), so results are reproducible bit
 for bit regardless of how chunks are scheduled.
 
-Each chunk is stratified and antithetic: it splits the unit cube into
-equal cells, deals pairs of samples mirrored through their cell's center
-to the cells in turn and maps the cube affinely onto the box.  The
-chunk's estimate is the mean hit fraction of its cells and its variance
-comes from the spread of the pair means inside each cell, so a cell
-wholly inside or outside the body adds none; only the cells that the
-boundary crosses do.
+Each chunk is stratified and antithetic.  It splits the unit cube into
+equal cells, mapped affinely onto the box, and sorts them before any
+sample is drawn: a cell that misses a point ball is outside the body,
+and a cell whose eight corners lie inside it, with a margin, is inside,
+since the body is convex.  Only the cells that the boundary crosses get
+samples, pairs mirrored through their cell's center dealt to them in
+turn.  The chunk's estimate counts each interior cell whole and each
+boundary cell by its hit fraction, and its variance is the spread of the
+pair means inside the boundary cells alone.
 """
 
 from __future__ import annotations
@@ -52,6 +54,8 @@ _SUPPORT_SLACK = 1e-9
 _ENDPOINT_TOL = 1e-4
 # how far a direction's norm may stray from one; `width_samples` normalizes to within a few ulps
 _UNIT_TOL = 1e-12
+# a cell this far inside or outside is so for `_inside` too, whose rounding is near 1e-15
+_CELL_MARGIN = 1e-9
 # squared center distance below which two spheres coincide and share no circle
 _COINCIDENT_SQ = 1e-30
 _NO_ARCS = Arc(np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
@@ -111,29 +115,33 @@ class McResult:
 
 
 def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> McResult:
-    """Stratified antithetic rejection sampling of the point centers' lens box.
+    """Stratified antithetic rejection sampling of the boundary cells of the point centers' lens box.
 
     Along each axis direction the box reaches the least support, over
     every pair of point balls, of their lens, widened by the support
     slack (`_sampling_box`).  The body lies in every lens, so the box
-    holds it, and bodies on the same centers share one sample stream.  A
-    single ball is sampled in its cube.  When there is no box, two balls
-    missing each other or the box empty, the balls share no point: the
-    result is volume 0, standard error 0 and no hits, with no sample drawn.
+    holds it.  A single ball is sampled in its cube.  When there is no
+    box, two balls missing each other or the box empty, the balls share
+    no point: the result is volume 0, standard error 0 and no hits, with
+    no sample drawn.
 
     A chunk of n samples splits the unit cube into L^3 equal cells, L the
-    largest integer with 4 L^3 <= n (at least 1), and draws ceil(n / 2)
-    points q_p uniform in the unit cube.  Pair p goes to cell p mod L^3,
-    its two samples at (cell corner + q_p) / L and (cell corner + 1 - q_p)
-    / L, mirrored through the cell's center; for an odd n the last pair
-    keeps only its first sample.  The cube point is then mapped affinely
-    onto the box, so the cells are of equal volume.  A cell's hit
-    fraction p_c is the mean of its k_c pair means, with variance the
-    unbiased spread of those pair means over k_c, a cell of one pair
-    adding none.  The chunk's hit fraction is the mean of the p_c, with
-    variance their variances' sum over (L^3)^2.  Chunks combine weighted
-    by their share of the samples; volume and standard error scale with
-    the box's volume, and `hits` is the total count of accepted samples.
+    largest integer with 4 L^3 <= n (at least 1), mapped affinely onto the
+    box, and sorts them once per call and chunk size (`_classify`): I
+    interior cells, which lie inside the body, exterior cells, which miss
+    a point ball, and the B cells between, which the boundary crosses.  It
+    draws ceil(n / 2) points q_p uniform in the unit cube.  Pair p goes to
+    the (p mod B)-th boundary cell, its two samples at (cell corner + q_p)
+    / L and (cell corner + 1 - q_p) / L, mirrored through the cell's
+    center; for an odd n the last pair keeps only its first sample.  A
+    boundary cell's hit fraction p_c is the mean of its k_c pair means,
+    with variance the unbiased spread of those pair means over k_c, a cell
+    of one pair adding none.  The chunk's hit fraction is (I + sum of the
+    p_c) / L^3, with variance the p_c's variances' sum over (L^3)^2; when
+    no cell is a boundary cell, it is I / L^3 exactly and the chunk draws
+    no sample.  Chunks combine weighted by their share of the samples;
+    volume and standard error scale with the box's volume, and `hits`
+    counts the accepted samples, all drawn in boundary cells.
 
     Deterministic for fixed (samples, seed): the sample stream is a pure
     function of the chunk index and chunks combine in chunk order, so
@@ -149,10 +157,15 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
         return McResult(0.0, 0.0, samples, seed, 0)
     lo, size = box
     nchunks = (samples + CHUNK - 1) // CHUNK
+    # the cells of each chunk size, sorted once and shared by every chunk of that size
+    sizes = {min(CHUNK, samples - c * CHUNK) for c in (0, nchunks - 1)}
+    strata_of = {n: _strata(system, lo, size, n) for n in sizes}
 
     def run(chunk: int) -> tuple[int, float, float]:
-        n = min(CHUNK, samples - chunk * CHUNK)
-        strata = _strata(n)
+        strata = strata_of[min(CHUNK, samples - chunk * CHUNK)]
+        if not len(strata.count):
+            # no cell is crossed by the boundary: the estimate is exact and draws nothing
+            return 0, strata.interior / strata.side**3, 0.0
         # (3, n) rows x, y, z, which `_inside` takes without a copy
         v = strata.place(_stream(seed, chunk).random((3, strata.corners.shape[1])))
         pts = lo[:, None] + (size / strata.side)[:, None] * v
@@ -176,14 +189,28 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
 
 @dataclass(frozen=True, slots=True)
 class _Strata:
-    """The cells of a chunk of n samples: L per side, ceil(n / 2) antithetic pairs, pair p in cell p mod L^3."""
+    """A chunk's cells over one body: L per side, `interior` of them inside it, ceil(n / 2) antithetic pairs
+    dealt to the B cells the boundary crosses, pair p to the (p mod B)-th of them."""
 
     side: int  # L
     samples: int  # n
-    # (3, pairs): the low corner (x, y, z) of pair p's cell, (x * L + y) * L + z = p mod L^3
+    interior: int  # cells wholly inside the body
+    # (3, pairs): the low corner (x, y, z) of pair p's cell, (x * L + y) * L + z its index
     corners: np.ndarray
-    count: np.ndarray  # (L^3,) pairs per cell
-    spread: np.ndarray  # (L^3,) 1 / (4 count^2 (count - 1)), 0 for a cell of one pair
+    count: np.ndarray  # (B,) pairs per boundary cell
+    spread: np.ndarray  # (B,) 1 / (4 count^2 (count - 1)), 0 for a cell of one pair
+
+    @classmethod
+    def deal(cls, side: int, samples: int, interior: int, boundary: np.ndarray) -> "_Strata":
+        """Deal the pairs of n samples round-robin to the boundary cells, given by index (x * L + y) * L + z."""
+        pairs = (samples + 1) // 2
+        rounds, extra = divmod(pairs, len(boundary)) if len(boundary) else (0, 0)
+        corners = np.stack((boundary // (side * side), boundary // side % side, boundary % side)).astype(float)
+        corners = np.tile(corners, rounds + 1)[:, :pairs]
+        count = np.full(len(boundary), float(rounds))
+        count[:extra] += 1.0
+        spread = np.where(count > 1.0, 1.0 / (4.0 * count * count * np.maximum(count - 1.0, 1.0)), 0.0)
+        return cls(side, samples, interior, corners, count, spread)
 
     def place(self, q: np.ndarray) -> np.ndarray:
         """Points (3, n) of [0, L)^3, in cell units, from uniform q of shape (3, pairs).
@@ -200,44 +227,72 @@ class _Strata:
 
     def estimate(self, inside: np.ndarray) -> tuple[float, float]:
         """The chunk's hit fraction and its variance, from the membership mask of `place`'s columns."""
-        cells = len(self.count)
+        dealt = len(self.count)
         pairs = self.corners.shape[1]
         mirrors = self.samples - pairs
         # twice each pair's mean: its two hits, or twice the hit of an odd n's lone last sample
-        twice = np.zeros(-(-pairs // cells) * cells, dtype=np.uint8)
+        twice = np.zeros(-(-pairs // dealt) * dealt, dtype=np.uint8)
         twice[:pairs] = inside[:pairs]
         twice[:mirrors] += inside[pairs:]
         twice[mirrors:pairs] *= 2
-        twice = twice.reshape(-1, cells)
-        # 4 (L + 1)^3 > n leaves at most 16 pairs per cell, so the uint8 sums of twice (at most 32)
-        # and of its squares (at most 64) cannot wrap
-        s1 = twice.sum(axis=0, dtype=np.uint8).astype(float)
-        s2 = (twice * twice).sum(axis=0, dtype=np.uint8)
+        twice = twice.reshape(-1, dealt)
+        # a boundary cell may hold every pair of the chunk, so the sums take a wide type
+        s1 = twice.sum(axis=0, dtype=np.int64).astype(float)
+        s2 = (twice * twice).sum(axis=0, dtype=np.int64)
         # k s2 - s1^2 is an exact integer, 4 k^2 (k - 1) times the variance of the cell's mean;
         # an elementwise sum, not np.dot: a BLAS call here wakes BLAS's own thread pool inside every worker
+        cells = self.side**3
         var = float(((self.count * s2 - s1 * s1) * self.spread).sum()) / cells**2
-        return float((s1 / self.count).mean()) / 2.0, var
+        return (self.interior + float((s1 / self.count).sum()) / 2.0) / cells, var
 
 
-@lru_cache(maxsize=4)
-def _strata(n: int) -> _Strata:
-    """The cells of a chunk of n samples, L the largest integer with 4 L^3 <= n (at least 1).
+def _classify(
+    system: BallSystem, lo: np.ndarray, size: np.ndarray, side: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Interior and exterior masks of the L^3 cells of the box, cell (x, y, z) at (x * L + y) * L + z.
 
-    ceil(n / 2) pairs over L^3 cells give each cell at least two pairs once
-    n >= 4, and 4 (L + 1)^3 > n gives it at most 16, which keeps
-    `_Strata.estimate`'s uint8 sums from wrapping.
+    The cell edges are lo + (size / L) i, the expression that places the
+    samples, so every sample lies in its closed cell.  A cell is exterior
+    when its nearest point lies over 1 + `_CELL_MARGIN` from a point
+    center, and interior when its 8 corners pass `_inside` at slack
+    -(`_CELL_MARGIN` + g), g the largest arc endpoint gap.  A point that
+    passes there lies within 1 - `_CELL_MARGIN` of every center and every
+    arc point: off an arc's wedge its farthest arc point is an endpoint,
+    at most g from the point center tested in its stead.  Those points
+    are an intersection of balls, so convex, and hold the whole cell,
+    whose every point `_inside` then accepts.
+    """
+    edges = lo[:, None] + (size / side)[:, None] * np.arange(side + 1.0)
+    grid = np.empty((3, side + 1, side + 1, side + 1))
+    grid[0] = edges[0][:, None, None]
+    grid[1] = edges[1][:, None]
+    grid[2] = edges[2]
+    gap = float(_endpoint_gaps(system.centers, system.arcs).max(initial=0.0))
+    ok = _inside(system, grid.reshape(3, -1).T, slack=-(_CELL_MARGIN + gap)).reshape(grid.shape[1:])
+    # a cell's corners pass when both ends of each of its edges along x, then y, then z do
+    ok = ok[:-1] & ok[1:]
+    ok = ok[:, :-1] & ok[:, 1:]
+    interior = ok[:, :, :-1] & ok[:, :, 1:]
+    # per axis, the squared distance from each center to each cell's span; to the cell, their sum
+    low = edges[None, :, :-1] - system.centers[:, :, None]
+    high = system.centers[:, :, None] - edges[None, :, 1:]
+    near = np.maximum(np.maximum(low, high), 0.0) ** 2
+    dist = near[:, 0, :, None, None] + near[:, 1, None, :, None] + near[:, 2, None, None, :]
+    exterior = dist.max(axis=0) > (1.0 + _CELL_MARGIN) ** 2
+    return interior.ravel(), exterior.ravel()
+
+
+def _strata(system: BallSystem, lo: np.ndarray, size: np.ndarray, n: int) -> _Strata:
+    """The cells of a chunk of n samples over the box, sorted for the system.
+
+    L is the largest integer with 4 L^3 <= n (at least 1), so the B <= L^3
+    boundary cells share ceil(n / 2) pairs, at least two each once n >= 4.
     """
     side = 1
     while 4 * (side + 1) ** 3 <= n:
         side += 1
-    cells = side**3
-    cell = np.arange((n + 1) // 2) % cells
-    corners = np.stack((cell // (side * side), cell // side % side, cell % side)).astype(float)
-    count = np.bincount(cell, minlength=cells).astype(float)
-    spread = np.where(count > 1.0, 1.0 / (4.0 * count * count * np.maximum(count - 1.0, 1.0)), 0.0)
-    for a in (corners, count, spread):
-        a.flags.writeable = False
-    return _Strata(side, n, corners, count, spread)
+    interior, exterior = _classify(system, lo, size, side)
+    return _Strata.deal(side, n, int(np.count_nonzero(interior)), np.flatnonzero(~(interior | exterior)))
 
 
 def width_samples(

@@ -28,10 +28,14 @@ from meissner import (
     width_samples,
 )
 from meissner.montecarlo import (
+    CHUNK,
+    _CELL_MARGIN,
     _COINCIDENT_SQ,
     _ENDPOINT_TOL,
     _NORM_FLOOR,
     _SUPPORT_SLACK,
+    _Strata,
+    _classify,
     _inside,
     _sampling_box,
     _sphere_corners,
@@ -206,15 +210,15 @@ def test_reproducible_and_thread_invariant(tetra_system):
     base = mc_volume(tetra_system, 200_000, seed=7)
     again = mc_volume(tetra_system, 200_000, seed=7)
     assert (base.volume, base.hits) == (again.volume, again.hits)
-    for threads in (2, 3):
+    for threads in (2, 3, 4):
         threaded = mc_volume(tetra_system, 200_000, seed=7, threads=threads)
         assert (threaded.volume, threaded.hits) == (base.volume, base.hits)
     other = mc_volume(tetra_system, 200_000, seed=8)
     assert other.hits != base.hits
-    # the last chunk, 3,395 samples, deals 1,698 pairs to 9^3 cells, 2 or 3 per cell, and keeps
+    # the last chunk, 3,395 samples, deals 1,698 pairs to the boundary cells of its 9^3, and keeps
     # the last pair's first sample alone
     uneven = mc_volume(tetra_system, 200_003, seed=7)
-    for threads in (2, 3):
+    for threads in (2, 3, 4):
         assert mc_volume(tetra_system, 200_003, seed=7, threads=threads) == uneven
 
 
@@ -241,15 +245,36 @@ def test_width_samples_use_one_core():
     assert cpu - own <= 0.1 * own
 
 
+def reference_estimate(strata: _Strata, inside: np.ndarray) -> tuple[float, float]:
+    """(I + each boundary cell's mean pair mean) / L^3, and the unbiased spread of the pair means over
+    their count, summed over the boundary cells and divided by (L^3)^2; in floats, pair p in cell p mod B."""
+    n, cells, dealt = strata.samples, strata.side**3, len(strata.count)
+    pairs = (n + 1) // 2
+    mirrors = n - pairs
+    pair_means = inside[:pairs].astype(float)
+    pair_means[:mirrors] = (pair_means[:mirrors] + inside[pairs:]) / 2.0
+    cell = np.arange(pairs) % dealt
+    count = np.bincount(cell, minlength=dealt)
+    means = np.bincount(cell, pair_means, minlength=dealt) / count
+    squares = np.bincount(cell, (pair_means - means[cell]) ** 2, minlength=dealt)
+    spread = np.where(count > 1, squares / np.maximum(count - 1, 1) / count, 0.0)
+    return (strata.interior + means.sum()) / cells, spread.sum() / cells**2
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 31, 32, 1001, 3392, 3395, 8192, 65536])
-def test_each_sample_lies_in_its_own_cell(n):
-    strata = _strata(n)
+def test_each_sample_lies_in_its_own_cell(tetra_system, n):
+    # its cell is the boundary cell its pair is dealt to, the pairs dealt to them in turn
+    lo, size = _sampling_box(tetra_system.centers)
+    strata = _strata(tetra_system, lo, size, n)
     side = strata.side
     assert side == 1 or 4 * side**3 <= n
     assert 4 * (side + 1) ** 3 > n
-    cells = side**3
+    interior, exterior = _classify(tetra_system, lo, size, side)
+    assert not (interior & exterior).any()
+    assert strata.interior == np.count_nonzero(interior)
+    boundary = np.flatnonzero(~(interior | exterior))
     pairs = (n + 1) // 2
-    cell = np.arange(pairs) % cells
+    cell = boundary[np.arange(pairs) % len(boundary)]
     v = strata.place(_stream(5, 0).random((3, pairs)))
     assert v.shape == (3, n)
     corner = np.floor(v[:, :pairs]).astype(int)
@@ -259,19 +284,88 @@ def test_each_sample_lies_in_its_own_cell(n):
     mirrors = n - pairs
     assert mirrors == pairs - n % 2
     assert np.abs(v[:, :mirrors] + v[:, pairs:] - (2.0 * corner[:, :mirrors] + 1.0)).max(initial=0.0) <= 1e-12
-    assert np.array_equal(strata.count, np.bincount(cell, minlength=cells))
-    assert set(strata.count.tolist()) <= {pairs // cells, pairs // cells + 1}
-    # the estimate: each cell's mean pair mean, and the unbiased spread of its pair means over their count
+    # the boundary cells share the pairs evenly, two or more each once n >= 4
+    assert np.array_equal(strata.count, np.bincount(np.arange(pairs) % len(boundary)))
+    assert set(strata.count.tolist()) <= {pairs // len(boundary), pairs // len(boundary) + 1}
+    assert n < 4 or strata.count.min() >= 2
     inside = _stream(6, 0).random(n) < 0.4
-    pair_means = inside[:pairs].astype(float)
-    pair_means[:mirrors] = (pair_means[:mirrors] + inside[pairs:]) / 2.0
     frac, var = strata.estimate(inside)
-    count = np.bincount(cell, minlength=cells)
-    means = np.bincount(cell, pair_means, minlength=cells) / count
-    squares = np.bincount(cell, (pair_means - means[cell]) ** 2, minlength=cells)
-    spread = np.where(count > 1, squares / np.maximum(count - 1, 1) / count, 0.0)
-    assert frac == pytest.approx(means.mean(), rel=1e-12)
-    assert var == pytest.approx(spread.sum() / cells**2, rel=1e-12, abs=1e-300)
+    ref_frac, ref_var = reference_estimate(strata, inside)
+    assert frac == pytest.approx(ref_frac, rel=1e-12)
+    assert var == pytest.approx(ref_var, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("rate", [0.5, 0.95, 1.0])
+def test_the_estimate_sums_many_pairs_per_cell(rate):
+    # three boundary cells of eight share 501 pairs, 167 each: a cell's sum of twice its pair means
+    # reaches 334 and of their squares 668, past what 8 bits hold
+    strata = _Strata.deal(2, 1001, 3, np.array([0, 5, 6]))
+    assert strata.count.min() >= 64
+    inside = _stream(7, 0).random(1001) < rate
+    frac, var = strata.estimate(inside)
+    ref_frac, ref_var = reference_estimate(strata, inside)
+    assert frac == pytest.approx(ref_frac, rel=1e-12)
+    assert var == pytest.approx(ref_var, rel=1e-12, abs=1e-300)
+
+
+def _cell_points(lo: np.ndarray, size: np.ndarray, side: int, cells: np.ndarray, rng) -> np.ndarray:
+    """Each cell's 8 corners, then 8 uniform points per cell, placed by `mc_volume`'s expression."""
+    corner = np.stack((cells // (side * side), cells // side % side, cells % side)).astype(float)
+    offsets = np.concatenate((np.array(list(np.ndindex(2, 2, 2)), dtype=float).T, rng.random((3, 8))), axis=1)
+    v = (corner[:, None, :] + offsets[:, :, None]).reshape(3, -1)
+    return (lo[:, None] + (size / side)[:, None] * v).T
+
+
+def _arc_end_boxes(system: BallSystem, rng, per_end: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Small boxes (lo, size, side) around points at distance one from each arc end on its wedge's edge.
+
+    There the arc's farthest point leaves the end, and off the wedge
+    `_inside` tests the end's point center in its stead: an end off its
+    center bends `_inside`'s body out of convexity within that gap.
+    """
+    arcs = system.arcs
+    boxes = []
+    for end in (0.0, 1.0):
+        for _ in range(per_end):
+            lift = rng.uniform(-0.9, 0.9, (len(arcs), 1))
+            for x in near_far_sphere(arcs, end * arcs.sweep[:, None], np.ones((len(arcs), 1)), lift):
+                size = np.full(3, 10.0 ** rng.uniform(-7.0, -4.0))
+                boxes.append((x - size * rng.random(3), size, int(rng.integers(1, 5))))
+    return boxes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            lambda k, seed: BallSystem.from_meissner(build_meissner(random_feasible_pyramid(k, seed))),
+            st.integers(1, 5), st.integers(0, 10_000),
+        ),
+        st.builds(
+            lambda seed: BallSystem.from_meissner(build_meissner(validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5))),
+            st.integers(0, 10_000),
+        ),
+        st.builds(lambda k, seed: BallSystem.from_points(random_feasible_pyramid(k, seed).points),
+                  st.integers(1, 5), st.integers(0, 10_000)),
+        st.just(BallSystem.from_points(regular_tetrahedron().points)),
+        st.just(BallSystem.from_points(np.array([[0.3, -1.0, 2.0]]))),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_interior_cells_lie_inside_and_exterior_cells_outside(system, seed):
+    # the sampling box at a random side, and small boxes where an arc's farthest point leaves its end:
+    # these noisy tetrahedra's arcs end up to 2e-6 off their centers.  An interior cell's points pass
+    # `_inside`, and its corners lie within 1 - margin / 2 of every center and every arc point, so the
+    # whole cell does: those points are an intersection of balls, hence convex
+    rng = np.random.default_rng(seed)
+    lo, size = _sampling_box(system.centers)
+    for lo, size, side in [(lo, size, int(rng.integers(1, 17)))] + _arc_end_boxes(system, rng, 4):
+        interior, exterior = _classify(system, lo, size, side)
+        assert not (interior & exterior).any()
+        pts = _cell_points(lo, size, side, np.flatnonzero(interior), rng)
+        assert _inside(system, pts).all()
+        assert reference_inside(system, pts[: 8 * np.count_nonzero(interior)], -_CELL_MARGIN / 2).all()
+        assert not _inside(system, _cell_points(lo, size, side, np.flatnonzero(exterior), rng)).any()
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3])
@@ -282,20 +376,26 @@ def test_a_few_samples_give_a_finite_estimate(tetra_system, samples):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_strata_halve_the_standard_error_of_plain_sampling(k):
-    # plain sampling's error at the same hit rate; the cells cut it to about a quarter
-    system = BallSystem.from_meissner(build_meissner(random_feasible_pyramid(k, 0)))
+    # plain sampling's error at the body's share of the box; the sorted cells cut it to about a twelfth
+    poly = build_meissner(random_feasible_pyramid(k, 0))
+    system = BallSystem.from_meissner(poly)
     result = mc_volume(system, 1 << 16, seed=0)
-    _, size = _sampling_box(system.centers)
-    p = result.hits / result.samples
-    assert result.std_error <= 0.5 * float(np.prod(size)) * math.sqrt(p * (1.0 - p) / result.samples)
+    region = float(np.prod(_sampling_box(system.centers)[1]))
+    p = meissner_volume(poly) / region
+    assert result.std_error <= 0.5 * region * math.sqrt(p * (1.0 - p) / result.samples)
 
 
 def test_arcs_only_shrink_the_body(tetra_system, reuleaux_system):
-    # same centers, same seed, same sample stream: each accepted point
-    # of the smoothed body is also accepted by the unsmoothed one
+    # the same centers: each point of the smoothed body is a point of the unsmoothed one, and its
+    # volume is no larger, to within the two estimates' combined error
+    lo, size = _sampling_box(tetra_system.centers)
+    pts = lo + size * _stream(19).random((100_000, 3))
+    smoothed, plain = _inside(tetra_system, pts), _inside(reuleaux_system, pts)
+    assert smoothed.any() and (plain & ~smoothed).any()
+    assert not (smoothed & ~plain).any()
     smoothed = mc_volume(tetra_system, 100_000, seed=19)
     plain = mc_volume(reuleaux_system, 100_000, seed=19)
-    assert smoothed.hits <= plain.hits
+    assert smoothed.volume <= plain.volume + 3.0 * math.hypot(smoothed.std_error, plain.std_error)
 
 
 def test_estimate_brackets_closed_form(tetra_poly, tetra_system):
@@ -546,6 +646,21 @@ def test_disjoint_balls_have_no_support_and_no_volume():
         mc_volume(system, 1000, seed=-1)
 
 
+def test_a_box_whose_cells_each_miss_a_ball_draws_no_sample():
+    # every two of these balls meet and their lens box is not empty, yet the four share no point:
+    # at 2^16 samples each cell misses one of them and the chunk draws nothing, while at 2^13 a few
+    # cells touch all four and share every pair, none of which hits
+    centers = np.array([[-1.091, 0.223, 0.773], [0.839, 0.334, 0.558], [-0.166, -0.561, -0.26], [-0.622, -0.545, 0.037]])
+    system = BallSystem.from_points(centers)
+    with pytest.raises(NoIntersection):
+        support(system, np.eye(3))
+    lo, size = _sampling_box(centers)
+    assert len(_strata(system, lo, size, CHUNK).count) == 0 < len(_strata(system, lo, size, 1 << 13).count)
+    for samples in (CHUNK, 1 << 13, CHUNK + 1001):
+        result = mc_volume(system, samples, seed=1)
+        assert (result.volume, result.std_error, result.hits) == (0.0, 0.0, 0)
+
+
 @pytest.mark.parametrize("side", [1.75, 1.9])
 def test_balls_that_meet_pairwise_but_share_no_point_have_no_volume(side):
     # an equilateral triangle of circumradius side / sqrt(3), 1.01 or 1.10: every two balls meet,
@@ -609,13 +724,14 @@ def test_lens_box_holds_the_ball_polytope(centers):
     assert (lo <= -h[3:]).all() and (lo + size >= h[:3]).all()
 
 
-@pytest.mark.parametrize("k, samples", [(1, 1 << 13), (3, 1 << 13), (5, 1 << 13), (3, 1001)])
+@pytest.mark.parametrize("k, samples", [(1, 1 << 13), (3, 1 << 13), (5, 1 << 13), (3, 1001), (3, CHUNK + 1001)])
 def test_estimates_center_on_the_closed_form_with_honest_errors(k, samples):
-    # over 200 seeds: the mean estimate within 4 sigma of the closed form, and the estimates'
-    # spread matching the mean reported standard error
+    # over 200 seeds, 100 for the two chunks of the last size, whose cells are sorted per chunk size:
+    # the mean estimate within 4 sigma of the closed form, and the estimates' spread matching the
+    # mean reported standard error
     poly = build_meissner(random_feasible_pyramid(k, 11))
     system = BallSystem.from_meissner(poly)
-    results = [mc_volume(system, samples, seed=seed) for seed in range(200)]
+    results = [mc_volume(system, samples, seed=seed) for seed in range(200 if samples <= CHUNK else 100)]
     volumes = np.array([r.volume for r in results])
     spread = volumes.std(ddof=1)
     assert abs(volumes.mean() - meissner_volume(poly)) <= 4.0 * spread / math.sqrt(len(volumes))
