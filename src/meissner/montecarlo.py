@@ -19,9 +19,11 @@ sample is drawn: a cell that misses a point ball is outside the body,
 and a cell whose eight corners lie inside it, with a margin, is inside,
 since the body is convex.  Only the cells that the boundary crosses get
 samples, pairs mirrored through their cell's center dealt to them in
-turn.  The chunk's estimate counts each interior cell whole and each
-boundary cell by its hit fraction, and its variance is the spread of the
-pair means inside the boundary cells alone.
+turn.  The cells are as fine as the chunk allows: no more corners than
+samples, and two pairs or more for each cell the boundary crosses.  The
+chunk's estimate counts each interior cell whole and each boundary cell
+by its hit fraction, and its variance is the spread of the pair means
+inside the boundary cells alone.
 """
 
 from __future__ import annotations
@@ -125,23 +127,26 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     no point: the result is volume 0, standard error 0 and no hits, with
     no sample drawn.
 
-    A chunk of n samples splits the unit cube into L^3 equal cells, L the
-    largest integer with 4 L^3 <= n (at least 1), mapped affinely onto the
-    box, and sorts them once per call and chunk size (`_classify`): I
-    interior cells, which lie inside the body, exterior cells, which miss
-    a point ball, and the B cells between, which the boundary crosses.  It
-    draws ceil(n / 2) points q_p uniform in the unit cube.  Pair p goes to
-    the (p mod B)-th boundary cell, its two samples at (cell corner + q_p)
-    / L and (cell corner + 1 - q_p) / L, mirrored through the cell's
-    center; for an odd n the last pair keeps only its first sample.  A
-    boundary cell's hit fraction p_c is the mean of its k_c pair means,
-    with variance the unbiased spread of those pair means over k_c, a cell
-    of one pair adding none.  The chunk's hit fraction is (I + sum of the
-    p_c) / L^3, with variance the p_c's variances' sum over (L^3)^2; when
-    no cell is a boundary cell, it is I / L^3 exactly and the chunk draws
-    no sample.  Chunks combine weighted by their share of the samples;
-    volume and standard error scale with the box's volume, and `hits`
-    counts the accepted samples, all drawn in boundary cells.
+    A chunk of n samples splits the unit cube into L^3 equal cells, mapped
+    affinely onto the box, and sorts them once per call and chunk size
+    (`_classify`): I interior cells, which lie inside the body, exterior
+    cells, which miss a point ball, and the B cells between, which the
+    boundary crosses.  L is the largest side whose (L + 1)^3 cell corners
+    fit in n and whose B boundary cells get two pairs each, 2 B <=
+    ceil(n / 2), or 1 (`_strata`); it depends on the body and n alone, not
+    on the samples.  The chunk draws ceil(n / 2) points q_p uniform in the
+    unit cube.  Pair p goes to the (p mod B)-th boundary cell, its two
+    samples at (cell corner + q_p) / L and (cell corner + 1 - q_p) / L,
+    mirrored through the cell's center; for an odd n the last pair keeps
+    only its first sample.  A boundary cell's hit fraction p_c is the mean
+    of its k_c pair means, with variance the unbiased spread of those pair
+    means over k_c, a cell of one pair adding none.  The chunk's hit
+    fraction is (I + sum of the p_c) / L^3, with variance the p_c's
+    variances' sum over (L^3)^2; when no cell is a boundary cell, it is
+    I / L^3 exactly and the chunk draws no sample.  Chunks combine
+    weighted by their share of the samples; volume and standard error
+    scale with the box's volume, and `hits` counts the accepted samples,
+    all drawn in boundary cells.
 
     Deterministic for fixed (samples, seed): the sample stream is a pure
     function of the chunk index and chunks combine in chunk order, so
@@ -261,38 +266,115 @@ def _classify(
     at most g from the point center tested in its stead.  Those points
     are an intersection of balls, so convex, and hold the whole cell,
     whose every point `_inside` then accepts.
+
+    Both tests run per (x, y) column of the lattice, not per corner or
+    cell.  A ball meets a column's z line in one span, so the column's
+    corners that pass every point ball are those between the spans'
+    greatest low end and least high end (`_z_spans`), and its cells that
+    no point ball misses are those that reach into the like span at 1 +
+    margin; the margin covers the rounding of the square roots.  The arcs
+    are tested per column too (`_clear_arc_failures`), on the corners
+    that pass every point ball.
     """
-    edges = lo[:, None] + (size / side)[:, None] * np.arange(side + 1.0)
-    grid = np.empty((3, side + 1, side + 1, side + 1))
-    grid[0] = edges[0][:, None, None]
-    grid[1] = edges[1][:, None]
-    grid[2] = edges[2]
     gap = float(_endpoint_gaps(system.centers, system.arcs).max(initial=0.0))
-    ok = _inside(system, grid.reshape(3, -1).T, slack=-(_CELL_MARGIN + gap)).reshape(grid.shape[1:])
+    limit = (1.0 - (_CELL_MARGIN + gap)) ** 2
+    edges = lo[:, None] + (size / side)[:, None] * np.arange(side + 1.0)
+    # (centers, axis, L + 1): each center's offset from each edge along each axis
+    off = edges[None] - system.centers[:, :, None]
+    z = system.centers[:, 2]
+    sq = off[:, :2] ** 2
+    low, high = _z_spans(z, sq[:, 0, :, None] + sq[:, 1, None, :], limit)
+    ok = (edges[2] >= low) & (edges[2] <= high)
+    if system.arcs:
+        _clear_arc_failures(system.arcs, edges, ok, limit)
     # a cell's corners pass when both ends of each of its edges along x, then y, then z do
     ok = ok[:-1] & ok[1:]
     ok = ok[:, :-1] & ok[:, 1:]
     interior = ok[:, :, :-1] & ok[:, :, 1:]
-    # per axis, the squared distance from each center to each cell's span; to the cell, their sum
-    low = edges[None, :, :-1] - system.centers[:, :, None]
-    high = system.centers[:, :, None] - edges[None, :, 1:]
-    near = np.maximum(np.maximum(low, high), 0.0) ** 2
-    dist = near[:, 0, :, None, None] + near[:, 1, None, :, None] + near[:, 2, None, None, :]
-    exterior = dist.max(axis=0) > (1.0 + _CELL_MARGIN) ** 2
+    # along x and y, the squared distance from each center to each cell's span: a cell meets every
+    # ball within 1 + margin when its z span meets every ball's span over its column
+    near = np.maximum(np.maximum(off[:, :2, :-1], -off[:, :2, 1:]), 0.0) ** 2
+    low, high = _z_spans(z, near[:, 0, :, None] + near[:, 1, None, :], (1.0 + _CELL_MARGIN) ** 2)
+    exterior = (edges[2][:-1] > high) | (edges[2][1:] < low)
     return interior.ravel(), exterior.ravel()
+
+
+def _clear_arc_failures(arcs: Arc, edges: np.ndarray, ok: np.ndarray, limit: float) -> None:
+    """Clear the corners of `ok`, the lattice on `edges`, whose farthest point of some arc lies beyond sqrt(limit).
+
+    As in `_inside`, a corner outside an arc's wedge has an endpoint for
+    its farthest arc point, and the point centers stand for those, so
+    only the wedge's corners get a far distance.  The wedge is where
+    (x - c) . v <= 0 and (x - c) . e >= 0, e = cos(sweep) v - sin(sweep)
+    u, and meets each (x, y) column of the lattice in one z span, found
+    per arc and column; a corner within rounding of the wedge's edge may
+    fall on either side, where the two far distances agree to rounding.
+    """
+    end = np.cos(arcs.sweep)[:, None] * arcs.v - np.sin(arcs.sweep)[:, None] * arcs.u
+    # (2, arcs, 3): both half-spaces as (x - c) . n <= 0
+    normal = np.stack((arcs.v, -end))
+    center = arcs.center
+    # (2, arcs, X, Y): (x - c) . n over each column, but for its z term
+    flat = (edges[0][:, None] - center[:, None, None, 0]) * normal[..., 0, None, None] + (
+        edges[1] - center[:, None, None, 1]
+    ) * normal[..., 1, None, None]
+    nz = normal[..., 2, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cut = center[:, 2, None, None] - flat / nz
+    # a horizontal normal bounds no z: the column lies wholly inside its half-space or wholly out
+    empty = (nz == 0.0) & (flat > 0.0)
+    low = np.where(nz < 0.0, cut, np.where(empty, np.inf, -np.inf)).max(axis=0)
+    high = np.where(nz > 0.0, cut, np.where(empty, -np.inf, np.inf)).min(axis=0)
+    # each arc's wedge corners: per (arc, x, y) the run of z indices from first to first + count
+    first = np.searchsorted(edges[2], low.ravel())
+    count = np.maximum(np.searchsorted(edges[2], high.ravel(), "right") - first, 0)
+    run = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(run)) + np.repeat(first - (np.cumsum(count) - count), count)
+    a, i, j = np.unravel_index(run, low.shape)
+    keep = ok[i, j, k]
+    a, i, j, k = a[keep], i[keep], j[keep], k[keep]
+    wx, wy, wz = edges[0][i] - center[a, 0], edges[1][j] - center[a, 1], edges[2][k] - center[a, 2]
+    u, v, r = arcs.u[a], arcs.v[a], arcs.radius[a]
+    wu = wx * u[:, 0] + wy * u[:, 1] + wz * u[:, 2]
+    wv = wx * v[:, 0] + wy * v[:, 1] + wz * v[:, 2]
+    far = wx * wx + wy * wy + wz * wz + r * r + 2.0 * r * np.sqrt(wu * wu + wv * wv)
+    out = far > limit
+    ok[i[out], j[out], k[out]] = False
+
+
+def _z_spans(z: np.ndarray, across: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high ends, (X, Y, 1), of each column's z span within sqrt(bound) of every center.
+
+    `across` (centers, X, Y) holds each column's squared distance to each
+    center in x and y, z the centers' heights.  A column that some ball
+    misses gets an empty span, low +inf and high -inf.
+    """
+    rest = bound - across
+    reach = np.sqrt(np.maximum(rest, 0.0))
+    reach[rest < 0.0] = -np.inf
+    return (z[:, None, None] - reach).max(axis=0)[..., None], (z[:, None, None] + reach).min(axis=0)[..., None]
 
 
 def _strata(system: BallSystem, lo: np.ndarray, size: np.ndarray, n: int) -> _Strata:
     """The cells of a chunk of n samples over the box, sorted for the system.
 
-    L is the largest integer with 4 L^3 <= n (at least 1), so the B <= L^3
-    boundary cells share ceil(n / 2) pairs, at least two each once n >= 4.
+    L is the largest side with (L + 1)^3 <= n, so the corner lattice is no
+    bigger than the chunk, and 2 B <= ceil(n / 2), so each of the B
+    boundary cells gets two pairs or more and its spread is estimated; 1
+    when no side passes both.  The search classifies down from the
+    largest side that passes the first, where most bodies already pass
+    the second.
     """
+    pairs = (n + 1) // 2
     side = 1
-    while 4 * (side + 1) ** 3 <= n:
+    while (side + 2) ** 3 <= n:
         side += 1
-    interior, exterior = _classify(system, lo, size, side)
-    return _Strata.deal(side, n, int(np.count_nonzero(interior)), np.flatnonzero(~(interior | exterior)))
+    while True:
+        interior, exterior = _classify(system, lo, size, side)
+        boundary = np.flatnonzero(~(interior | exterior))
+        if side == 1 or 2 * len(boundary) <= pairs:
+            return _Strata.deal(side, n, int(np.count_nonzero(interior)), boundary)
+        side -= 1
 
 
 def width_samples(

@@ -27,6 +27,7 @@ from meissner import (
     validate_vertex_set,
     width_samples,
 )
+from meissner import montecarlo
 from meissner.montecarlo import (
     CHUNK,
     _CELL_MARGIN,
@@ -36,6 +37,7 @@ from meissner.montecarlo import (
     _SUPPORT_SLACK,
     _Strata,
     _classify,
+    _endpoint_gaps,
     _inside,
     _sampling_box,
     _sphere_corners,
@@ -215,7 +217,7 @@ def test_reproducible_and_thread_invariant(tetra_system):
         assert (threaded.volume, threaded.hits) == (base.volume, base.hits)
     other = mc_volume(tetra_system, 200_000, seed=8)
     assert other.hits != base.hits
-    # the last chunk, 3,395 samples, deals 1,698 pairs to the boundary cells of its 9^3, and keeps
+    # the last chunk, 3,395 samples, deals 1,698 pairs to the boundary cells of its 14^3, and keeps
     # the last pair's first sample alone
     uneven = mc_volume(tetra_system, 200_003, seed=7)
     for threads in (2, 3, 4):
@@ -261,14 +263,27 @@ def reference_estimate(strata: _Strata, inside: np.ndarray) -> tuple[float, floa
     return (strata.interior + means.sum()) / cells, spread.sum() / cells**2
 
 
+def assert_strata_rule(system: BallSystem, n: int) -> None:
+    """L is the largest side whose (L + 1)^3 corners fit in n and whose B boundary cells get two pairs each, or 1."""
+    lo, size = _sampling_box(system.centers)
+    strata = _strata(system, lo, size, n)
+    side, pairs = strata.side, (n + 1) // 2
+
+    def fits(side: int) -> bool:
+        interior, exterior = _classify(system, lo, size, side)
+        return (side + 1) ** 3 <= n and 2 * np.count_nonzero(~(interior | exterior)) <= pairs
+
+    assert side == 1 or fits(side)
+    assert (side + 2) ** 3 > n or not fits(side + 1)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 31, 32, 1001, 3392, 3395, 8192, 65536])
 def test_each_sample_lies_in_its_own_cell(tetra_system, n):
     # its cell is the boundary cell its pair is dealt to, the pairs dealt to them in turn
     lo, size = _sampling_box(tetra_system.centers)
     strata = _strata(tetra_system, lo, size, n)
     side = strata.side
-    assert side == 1 or 4 * side**3 <= n
-    assert 4 * (side + 1) ** 3 > n
+    assert_strata_rule(tetra_system, n)
     interior, exterior = _classify(tetra_system, lo, size, side)
     assert not (interior & exterior).any()
     assert strata.interior == np.count_nonzero(interior)
@@ -366,6 +381,75 @@ def test_interior_cells_lie_inside_and_exterior_cells_outside(system, seed):
         assert _inside(system, pts).all()
         assert reference_inside(system, pts[: 8 * np.count_nonzero(interior)], -_CELL_MARGIN / 2).all()
         assert not _inside(system, _cell_points(lo, size, side, np.flatnonzero(exterior), rng)).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            lambda k, seed: BallSystem.from_meissner(build_meissner(random_feasible_pyramid(k, seed))),
+            st.integers(1, 5), st.integers(0, 10_000),
+        ),
+        st.builds(
+            lambda seed: BallSystem.from_meissner(build_meissner(validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5))),
+            st.integers(0, 10_000),
+        ),
+        st.builds(lambda k, seed: BallSystem.from_points(random_feasible_pyramid(k, seed).points),
+                  st.integers(1, 5), st.integers(0, 10_000)),
+    ),
+    st.integers(1, 3 * CHUNK),
+)
+def test_every_chunk_size_takes_the_finest_side_the_rule_allows(system, samples):
+    # the full chunks and the last one, which `mc_volume` sorts separately
+    for n in {min(CHUNK, samples), samples - (samples - 1) // CHUNK * CHUNK}:
+        assert_strata_rule(system, n)
+
+
+@pytest.mark.parametrize("samples", [1 << 13, CHUNK])
+def test_the_side_search_classifies_once_at_the_cap(tetra_poly, pyr2_poly, pyr3_poly, samples, monkeypatch):
+    # these bodies' boundaries leave every boundary cell two pairs at the largest side whose corners fit
+    calls = []
+
+    def counted(system, lo, size, side):
+        calls.append(side)
+        return _classify(system, lo, size, side)
+
+    monkeypatch.setattr(montecarlo, "_classify", counted)
+    for poly in (tetra_poly, pyr2_poly, pyr3_poly):
+        calls.clear()
+        mc_volume(BallSystem.from_meissner(poly), samples, seed=0)
+        assert calls == [19 if samples == 1 << 13 else 39]
+
+
+def _flat_arc_system(sweep: float) -> BallSystem:
+    """One arc in the plane z = 0, so both of its wedge's bounding planes are vertical, and its two ends."""
+    arc = Arc(np.zeros((1, 3)), np.array([0.5]), np.eye(3)[:1], np.eye(3)[1:2], np.array([sweep]))
+    return BallSystem(arc.point(np.array([[0.0, sweep]]))[0], arc)
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        pytest.param(BallSystem.from_meissner(build_meissner(regular_tetrahedron())), id="tetra"),
+        pytest.param(BallSystem.from_meissner(build_meissner(random_feasible_pyramid(5, 0))), id="pyramid-5"),
+        pytest.param(BallSystem.from_meissner(build_meissner(validate_vertex_set(noisy_tetrahedron(3), tol=1e-5))), id="noisy"),
+        pytest.param(_flat_arc_system(math.pi / 3.0), id="flat-arc"),
+        pytest.param(_flat_arc_system(math.pi), id="flat-half-turn"),
+    ],
+)
+@pytest.mark.parametrize("side", [5, 19, 39])
+def test_interior_cells_are_those_whose_corners_pass_inside(system, side):
+    # the per-column spans and wedges of `_classify` against `_inside` on every corner of the lattice
+    lo, size = _sampling_box(system.centers)
+    gap = float(_endpoint_gaps(system.centers, system.arcs).max(initial=0.0))
+    edges = lo[:, None] + (size / side)[:, None] * np.arange(side + 1.0)
+    corners = np.stack(np.meshgrid(*edges, indexing="ij"), axis=-1).reshape(-1, 3)
+    ok = _inside(system, corners, slack=-(_CELL_MARGIN + gap)).reshape((side + 1,) * 3)
+    ok = ok[:-1] & ok[1:]
+    ok = ok[:, :-1] & ok[:, 1:]
+    interior = (ok[:, :, :-1] & ok[:, :, 1:]).ravel()
+    assert interior.any()
+    assert np.array_equal(_classify(system, lo, size, side)[0], interior)
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3])
@@ -648,15 +732,16 @@ def test_disjoint_balls_have_no_support_and_no_volume():
 
 def test_a_box_whose_cells_each_miss_a_ball_draws_no_sample():
     # every two of these balls meet and their lens box is not empty, yet the four share no point:
-    # at 2^16 samples each cell misses one of them and the chunk draws nothing, while at 2^13 a few
-    # cells touch all four and share every pair, none of which hits
+    # at 2^13 and 2^16 samples each cell misses one of them and the chunk draws nothing, while at
+    # 1001 a few of the 9^3 cells touch all four and share every pair, none of which hits
     centers = np.array([[-1.091, 0.223, 0.773], [0.839, 0.334, 0.558], [-0.166, -0.561, -0.26], [-0.622, -0.545, 0.037]])
     system = BallSystem.from_points(centers)
     with pytest.raises(NoIntersection):
         support(system, np.eye(3))
     lo, size = _sampling_box(centers)
-    assert len(_strata(system, lo, size, CHUNK).count) == 0 < len(_strata(system, lo, size, 1 << 13).count)
-    for samples in (CHUNK, 1 << 13, CHUNK + 1001):
+    assert len(_strata(system, lo, size, CHUNK).count) == len(_strata(system, lo, size, 1 << 13).count) == 0
+    assert len(_strata(system, lo, size, 1001).count) > 0
+    for samples in (CHUNK, 1 << 13, 1001, CHUNK + 1001):
         result = mc_volume(system, samples, seed=1)
         assert (result.volume, result.std_error, result.hits) == (0.0, 0.0, 0)
 
@@ -728,7 +813,8 @@ def test_lens_box_holds_the_ball_polytope(centers):
 def test_estimates_center_on_the_closed_form_with_honest_errors(k, samples):
     # over 200 seeds, 100 for the two chunks of the last size, whose cells are sorted per chunk size:
     # the mean estimate within 4 sigma of the closed form, and the estimates' spread matching the
-    # mean reported standard error
+    # mean reported standard error.
+    # 2^13 and the full chunk of CHUNK + 1001 take the lattice cap, L = 19 and 39; 1001 steps down, 9 to 7
     poly = build_meissner(random_feasible_pyramid(k, 11))
     system = BallSystem.from_meissner(poly)
     results = [mc_volume(system, samples, seed=seed) for seed in range(200 if samples <= CHUNK else 100)]
