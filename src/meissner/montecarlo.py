@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 
@@ -71,11 +71,13 @@ class BallSystem:
     otherwise, EmptySystem for m = 0).  The membership test relies on two
     properties of the arcs, checked here (ArgumentError otherwise): every
     arc endpoint is a point center, to within `_ENDPOINT_TOL`, and every
-    sweep lies in [0, pi].
+    sweep lies in [0, pi].  `gap` keeps the largest distance from an arc
+    endpoint to its nearest point center, 0.0 without arcs.
     """
 
     centers: np.ndarray
     arcs: Arc  # one row per arc; none for a points-only system
+    gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         shape = np.shape(self.centers)
@@ -96,6 +98,7 @@ class BallSystem:
                 f"arc {bad[0] // 2} ends {gap[bad[0]]:.3g} from the nearest point center, "
                 f"over {_ENDPOINT_TOL:g}"
             )
+        object.__setattr__(self, "gap", float(gap.max(initial=0.0)))
 
     @classmethod
     def from_meissner(cls, poly: MeissnerPolyhedron) -> "BallSystem":
@@ -276,8 +279,7 @@ def _classify(
     are tested per column too (`_clear_arc_failures`), on the corners
     that pass every point ball.
     """
-    gap = float(_endpoint_gaps(system.centers, system.arcs).max(initial=0.0))
-    limit = (1.0 - (_CELL_MARGIN + gap)) ** 2
+    limit = (1.0 - (_CELL_MARGIN + system.gap)) ** 2
     edges = lo[:, None] + (size / side)[:, None] * np.arange(side + 1.0)
     # (centers, axis, L + 1): each center's offset from each edge along each axis
     off = edges[None] - system.centers[:, :, None]
@@ -334,11 +336,7 @@ def _clear_arc_failures(arcs: Arc, edges: np.ndarray, ok: np.ndarray, limit: flo
     keep = ok[i, j, k]
     a, i, j, k = a[keep], i[keep], j[keep], k[keep]
     wx, wy, wz = edges[0][i] - center[a, 0], edges[1][j] - center[a, 1], edges[2][k] - center[a, 2]
-    u, v, r = arcs.u[a], arcs.v[a], arcs.radius[a]
-    wu = wx * u[:, 0] + wy * u[:, 1] + wz * u[:, 2]
-    wv = wx * v[:, 0] + wy * v[:, 1] + wz * v[:, 2]
-    far = wx * wx + wy * wy + wz * wz + r * r + 2.0 * r * np.sqrt(wu * wu + wv * wv)
-    out = far > limit
+    out = _far_sq(wx, wy, wz, arcs.u[a].T, arcs.v[a].T, arcs.radius[a]) > limit
     ok[i[out], j[out], k[out]] = False
 
 
@@ -435,7 +433,7 @@ def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
     n, k = pts.shape[:2]
     # corners do not move with the direction, so they are screened once
     corners = np.concatenate((centers, _sphere_corners(centers)))
-    slack = max(_SUPPORT_SLACK, float(_endpoint_gaps(centers, system.arcs).max(initial=0.0)))
+    slack = max(_SUPPORT_SLACK, system.gap)
     ok = _inside(system, np.concatenate((pts.reshape(-1, 3), corners)), slack=slack)
     ok = np.concatenate(
         (ok[: n * k].reshape(n, k), np.broadcast_to(ok[n * k :], (n, len(corners)))), axis=1
@@ -600,10 +598,7 @@ def _inside(system: BallSystem, pts: np.ndarray, slack: float = 0.0) -> np.ndarr
         below = np.less_equal(_project(x, y, z, v, acc[:k], tmp[:k]), _dot(center, v), out=ok[:k])
         wedge = np.flatnonzero(below & (_project(x, y, z, end, acc[:k], tmp[:k]) >= _dot(center, end)))
         wx, wy, wz = x[wedge] - center[0], y[wedge] - center[1], z[wedge] - center[2]
-        wu = wx * u[0] + wy * u[1] + wz * u[2]
-        wv = wx * v[0] + wy * v[1] + wz * v[2]
-        far = wx * wx + wy * wy + wz * wz + r * r + 2.0 * r * np.sqrt(wu * wu + wv * wv)
-        out = wedge[far > limit]
+        out = wedge[_far_sq(wx, wy, wz, u, v, r) > limit]
         if len(out):
             keep = np.ones(k, dtype=bool)
             keep[out] = False
@@ -611,6 +606,17 @@ def _inside(system: BallSystem, pts: np.ndarray, slack: float = 0.0) -> np.ndarr
     inside = np.zeros(n, dtype=bool)
     inside[rows] = True
     return inside
+
+
+def _far_sq(wx: np.ndarray, wy: np.ndarray, wz: np.ndarray, u, v, r) -> np.ndarray:
+    """Squared distance from offsets w = x - c to the antipode of w's projection on the circle (c, r, u, v).
+
+    u[0..2] and v[0..2] are the axis components: floats, or arrays that
+    line up with the offsets, as r may too.
+    """
+    wu = wx * u[0] + wy * u[1] + wz * u[2]
+    wv = wx * v[0] + wy * v[1] + wz * v[2]
+    return wx * wx + wy * wy + wz * wz + r * r + 2.0 * r * np.sqrt(wu * wu + wv * wv)
 
 
 def _project(

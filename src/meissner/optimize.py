@@ -256,8 +256,12 @@ class _Kernel:
     minus one) is floored at `floor`, -inf for the equalities at distance
     one and 0 for the inequalities at most one.  Derivatives run through
     the same squared distances: the soft objective returns its gradient
-    with respect to them, and the Jacobian of the squared distances
-    carries them to the parameters.
+    w with respect to them, and the pairs' signed incidence `sign`, +1 at
+    point i and -1 at point j, carries them to the points, each pair
+    adding 2 w d to point i and subtracting it from point j, with no
+    Jacobian formed.  `squared_jacobian` builds the Jacobian from `sign`
+    when asked, for the projection and the rigidity test.  After
+    construction the kernel holds only constants, its arrays read-only.
     """
 
     def __init__(self, start: VertexSet):
@@ -267,47 +271,37 @@ class _Kernel:
         position = {pair: p for p, pair in enumerate(pairs)}
         self.i, self.j = np.array(pairs).T
         self.floor = np.r_[np.full(n_edges, -np.inf), np.zeros(len(pairs) - n_edges)]
+        rows = np.arange(len(pairs))
+        self.sign = np.zeros((len(pairs), m))
+        self.sign[rows, self.i], self.sign[rows, self.j] = 1.0, -1.0
+        for constant in (self.i, self.j, self.floor, self.sign):
+            constant.flags.writeable = False
         # per dual pair: the rows of its first edge and of its dual
         self.ends = [(position[p.edge], position[p.edge_dual]) for p in build_meissner(start).pairs]
         self.m = m
         self.edges = start.edges
-        # the Jacobian buffer of the squared distances: row p holds 2d in the columns of point i[p] and -2d
-        # in those of point j[p], and every other entry stays zero; _at_i, _at_j index those slots in _slots
-        self._jac = np.zeros((len(pairs), 3 * m))
-        self._slots = self._jac.reshape(-1)
-        first = 3 * m * np.arange(len(pairs))[:, None] + np.arange(3)
-        self._at_i, self._at_j = first + 3 * self.i[:, None], first + 3 * self.j[:, None]
 
     def points(self, x: np.ndarray) -> np.ndarray:
         return x.reshape(self.m, 3)
 
-    def squared(self, x: np.ndarray) -> np.ndarray:
+    def _differences(self, x: np.ndarray, count: int | None = None) -> np.ndarray:
+        """Point i minus point j of the first count pairs, all of them by default."""
         pts = self.points(x)
-        d = pts.take(self.i, axis=0) - pts.take(self.j, axis=0)
+        return pts.take(self.i[:count], axis=0) - pts.take(self.j[:count], axis=0)
+
+    def squared(self, x: np.ndarray) -> np.ndarray:
+        d = self._differences(x)
         return (d * d).sum(axis=1)
 
     def squared_jacobian(self, x: np.ndarray, edges_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Squared pair distances and their Jacobian: 2d in the columns of point i, -2d in those of point j.
 
         With edges_only, the rows of the graph edges alone: the equality
-        constraints, which lead the pairs.  The Jacobian is a copy, which
-        later calls leave as it is.
+        constraints, which lead the pairs.
         """
-        d2, jac = self._filled(x, len(self.edges) if edges_only else len(self.i))
-        return d2, jac.copy()
-
-    def _filled(self, x: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Squared distances of the first count pairs, and their Jacobian rows written into the kernel's buffer.
-
-        The returned Jacobian is a view of that buffer, which the next call
-        overwrites, so it must not leave the kernel.
-        """
-        pts = self.points(x)
-        d = pts.take(self.i[:count], axis=0) - pts.take(self.j[:count], axis=0)
-        twice = 2.0 * d
-        self._slots[self._at_i[:count]] = twice
-        self._slots[self._at_j[:count]] = -twice
-        return (d * d).sum(axis=1), self._jac[:count]
+        count = len(self.edges) if edges_only else len(self.i)
+        d = self._differences(x, count)
+        return (d * d).sum(axis=1), (2.0 * self.sign[:count, :, None] * d[:, None]).reshape(count, -1)
 
     def soft(self, d2: np.ndarray) -> tuple[float, np.ndarray]:
         """Soft objective of the squared distances and its gradient in them.
@@ -363,11 +357,13 @@ class _Kernel:
 
     def merit(self, x: np.ndarray, mu: float) -> tuple[float, np.ndarray]:
         """-objective + mu * penalty and its gradient, what L-BFGS-B minimizes."""
-        d2, jac = self._filled(x, len(self.i))
+        d = self._differences(x)
+        d2 = (d * d).sum(axis=1)
         violation = np.maximum(d2 - 1.0, self.floor)
         soft, dsoft = self.soft(d2)
-        # d(violation^2)/d(d2) = 2 * violation, also where the floor holds it at 0
-        return -soft + mu * float(violation @ violation), jac.T @ (2.0 * mu * violation - dsoft)
+        # d(violation^2)/d(d2) = 2 * violation, also where the floor holds it at 0; d(d2)/d(point i) = 2d
+        w = 2.0 * mu * violation - dsoft
+        return -soft + mu * float(violation @ violation), (self.sign.T @ (2.0 * w[:, None] * d)).ravel()
 
     def residual(self, x: np.ndarray) -> float:
         """Worst constraint violation, measured in distance."""
@@ -383,7 +379,7 @@ class _Kernel:
         """
         x = x.copy()
         for _ in range(_PROJECT_STEPS):
-            d2, jac = self._filled(x, len(self.edges))
+            d2, jac = self.squared_jacobian(x, edges_only=True)
             r = d2 - 1.0
             if float(np.abs(r).max()) <= _PROJECT_TOL:
                 return x

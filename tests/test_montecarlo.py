@@ -151,6 +151,13 @@ def test_ball_system_rejects_an_arc_that_ends_off_every_center(tetra_poly, tetra
         BallSystem(centers[:1] + 5.0, arcs)
 
 
+def test_gap_is_the_largest_endpoint_gap(tetra_vs):
+    # the largest endpoint gap is kept at construction for `_classify` and `support`
+    for system in _support_systems(tetra_vs):
+        assert system.gap == _endpoint_gaps(system.centers, system.arcs).max(initial=0.0)
+    assert BallSystem.from_points(tetra_vs.points).gap == 0.0
+
+
 def test_ball_systems_of_sets_validated_at_a_loose_tolerance():
     # at tol=1e-5 these sets' arcs end up to 1.9e-6 off their vertices: inside _ENDPOINT_TOL, and
     # far over _SUPPORT_SLACK, at which slack alone the support rejected the true candidates and

@@ -631,8 +631,28 @@ def test_project_gives_up_on_a_collapsed_edge(k):
     assert kernel.project(pts.ravel()) is None
 
 
+def test_merit_gradient_is_the_jacobian_transpose_times_the_weights():
+    # merit carries 2 w d to the points through the signed incidence: J^T w up to the order of the sum
+    for kernel, points in _perturbed_kernels():
+        for x in points:
+            d2, jac = kernel.squared_jacobian(x)
+            violation = np.maximum(d2 - 1.0, kernel.floor)
+            for mu in (0.0, 1e2, 1e8):
+                grad = kernel.merit(x, mu)[1]
+                expected = jac.T @ (2.0 * mu * violation - kernel.soft(d2)[1])
+                assert np.abs(grad - expected).max() <= 1e-14 * max(1.0, np.abs(grad).max())
+
+
+def test_kernel_constants_are_read_only():
+    kernel = _Kernel(regular_pyramid(2))
+    for constant in (kernel.i, kernel.j, kernel.floor, kernel.sign):
+        with pytest.raises(ValueError, match="read-only"):
+            constant[0] = 0
+    assert (np.abs(kernel.sign).sum(axis=1) == 2.0).all() and (kernel.sign.sum(axis=1) == 0.0).all()
+
+
 def test_merit_and_jacobian_outputs_own_their_memory():
-    # the kernel writes every Jacobian into one buffer of its own; nothing returned may alias it
+    # the kernel keeps only constants; nothing returned may alias them or change with a later call
     for kernel, (x1, x2) in _perturbed_kernels():
         first = kernel.merit(x1, 1e4)
         d2, jac = kernel.squared_jacobian(x1)
@@ -646,4 +666,4 @@ def test_merit_and_jacobian_outputs_own_their_memory():
         assert again[0] == first[0] and np.array_equal(again[1], first[1])
         for array, snapshot in zip(kept, snapshots):
             assert np.array_equal(array, snapshot)
-            assert not np.shares_memory(array, kernel._jac)
+            assert not np.shares_memory(array, kernel.sign)
