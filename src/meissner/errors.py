@@ -10,6 +10,7 @@ __all__ = [
     "ArgumentError",
     "DiameterViolation",
     "NotExtremal",
+    "CoincidentPoints",
     "WrongPairCount",
     "FaceCycleError",
     "TooManyPairs",
@@ -46,6 +47,10 @@ class DiameterViolation(ValidationError):
 
 class NotExtremal(ValidationError):
     """The number of unit-distance pairs differs from 2m - 2."""
+
+
+class CoincidentPoints(ValidationError):
+    """Two points of a vertex set lie within the tolerance of each other."""
 
 
 class WrongPairCount(ValidationError):

@@ -20,10 +20,17 @@ and a cell whose eight corners lie inside it, with a margin, is inside,
 since the body is convex.  Only the cells that the boundary crosses get
 samples, pairs mirrored through their cell's center dealt to them in
 turn.  The cells are as fine as the chunk allows: no more corners than
-samples, and two pairs or more for each cell the boundary crosses.  The
-chunk's estimate counts each interior cell whole and each boundary cell
-by its hit fraction, and its variance is the spread of the pair means
-inside the boundary cells alone.
+samples, and two pairs or more for each cell the boundary crosses.
+
+A sample is scored, not hit or missed.  The point balls alone fix in
+closed form the span of its cell's z range that they hold over its
+(x, y), and the arcs can only cut that span further.  So the sample
+places one point in the span, at its in-cell z fraction, and scores the
+span's share of the cell's z range if that point passes the arcs, 0
+otherwise: conditional Monte Carlo along z, unbiased, with the point
+balls' share exact.  The chunk's estimate counts each interior cell
+whole and each boundary cell by its mean score, and its variance is the
+spread of the pair means inside the boundary cells alone.
 """
 
 from __future__ import annotations
@@ -120,7 +127,7 @@ class McResult:
 
 
 def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> McResult:
-    """Stratified antithetic rejection sampling of the boundary cells of the point centers' lens box.
+    """Stratified antithetic sampling of the boundary cells of the point centers' lens box, scored along z.
 
     Along each axis direction the box reaches the least support, over
     every pair of point balls, of their lens, widened by the support
@@ -141,15 +148,29 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     unit cube.  Pair p goes to the (p mod B)-th boundary cell, its two
     samples at (cell corner + q_p) / L and (cell corner + 1 - q_p) / L,
     mirrored through the cell's center; for an odd n the last pair keeps
-    only its first sample.  A boundary cell's hit fraction p_c is the mean
-    of its k_c pair means, with variance the unbiased spread of those pair
-    means over k_c, a cell of one pair adding none.  The chunk's hit
-    fraction is (I + sum of the p_c) / L^3, with variance the p_c's
-    variances' sum over (L^3)^2; when no cell is a boundary cell, it is
-    I / L^3 exactly and the chunk draws no sample.  Chunks combine
-    weighted by their share of the samples; volume and standard error
-    scale with the box's volume, and `hits` counts the accepted samples,
-    all drawn in boundary cells.
+    only its first sample.
+
+    A sample's score is a number in [0, 1] (`_scores`).  It keeps the
+    sample's x and y, and clips the cell's z range [z0, z0 + h] to every
+    point ball's z span over (x, y) to get [a, b].  Its scored point lies
+    at z = a + f (b - a), f the sample's in-cell z fraction (q, or 1 - q
+    for the mirror), and it scores (b - a) / h if that point passes the
+    arcs, 0 otherwise or when [a, b] is empty.  Given (x, y), f is uniform,
+    so the mean score is the share of the cell's z segment in the body:
+    the point balls' share is exact and the arcs cut it only where they
+    reject the point.  The scored point's membership of the point balls
+    is decided by the span, as its square roots round (about 1e-16), and
+    only the arcs are tested at it.
+
+    A boundary cell's mean score p_c is the mean of its k_c pair means,
+    with variance the unbiased spread of those pair means over k_c, a cell
+    of one pair adding none.  The chunk's share of the box in the body is
+    (I + sum of the p_c) / L^3, with variance the p_c's variances' sum over
+    (L^3)^2; when no cell is a boundary cell, it is I / L^3 exactly and
+    the chunk draws no sample.  Chunks combine weighted by their share of
+    the samples; volume and standard error scale with the box's volume,
+    and `hits` counts the scored points that pass the arcs, all in
+    boundary cells.
 
     Deterministic for fixed (samples, seed): the sample stream is a pure
     function of the chunk index and chunks combine in chunk order, so
@@ -174,11 +195,8 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
         if not len(strata.count):
             # no cell is crossed by the boundary: the estimate is exact and draws nothing
             return 0, strata.interior / strata.side**3, 0.0
-        # (3, n) rows x, y, z, which `_inside` takes without a copy
-        v = strata.place(_stream(seed, chunk).random((3, strata.corners.shape[1])))
-        pts = lo[:, None] + (size / strata.side)[:, None] * v
-        inside = _inside(system, pts.T)
-        return int(np.count_nonzero(inside)), *strata.estimate(inside)
+        hits, scores = _scores(system, strata, lo, size, _stream(seed, chunk))
+        return hits, *strata.estimate(scores)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -198,7 +216,7 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
 @dataclass(frozen=True, slots=True)
 class _Strata:
     """A chunk's cells over one body: L per side, `interior` of them inside it, ceil(n / 2) antithetic pairs
-    dealt to the B cells the boundary crosses, pair p to the (p mod B)-th of them."""
+    dealt to the B cells the boundary crosses, pair p to the (p mod B)-th of them, each sample scored in [0, 1]."""
 
     side: int  # L
     samples: int  # n
@@ -233,25 +251,84 @@ class _Strata:
         np.subtract(self.corners[:, :mirrors] + 1.0, q[:, :mirrors], out=v[:, pairs:])
         return v
 
-    def estimate(self, inside: np.ndarray) -> tuple[float, float]:
-        """The chunk's hit fraction and its variance, from the membership mask of `place`'s columns."""
+    def estimate(self, scores: np.ndarray) -> tuple[float, float]:
+        """The chunk's fraction of the box in the body and its variance, from the [0, 1] scores of `place`'s columns."""
         dealt = len(self.count)
         pairs = self.corners.shape[1]
         mirrors = self.samples - pairs
-        # twice each pair's mean: its two hits, or twice the hit of an odd n's lone last sample
-        twice = np.zeros(-(-pairs // dealt) * dealt, dtype=np.uint8)
-        twice[:pairs] = inside[:pairs]
-        twice[:mirrors] += inside[pairs:]
-        twice[mirrors:pairs] *= 2
+        # twice each pair's mean: its two scores, or twice the score of an odd n's lone last sample
+        twice = np.zeros(-(-pairs // dealt) * dealt)
+        twice[:pairs] = scores[:pairs]
+        twice[:mirrors] += scores[pairs:]
+        twice[mirrors:pairs] *= 2.0
         twice = twice.reshape(-1, dealt)
-        # a boundary cell may hold every pair of the chunk, so the sums take a wide type
-        s1 = twice.sum(axis=0, dtype=np.int64).astype(float)
-        s2 = (twice * twice).sum(axis=0, dtype=np.int64)
-        # k s2 - s1^2 is an exact integer, 4 k^2 (k - 1) times the variance of the cell's mean;
+        s1 = twice.sum(axis=0)
+        s2 = (twice * twice).sum(axis=0)
+        # k s2 - s1^2 is 4 k^2 (k - 1) times the variance of the cell's mean;
         # an elementwise sum, not np.dot: a BLAS call here wakes BLAS's own thread pool inside every worker
         cells = self.side**3
         var = float(((self.count * s2 - s1 * s1) * self.spread).sum()) / cells**2
         return (self.interior + float((s1 / self.count).sum()) / 2.0) / cells, var
+
+
+def _scores(system: BallSystem, strata: _Strata, lo: np.ndarray, size: np.ndarray, rng) -> tuple[int, np.ndarray]:
+    """The [0, 1] scores of `place`'s columns for q drawn from rng, as `mc_volume` defines them, and how many
+    scored points pass the arcs."""
+    rows, x, y, z, width = _scored_points(system, strata, lo, size, rng)
+    if system.arcs:
+        passed = _arc_survivors(system.arcs, x, y, z, 1.0)
+        rows, width = rows[passed], width[passed]
+    scores = np.zeros(strata.samples)
+    scores[rows] = width / (size[2] / strata.side)
+    return len(rows), scores
+
+
+def _scored_points(
+    system: BallSystem, strata: _Strata, lo: np.ndarray, size: np.ndarray, rng
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The columns of `place` with a nonempty span [a, b], their scored points x, y, z and their widths b - a.
+
+    [a, b] is the cell's z range [z0, z0 + h] clipped to every point
+    ball's z span over (x, y), `_z_spans`' formula at one column, and z =
+    a + f (b - a), f the in-cell z fraction: q for each pair's first
+    sample, 1 - q for the mirror.  The chunk's rows live in a few scratch
+    rows, all freed on return, so the arc test that follows holds little
+    more than the scored points.
+    """
+    n = strata.samples
+    q = rng.random((3, strata.corners.shape[1]))
+    pairs, mirrors = q.shape[1], n - q.shape[1]
+    step = size / strata.side
+    # rows x, y and the cell's low z edge, each the expression that places the cell edges in `_classify`
+    v = strata.place(q)
+    v[2, :pairs] = strata.corners[2]
+    v[2, pairs:] = strata.corners[2, :mirrors]
+    v *= step[:, None]
+    v += lo[:, None]
+    x, y, low = v
+    high = low + step[2]
+    # the in-cell z fractions, written over q's x and y rows, which `place` has used
+    f = q.reshape(-1)[:n]
+    f[:pairs] = q[2]
+    np.subtract(1.0, q[2, :mirrors], out=f[pairs:])
+    # scratch rows shared by every center, so no center allocates a temporary per operation
+    acc, tmp = np.empty(n), np.empty(n)
+    # a ball that misses the column reaches NaN, which maximum and minimum pass on: the span is empty
+    with np.errstate(invalid="ignore"):
+        for cx, cy, cz in system.centers.tolist():
+            np.subtract(x, cx, out=acc)
+            acc *= acc
+            np.subtract(y, cy, out=tmp)
+            acc += np.multiply(tmp, tmp, out=tmp)
+            np.sqrt(np.subtract(1.0, acc, out=acc), out=acc)
+            np.maximum(low, np.subtract(cz, acc, out=tmp), out=low)
+            acc += cz
+            np.minimum(high, acc, out=high)
+    rows = np.flatnonzero(high > low)
+    high -= low
+    np.multiply(f, high, out=acc)
+    acc += low
+    return rows, x[rows], y[rows], acc[rows], high[rows]
 
 
 def _classify(
@@ -560,19 +637,11 @@ def _sphere_corners(centers: np.ndarray) -> np.ndarray:
 
 
 def _inside(system: BallSystem, pts: np.ndarray, slack: float = 0.0) -> np.ndarray:
-    """Membership of (n, 3) points: every point ball, then each arc on the rows still inside.
-
-    With w a row's offset from an arc's center, the arc's farthest point
-    from the row is the antipode of w's projection (wu, wv) on the arc's
-    circle when (-wu, -wv) lies at an angle in [0, sweep], the arc's
-    wedge, and an endpoint otherwise.  Every endpoint is a point center,
-    already tested, so an arc computes the far distance only on the rows
-    in its wedge, and a row that fails leaves the survivors at once.
-    """
+    """Membership of (n, 3) points: every point ball, then the arcs on the rows still inside (`_arc_survivors`)."""
     limit = (1.0 + slack) ** 2
     x, y, z = np.ascontiguousarray(pts.T)
     n = len(x)
-    # scratch rows shared by every test, so no test allocates a temporary per operation
+    # scratch rows shared by every center, so no center allocates a temporary per operation
     acc, tmp, ok = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
     mask = np.ones(n, dtype=bool)
     for cx, cy, cz in system.centers.tolist():
@@ -586,8 +655,25 @@ def _inside(system: BallSystem, pts: np.ndarray, slack: float = 0.0) -> np.ndarr
     if not system.arcs:
         return mask
     rows = np.flatnonzero(mask)
-    x, y, z = x[rows], y[rows], z[rows]
-    arcs = system.arcs
+    inside = np.zeros(n, dtype=bool)
+    inside[rows[_arc_survivors(system.arcs, x[rows], y[rows], z[rows], limit)]] = True
+    return inside
+
+
+def _arc_survivors(arcs: Arc, x: np.ndarray, y: np.ndarray, z: np.ndarray, limit: float) -> np.ndarray:
+    """Indices of the rows (x, y, z), each inside every point ball, within sqrt(limit) of every arc's farthest point.
+
+    With w a row's offset from an arc's center, the arc's farthest point
+    from the row is the antipode of w's projection (wu, wv) on the arc's
+    circle when (-wu, -wv) lies at an angle in [0, sweep], the arc's
+    wedge, and an endpoint otherwise.  Every endpoint is a point center,
+    so for rows inside every point ball an arc computes the far distance
+    only on the rows in its wedge, and a row that fails leaves the
+    survivors at once.
+    """
+    rows = np.arange(len(x))
+    # scratch rows shared by every arc, so no arc allocates a temporary per projection
+    acc, tmp, ok = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=bool)
     for center, u, v, r, sweep in zip(
         arcs.center.tolist(), arcs.u.tolist(), arcs.v.tolist(), arcs.radius.tolist(), arcs.sweep.tolist()
     ):
@@ -603,9 +689,7 @@ def _inside(system: BallSystem, pts: np.ndarray, slack: float = 0.0) -> np.ndarr
             keep = np.ones(k, dtype=bool)
             keep[out] = False
             rows, x, y, z = rows[keep], x[keep], y[keep], z[keep]
-    inside = np.zeros(n, dtype=bool)
-    inside[rows] = True
-    return inside
+    return rows
 
 
 def _far_sq(wx: np.ndarray, wy: np.ndarray, wz: np.ndarray, u, v, r) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ArgumentError,
+    CoincidentPoints,
     DiameterViolation,
     FaceCycleError,
     GeometryError,
@@ -68,6 +69,8 @@ _NORM_FLOOR = 1e-12
 # an endpoint within tol of distance one from both centers c1, c2 lies within 2*tol/|c2 - c1|
 # of their bisector plane; twice that bound leaves room for rounding
 _ARC_PLANE_SLACK_PER_TOL = 4.0
+# points within this many tolerances of each other are one vertex listed twice, its unit distances counted twice
+_SEPARATION_PER_TOL = 1.0
 # an outward axis or an angular gap between a face's neighbors under this leaves their order open
 _FACE_CYCLE_TOL = 1e-9
 
@@ -191,7 +194,7 @@ class SurfaceDecomposition:
 
 
 def validate_vertex_set(points: np.ndarray, tol: float = DEFAULT_TOL) -> VertexSet:
-    """Check diameter one and the extremal count of 2m - 2 unit distances within tol, 0 < tol < 1."""
+    """Check distinct points, diameter one and the extremal count of 2m - 2 unit distances within tol, 0 < tol < 1."""
     if not 0.0 < tol < 1.0:
         raise ArgumentError(f"tol must be in (0, 1), got {tol!r}")
     pts = np.array(points, dtype=float)
@@ -202,6 +205,9 @@ def validate_vertex_set(points: np.ndarray, tol: float = DEFAULT_TOL) -> VertexS
         raise ArgumentError(f"at least four points required, got {m}")
     i, j = _pairs(m)
     upper = _pairwise(pts)[i, j]
+    near = int(np.argmin(upper))
+    if upper[near] <= _SEPARATION_PER_TOL * tol:
+        raise CoincidentPoints(f"points {i[near]} and {j[near]} lie {float(upper[near])!r} apart, within tol {tol!r}")
     max_distance = float(upper.max())
     if max_distance > 1.0 + tol:
         raise DiameterViolation(f"max pairwise distance {max_distance!r} exceeds one")

@@ -97,6 +97,19 @@ def triangle_center_set() -> np.ndarray:
     )
 
 
+def doubled_point_set() -> np.ndarray:
+    """e = 0, a = (0, 0, 1), c = (sin 60°, 0, 1/2), d = c turned about z to |cd| = 1/2, and a again.
+
+    Eight unit distances, 2m - 2 for m = 5, so only the repeated point
+    keeps it from being an extremal set.
+    """
+    c = np.array([math.sin(math.pi / 3.0), 0.0, 0.5])
+    turn = 2.0 * math.asin(0.25 / c[0])
+    d = np.array([c[0] * math.cos(turn), c[0] * math.sin(turn), 0.5])
+    a = np.array([0.0, 0.0, 1.0])
+    return np.array([np.zeros(3), a, c, d, a])
+
+
 def noisy_tetrahedron(seed: int) -> np.ndarray:
     """Regular tetrahedron with 4e-7 noise: inside tol=1e-5, outside the default."""
     return regular_tetrahedron().points + np.random.default_rng(seed).normal(scale=4e-7, size=(4, 3))

@@ -8,7 +8,7 @@ import pytest
 import meissner.cli
 from meissner import McResult, build_meissner, load_vertex_file, meissner_volume, regular_tetrahedron
 from meissner.cli import main
-from conftest import TETRA_AREA, TETRA_VOLUME, triangle_center_set
+from conftest import TETRA_AREA, TETRA_VOLUME, doubled_point_set, triangle_center_set
 
 
 def run(capsys, *argv):
@@ -68,6 +68,25 @@ def test_validate_rejects_bad_set(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path))
     assert code == 2
     assert "error:" in err
+
+
+def test_validate_rejects_a_repeated_point(tmp_path, capsys):
+    # the set passes the extremal count; before the check it validated, and `analyze` then failed
+    # on its pair count, also with exit 2
+    path = tmp_path / "doubled.txt"
+    path.write_text("5\n" + "\n".join(" ".join(f"{c:.17g}" for c in p) for p in doubled_point_set()) + "\n")
+    for command in ("validate", "analyze"):
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: points 1 and 4 lie 0.0 apart, within tol 1e-09\n"
+
+
+def test_an_unwritable_output_exits_1(tetra_file, tmp_path, capsys):
+    # the library raises no error here: the OS refuses the file, and the CLI reports that alone
+    code, out, err = run(capsys, "mesh", tetra_file, "--refine", "0", "--out", str(tmp_path / "missing" / "x.obj"))
+    assert code == 1
+    assert err.startswith("error: [Errno 2] No such file or directory")
+    assert out == ""
 
 
 def test_analyze(tetra_file, tmp_path, capsys):
@@ -140,10 +159,11 @@ def test_mc_check_deterministic(tetra_file, capsys):
 
 
 def test_mc_check_sigmas_without_spread(tetra_file, capsys, monkeypatch):
-    # one sample has no spread: a miss by more than the whole volume is infinitely many sigmas
+    # one sample has no spread: its one cell scores the share of its z range it holds, and a miss
+    # by half the volume is infinitely many sigmas
     code, out, _ = run(capsys, "mc-check", tetra_file, "--samples", "1", "--seed", "3")
     assert code == 0
-    assert out.splitlines()[1] == "1.0495288290548281,0,1,3,0.41986004596508053,inf"
+    assert out.splitlines()[1] == "0.62765905671057987,0,1,3,0.41986004596508053,inf"
     # and an exact hit without spread has no sigma count
     closed = meissner_volume(build_meissner(load_vertex_file(tetra_file)))
 

@@ -137,6 +137,14 @@ def test_bad_edge_section(tmp_path):
     with pytest.raises(ParseError):
         load_vertex_file(out_of_range)
 
+    # an edge line of one index, or a word, names its line
+    for bad in ("0", "0 x"):
+        broken = tmp_path / "edge.txt"
+        broken.write_text("\n".join(lines + [bad]) + "\n")
+        with pytest.raises(ParseError) as info:
+            load_vertex_file(broken)
+        assert f"{broken}:{len(lines) + 1}: bad edge line" in str(info.value)
+
 
 def test_loading_applies_validation(tmp_path):
     # a parseable file with a non-extremal point set still fails

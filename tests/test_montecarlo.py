@@ -36,10 +36,12 @@ from meissner.montecarlo import (
     _NORM_FLOOR,
     _SUPPORT_SLACK,
     _Strata,
+    _arc_survivors,
     _classify,
     _endpoint_gaps,
     _inside,
     _sampling_box,
+    _scored_points,
     _sphere_corners,
     _strata,
     _stream,
@@ -254,14 +256,14 @@ def test_width_samples_use_one_core():
     assert cpu - own <= 0.1 * own
 
 
-def reference_estimate(strata: _Strata, inside: np.ndarray) -> tuple[float, float]:
+def reference_estimate(strata: _Strata, scores: np.ndarray) -> tuple[float, float]:
     """(I + each boundary cell's mean pair mean) / L^3, and the unbiased spread of the pair means over
-    their count, summed over the boundary cells and divided by (L^3)^2; in floats, pair p in cell p mod B."""
+    their count, summed over the boundary cells and divided by (L^3)^2; pair p in cell p mod B."""
     n, cells, dealt = strata.samples, strata.side**3, len(strata.count)
     pairs = (n + 1) // 2
     mirrors = n - pairs
-    pair_means = inside[:pairs].astype(float)
-    pair_means[:mirrors] = (pair_means[:mirrors] + inside[pairs:]) / 2.0
+    pair_means = scores[:pairs].astype(float)
+    pair_means[:mirrors] = (pair_means[:mirrors] + scores[pairs:]) / 2.0
     cell = np.arange(pairs) % dealt
     count = np.bincount(cell, minlength=dealt)
     means = np.bincount(cell, pair_means, minlength=dealt) / count
@@ -310,22 +312,29 @@ def test_each_sample_lies_in_its_own_cell(tetra_system, n):
     assert np.array_equal(strata.count, np.bincount(np.arange(pairs) % len(boundary)))
     assert set(strata.count.tolist()) <= {pairs // len(boundary), pairs // len(boundary) + 1}
     assert n < 4 or strata.count.min() >= 2
-    inside = _stream(6, 0).random(n) < 0.4
-    frac, var = strata.estimate(inside)
-    ref_frac, ref_var = reference_estimate(strata, inside)
+    scores = _scores_like_a_chunk(_stream(6, 0), n, 0.4)
+    frac, var = strata.estimate(scores)
+    ref_frac, ref_var = reference_estimate(strata, scores)
     assert frac == pytest.approx(ref_frac, rel=1e-12)
     assert var == pytest.approx(ref_var, rel=1e-12, abs=1e-300)
 
 
+def _scores_like_a_chunk(rng, n: int, rate: float) -> np.ndarray:
+    """n scores in [0, 1]: a share rate of them a whole cell's 1, the rest 0 or a fraction, half each."""
+    u, share = rng.random(n), rng.random(n)
+    return np.where(u < rate, 1.0, np.where(u < (1.0 + rate) / 2.0, 0.0, share))
+
+
 @pytest.mark.parametrize("rate", [0.5, 0.95, 1.0])
 def test_the_estimate_sums_many_pairs_per_cell(rate):
-    # three boundary cells of eight share 501 pairs, 167 each: a cell's sum of twice its pair means
-    # reaches 334 and of their squares 668, past what 8 bits hold
+    # three boundary cells of eight share 501 pairs, 167 each; at rate 1 every score is 1, and the
+    # cells' spread is 0 exactly
     strata = _Strata.deal(2, 1001, 3, np.array([0, 5, 6]))
     assert strata.count.min() >= 64
-    inside = _stream(7, 0).random(1001) < rate
-    frac, var = strata.estimate(inside)
-    ref_frac, ref_var = reference_estimate(strata, inside)
+    scores = _scores_like_a_chunk(_stream(7, 0), 1001, rate)
+    frac, var = strata.estimate(scores)
+    ref_frac, ref_var = reference_estimate(strata, scores)
+    assert (var == 0.0) == (rate == 1.0)
     assert frac == pytest.approx(ref_frac, rel=1e-12)
     assert var == pytest.approx(ref_var, rel=1e-12, abs=1e-300)
 
@@ -457,6 +466,95 @@ def test_interior_cells_are_those_whose_corners_pass_inside(system, side):
     interior = (ok[:, :, :-1] & ok[:, :, 1:]).ravel()
     assert interior.any()
     assert np.array_equal(_classify(system, lo, size, side)[0], interior)
+
+
+def _reference_spans(system: BallSystem, strata: _Strata, lo: np.ndarray, size: np.ndarray, q: np.ndarray):
+    """Per sample, one center at a time in Python floats: x, y, its cell's z range [z0, z1], the range
+    clipped to every point ball's z span over (x, y) as [a, b] (a > b when empty), and its in-cell fraction f."""
+    n, pairs = strata.samples, q.shape[1]
+    step = size / strata.side
+    v = strata.place(q)
+    corner = np.concatenate((strata.corners, strata.corners[:, : n - pairs]), axis=1)
+    x, y = (lo[:2, None] + step[:2, None] * v[:2]).tolist()
+    z0 = (lo[2] + step[2] * corner[2]).tolist()
+    f = np.concatenate((q[2], 1.0 - q[2, : n - pairs])).tolist()
+    rows = []
+    for k in range(n):
+        a, b = z0[k], z0[k] + step[2]
+        for cx, cy, cz in system.centers.tolist():
+            dx, dy = x[k] - cx, y[k] - cy
+            rest = 1.0 - (dx * dx + dy * dy)
+            if rest < 0.0:
+                a, b = math.inf, -math.inf
+                break
+            reach = math.sqrt(rest)
+            a, b = max(a, cz - reach), min(b, cz + reach)
+        rows.append((x[k], y[k], z0[k], z0[k] + step[2], a, b, f[k]))
+    return np.array(rows).T
+
+
+_SPAN_SYSTEMS = [
+    *(BallSystem.from_meissner(build_meissner(random_feasible_pyramid(k, s))) for k, s in ((1, 0), (3, 7), (5, 2))),
+    *(BallSystem.from_meissner(build_meissner(validate_vertex_set(noisy_tetrahedron(s), tol=1e-5))) for s in (3, 5)),
+    *(BallSystem.from_points(random_feasible_pyramid(k, 4).points) for k in (2, 4)),
+    BallSystem.from_points(np.array([[0.3, -1.0, 2.0]])),
+]
+
+
+@pytest.mark.parametrize("system", _SPAN_SYSTEMS, ids=["pyr1", "pyr3", "pyr5", "noisy3", "noisy5", "points2", "points4", "ball"])
+@pytest.mark.parametrize("n", [1001, 4096])
+def test_scored_spans_match_the_per_center_reference(system, n):
+    # the span of each sample's cell z range that the point balls hold, and the scored point at its
+    # in-cell fraction of it; inside [a, b] every point ball holds the cell's points, outside it one
+    # misses them, both up to the rounding of the square roots
+    rng = np.random.default_rng(n)
+    lo, size = _sampling_box(system.centers)
+    strata = _strata(system, lo, size, n)
+    x, y, z0, z1, a, b, f = _reference_spans(system, strata, lo, size, _stream(3, 0).random((3, strata.corners.shape[1])))
+    rows, sx, sy, sz, width = _scored_points(system, strata, lo, size, _stream(3, 0))
+    assert np.array_equal(rows, np.flatnonzero(b > a))
+    assert 0 < len(rows) < n
+    assert np.array_equal(sx, x[rows]) and np.array_equal(sy, y[rows])
+    assert np.array_equal(width, (b - a)[rows])
+    assert np.abs(sz - (a[rows] + f[rows] * width)).max() <= 1e-15
+    points = BallSystem.from_points(system.centers)
+    inner = np.stack((sx, sy, a[rows] + rng.random(len(rows)) * width), axis=1)
+    assert reference_inside(points, inner, 1e-12).all()
+    # the cell's points below a or above b, and the whole range where the span is empty
+    empty = ~(b > a)
+    a, b = np.where(empty, z1, a), np.where(empty, z1, b)
+    below, above = a - z0, z1 - b
+    u = rng.random(n) * (below + above)
+    outer = np.stack((x, y, np.where(u < below, z0 + u, b + (u - below))), axis=1)[below + above > 0.0]
+    assert len(outer) and not reference_inside(points, outer, -1e-12).any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(
+        st.just(regular_tetrahedron()),
+        st.builds(random_feasible_pyramid, st.integers(1, 5), st.integers(0, 10_000)),
+        st.builds(lambda seed: validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5), st.integers(0, 10_000)),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_arc_kernel_is_inside_on_rows_in_every_point_ball(vs, seed):
+    # `_inside` tests the point balls and hands the rows in all of them to `_arc_survivors`, which
+    # `mc_volume` calls on its scored points alone
+    system = BallSystem.from_meissner(build_meissner(vs))
+    rng = np.random.default_rng(seed)
+    lo, size = _sampling_box(system.centers)
+    shape = (len(system.arcs), 32)
+    near = near_far_sphere(system.arcs, system.arcs.sweep[:, None] * rng.random(shape), 1.0 + rng.uniform(-1e-3, 1e-3, shape), rng.uniform(-0.9, 0.9, shape))
+    pts = np.concatenate((lo + size * rng.random((4096, 3)), near))
+    for slack in (0.0, _SUPPORT_SLACK):
+        rows = np.flatnonzero(_inside(BallSystem.from_points(system.centers), pts, slack=slack))
+        kernel = np.zeros(len(rows), dtype=bool)
+        kernel[_arc_survivors(system.arcs, *pts[rows].T.copy(), (1.0 + slack) ** 2)] = True
+        inside = _inside(system, pts, slack=slack)
+        assert not inside[np.setdiff1d(np.arange(len(pts)), rows)].any()
+        assert np.array_equal(kernel, inside[rows])
+        assert kernel.any() and not kernel.all()
 
 
 @pytest.mark.parametrize("samples", [1, 2, 3])

@@ -8,11 +8,13 @@ import pytest
 
 from meissner import (
     ValidationError,
+    CoincidentPoints,
     DiameterViolation,
     FaceCycleError,
     GeometryError,
     NotExtremal,
     SmoothingChoice,
+    TooManyPairs,
     WrongPairCount,
     build_diameter_graph,
     build_meissner,
@@ -49,6 +51,7 @@ from conftest import (
     REULEAUX_TETRA_AREA,
     TETRA_AREA,
     TETRA_VOLUME,
+    doubled_point_set,
     noisy_tetrahedron,
     triangle_center_set,
 )
@@ -438,6 +441,29 @@ def test_cross_is_bitwise_numpy_cross():
         got = _cross(x, y)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_rejects_coincident_points():
+    # the eight unit distances of the doubled set pass the extremal count, and the pair search then
+    # found 5 candidates for 4 pairs
+    pts = doubled_point_set()
+    assert np.count_nonzero(np.abs(np.linalg.norm(pts[:, None] - pts[None], axis=-1) - 1.0) <= 1e-12) == 2 * 8
+    with pytest.raises(CoincidentPoints, match="points 1 and 4 lie 0.0 apart"):
+        validate_vertex_set(pts)
+    assert issubclass(CoincidentPoints, ValidationError)
+    # the check is at tol.  Off the copy along the normal of a - c and a - d, its distances to e, c and d
+    # move by at most 0.86 of the step, so a step of 1.1 tol validates, with 5 pair candidates
+    a, c, d = pts[1:4]
+    normal = np.cross(a - c, a - d)
+    for step, error in ((1.1e-9, WrongPairCount), (0.9e-9, CoincidentPoints)):
+        pts[4] = a + step / np.linalg.norm(normal) * normal
+        with pytest.raises(error):
+            build_meissner(validate_vertex_set(pts))
+
+
+def test_too_many_pairs_are_refused_before_any_work(tetra_vs, tetra_pairs):
+    with pytest.raises(TooManyPairs, match="21 pairs"):
+        enumerate_smoothings(tetra_vs, tetra_pairs * 7)
 
 
 def test_rejects_non_extremal_sets():
