@@ -7,6 +7,8 @@ center and one farthest distance per arc, the arcs tested only on the
 points inside every point ball.  An arc's farthest point from a sample
 is one of its endpoints, themselves point centers, unless the sample
 lies in the arc's wedge, so each arc computes a distance only there.
+That arc test, `polytope._arc_survivors`, is the one for scored points,
+lattice corners and support candidates alike.
 The volume estimate samples an axis box that holds the body: along each
 axis, the least support over every pair of point balls of their lens.
 Sampling is chunked, with each chunk driven by its own counter-based
@@ -44,7 +46,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ArgumentError, EmptySystem, NoIntersection
-from .polytope import Arc, MeissnerPolyhedron, _NORM_FLOOR, _cross, _pairs
+from .polytope import Arc, MeissnerPolyhedron, _NORM_FLOOR, _arc_survivors, _cross, _pairs
 
 __all__ = [
     "CHUNK",
@@ -176,11 +178,9 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     function of the chunk index and chunks combine in chunk order, so
     the thread count cannot change the estimate.
     """
-    if samples < 1:
-        raise ArgumentError(f"sample count must be positive, got {samples}")
-    if threads < 1:
-        raise ArgumentError(f"thread count must be positive, got {threads}")
-    _check_seed(seed)
+    _check_integer(samples, "sample count", 1)
+    _check_integer(threads, "thread count", 1)
+    _check_integer(seed, "seed", 0)
     box = _sampling_box(system.centers)
     if box is None:
         return McResult(0.0, 0.0, samples, seed, 0)
@@ -347,14 +347,14 @@ def _classify(
     are an intersection of balls, so convex, and hold the whole cell,
     whose every point `_inside` then accepts.
 
-    Both tests run per (x, y) column of the lattice, not per corner or
-    cell.  A ball meets a column's z line in one span, so the column's
-    corners that pass every point ball are those between the spans'
-    greatest low end and least high end (`_z_spans`), and its cells that
-    no point ball misses are those that reach into the like span at 1 +
-    margin; the margin covers the rounding of the square roots.  The arcs
-    are tested per column too (`_clear_arc_failures`), on the corners
-    that pass every point ball.
+    The point balls are tested per (x, y) column of the lattice, not per
+    corner or cell.  A ball meets a column's z line in one span, so the
+    column's corners that pass every point ball are those between the
+    spans' greatest low end and least high end (`_z_spans`), and its
+    cells that no point ball misses are those that reach into the like
+    span at 1 + margin; the margin covers the rounding of the square
+    roots.  The corners that pass every point ball then go through the
+    arcs as rows (`_arc_survivors`), and those that fail are cleared.
     """
     limit = (1.0 - (_CELL_MARGIN + system.gap)) ** 2
     edges = lo[:, None] + (size / side)[:, None] * np.arange(side + 1.0)
@@ -365,7 +365,10 @@ def _classify(
     low, high = _z_spans(z, sq[:, 0, :, None] + sq[:, 1, None, :], limit)
     ok = (edges[2] >= low) & (edges[2] <= high)
     if system.arcs:
-        _clear_arc_failures(system.arcs, edges, ok, limit)
+        i, j, k = np.nonzero(ok)
+        ok[i, j, k] = False
+        kept = _arc_survivors(system.arcs, edges[0][i], edges[1][j], edges[2][k], limit)
+        ok[i[kept], j[kept], k[kept]] = True
     # a cell's corners pass when both ends of each of its edges along x, then y, then z do
     ok = ok[:-1] & ok[1:]
     ok = ok[:, :-1] & ok[:, 1:]
@@ -376,45 +379,6 @@ def _classify(
     low, high = _z_spans(z, near[:, 0, :, None] + near[:, 1, None, :], (1.0 + _CELL_MARGIN) ** 2)
     exterior = (edges[2][:-1] > high) | (edges[2][1:] < low)
     return interior.ravel(), exterior.ravel()
-
-
-def _clear_arc_failures(arcs: Arc, edges: np.ndarray, ok: np.ndarray, limit: float) -> None:
-    """Clear the corners of `ok`, the lattice on `edges`, whose farthest point of some arc lies beyond sqrt(limit).
-
-    As in `_inside`, a corner outside an arc's wedge has an endpoint for
-    its farthest arc point, and the point centers stand for those, so
-    only the wedge's corners get a far distance.  The wedge is where
-    (x - c) . v <= 0 and (x - c) . e >= 0, e = cos(sweep) v - sin(sweep)
-    u, and meets each (x, y) column of the lattice in one z span, found
-    per arc and column; a corner within rounding of the wedge's edge may
-    fall on either side, where the two far distances agree to rounding.
-    """
-    end = np.cos(arcs.sweep)[:, None] * arcs.v - np.sin(arcs.sweep)[:, None] * arcs.u
-    # (2, arcs, 3): both half-spaces as (x - c) . n <= 0
-    normal = np.stack((arcs.v, -end))
-    center = arcs.center
-    # (2, arcs, X, Y): (x - c) . n over each column, but for its z term
-    flat = (edges[0][:, None] - center[:, None, None, 0]) * normal[..., 0, None, None] + (
-        edges[1] - center[:, None, None, 1]
-    ) * normal[..., 1, None, None]
-    nz = normal[..., 2, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cut = center[:, 2, None, None] - flat / nz
-    # a horizontal normal bounds no z: the column lies wholly inside its half-space or wholly out
-    empty = (nz == 0.0) & (flat > 0.0)
-    low = np.where(nz < 0.0, cut, np.where(empty, np.inf, -np.inf)).max(axis=0)
-    high = np.where(nz > 0.0, cut, np.where(empty, -np.inf, np.inf)).min(axis=0)
-    # each arc's wedge corners: per (arc, x, y) the run of z indices from first to first + count
-    first = np.searchsorted(edges[2], low.ravel())
-    count = np.maximum(np.searchsorted(edges[2], high.ravel(), "right") - first, 0)
-    run = np.repeat(np.arange(len(count)), count)
-    k = np.arange(len(run)) + np.repeat(first - (np.cumsum(count) - count), count)
-    a, i, j = np.unravel_index(run, low.shape)
-    keep = ok[i, j, k]
-    a, i, j, k = a[keep], i[keep], j[keep], k[keep]
-    wx, wy, wz = edges[0][i] - center[a, 0], edges[1][j] - center[a, 1], edges[2][k] - center[a, 2]
-    out = _far_sq(wx, wy, wz, arcs.u[a].T, arcs.v[a].T, arcs.radius[a]) > limit
-    ok[i[out], j[out], k[out]] = False
 
 
 def _z_spans(z: np.ndarray, across: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
@@ -456,8 +420,7 @@ def width_samples(
     system: BallSystem, directions: int, seed: int
 ) -> tuple[float, float]:
     """Min and max width h(u) + h(-u) over random unit directions."""
-    if directions < 1:
-        raise ArgumentError(f"direction count must be positive, got {directions}")
+    _check_integer(directions, "direction count", 1)
     dirs = _stream(seed).normal(size=(directions, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     h = support(system, np.concatenate((dirs, -dirs)))
@@ -525,15 +488,15 @@ def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
     return float(h[0]) if u.ndim == 1 else h
 
 
-def _check_seed(seed: int) -> None:
-    """Raise ArgumentError unless the seed is a non-negative integer, as every stream needs."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ArgumentError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_integer(value: int, name: str, least: int) -> None:
+    """Raise ArgumentError unless value is an integer of at least `least`: 0 for a seed, 1 for a count."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ArgumentError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """Counter-based generator keyed by (seed, key); the seed must be a non-negative integer."""
-    _check_seed(seed)
+    _check_integer(seed, "seed", 0)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -658,60 +621,3 @@ def _inside(system: BallSystem, pts: np.ndarray, slack: float = 0.0) -> np.ndarr
     inside = np.zeros(n, dtype=bool)
     inside[rows[_arc_survivors(system.arcs, x[rows], y[rows], z[rows], limit)]] = True
     return inside
-
-
-def _arc_survivors(arcs: Arc, x: np.ndarray, y: np.ndarray, z: np.ndarray, limit: float) -> np.ndarray:
-    """Indices of the rows (x, y, z), each inside every point ball, within sqrt(limit) of every arc's farthest point.
-
-    With w a row's offset from an arc's center, the arc's farthest point
-    from the row is the antipode of w's projection (wu, wv) on the arc's
-    circle when (-wu, -wv) lies at an angle in [0, sweep], the arc's
-    wedge, and an endpoint otherwise.  Every endpoint is a point center,
-    so for rows inside every point ball an arc computes the far distance
-    only on the rows in its wedge, and a row that fails leaves the
-    survivors at once.
-    """
-    rows = np.arange(len(x))
-    # scratch rows shared by every arc, so no arc allocates a temporary per projection
-    acc, tmp, ok = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=bool)
-    for center, u, v, r, sweep in zip(
-        arcs.center.tolist(), arcs.u.tolist(), arcs.v.tolist(), arcs.radius.tolist(), arcs.sweep.tolist()
-    ):
-        k = len(rows)
-        # the wedge is wv <= 0 and wv cos(sweep) - wu sin(sweep) >= 0, two half-planes that
-        # meet in that angle for sweep <= pi; as half-spaces of the rows they need no w
-        end = [math.cos(sweep) * b - math.sin(sweep) * a for a, b in zip(u, v)]
-        below = np.less_equal(_project(x, y, z, v, acc[:k], tmp[:k]), _dot(center, v), out=ok[:k])
-        wedge = np.flatnonzero(below & (_project(x, y, z, end, acc[:k], tmp[:k]) >= _dot(center, end)))
-        wx, wy, wz = x[wedge] - center[0], y[wedge] - center[1], z[wedge] - center[2]
-        out = wedge[_far_sq(wx, wy, wz, u, v, r) > limit]
-        if len(out):
-            keep = np.ones(k, dtype=bool)
-            keep[out] = False
-            rows, x, y, z = rows[keep], x[keep], y[keep], z[keep]
-    return rows
-
-
-def _far_sq(wx: np.ndarray, wy: np.ndarray, wz: np.ndarray, u, v, r) -> np.ndarray:
-    """Squared distance from offsets w = x - c to the antipode of w's projection on the circle (c, r, u, v).
-
-    u[0..2] and v[0..2] are the axis components: floats, or arrays that
-    line up with the offsets, as r may too.
-    """
-    wu = wx * u[0] + wy * u[1] + wz * u[2]
-    wv = wx * v[0] + wy * v[1] + wz * v[2]
-    return wx * wx + wy * wy + wz * wz + r * r + 2.0 * r * np.sqrt(wu * wu + wv * wv)
-
-
-def _project(
-    x: np.ndarray, y: np.ndarray, z: np.ndarray, a: list[float], out: np.ndarray, tmp: np.ndarray
-) -> np.ndarray:
-    """x a_0 + y a_1 + z a_2 into out, tmp as scratch."""
-    np.multiply(x, a[0], out=out)
-    out += np.multiply(y, a[1], out=tmp)
-    out += np.multiply(z, a[2], out=tmp)
-    return out
-
-
-def _dot(a: list[float], b: list[float]) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ArgumentError, InfeasibleStart, ValidationError
 from .generate import regular_pyramid
-from .montecarlo import _check_seed, _stream
+from .montecarlo import _check_integer, _stream
 from .polytope import VertexSet, build_meissner, meissner_area, validate_vertex_set
 
 __all__ = [
@@ -194,10 +194,9 @@ def optimize_meissner(problem: OptimizationProblem, restarts: int = 1, seed: int
     tetrahedron, and so `optimize_pyramid(3)`) returns that start with
     no penalty round, so it neither searches nor imports scipy.
     """
-    if restarts < 1:
-        raise ArgumentError(f"restarts must be positive, got {restarts}")
+    _check_integer(restarts, "restarts", 1)
     if restarts > 1:
-        _check_seed(seed)
+        _check_integer(seed, "seed", 0)
     kernel = _Kernel(problem.start)
     x0 = problem.start.points.ravel()
     if kernel.residual(x0) > START_RESIDUAL_MAX:

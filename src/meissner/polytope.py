@@ -407,6 +407,52 @@ def _edge_arc(a: np.ndarray, b: np.ndarray, c1: np.ndarray, c2: np.ndarray, tol:
     return Arc(center, radius, u, np.where(t[:, None] < 0.0, -v, v), np.abs(t))
 
 
+def _arc_survivors(arcs: Arc, x: np.ndarray, y: np.ndarray, z: np.ndarray, limit: float) -> np.ndarray:
+    """Indices of the rows (x, y, z), each inside every point ball, within sqrt(limit) of every arc's farthest point.
+
+    With w a row's offset from an arc's center, the arc's farthest point
+    from the row is the antipode of w's projection (wu, wv) on the arc's
+    circle when (-wu, -wv) lies at an angle in [0, sweep], the arc's
+    wedge, and an endpoint otherwise.  Every endpoint is a point center,
+    so for rows inside every point ball an arc computes the far distance
+    only on the rows in its wedge, and a row that fails leaves the
+    survivors at once.  This is the membership test of a ball polytope's
+    arcs (Kupitz, Martini and Perles); the point balls are the caller's.
+    """
+    # the wedge is w . v <= 0 and w . e >= 0, e = cos(sweep) v - sin(sweep) u, two half-planes that
+    # meet in that angle for sweep <= pi; as half-spaces of the rows they need no w
+    end = np.cos(arcs.sweep)[:, None] * arcs.v - np.sin(arcs.sweep)[:, None] * arcs.u
+    rows = np.arange(len(x))
+    # scratch rows shared by every arc, so no arc allocates a temporary per projection
+    acc, tmp, ok = np.empty(len(x)), np.empty(len(x)), np.empty(len(x), dtype=bool)
+    for center, u, v, e, r, cv, ce in zip(
+        arcs.center.tolist(), arcs.u.tolist(), arcs.v.tolist(), end.tolist(), arcs.radius.tolist(),
+        _dot(arcs.center, arcs.v).tolist(), _dot(arcs.center, end).tolist(),
+    ):
+        k = len(rows)
+        below = np.less_equal(_project(x, y, z, v, acc[:k], tmp[:k]), cv, out=ok[:k])
+        wedge = np.flatnonzero(below & (_project(x, y, z, e, acc[:k], tmp[:k]) >= ce))
+        wx, wy, wz = x[wedge] - center[0], y[wedge] - center[1], z[wedge] - center[2]
+        wu = wx * u[0] + wy * u[1] + wz * u[2]
+        wv = wx * v[0] + wy * v[1] + wz * v[2]
+        out = wedge[wx * wx + wy * wy + wz * wz + r * r + 2.0 * r * np.sqrt(wu * wu + wv * wv) > limit]
+        if len(out):
+            keep = np.ones(k, dtype=bool)
+            keep[out] = False
+            rows, x, y, z = rows[keep], x[keep], y[keep], z[keep]
+    return rows
+
+
+def _project(
+    x: np.ndarray, y: np.ndarray, z: np.ndarray, a: list[float], out: np.ndarray, tmp: np.ndarray
+) -> np.ndarray:
+    """x a_0 + y a_1 + z a_2 into out, tmp as scratch."""
+    np.multiply(x, a[0], out=out)
+    out += np.multiply(y, a[1], out=tmp)
+    out += np.multiply(z, a[2], out=tmp)
+    return out
+
+
 def _guard(bad: np.ndarray, message: str) -> None:
     if bad.any():
         raise GeometryError(f"{message} (row {int(np.argmax(bad))})")

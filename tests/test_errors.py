@@ -41,6 +41,10 @@ def test_argument_error_is_a_validation_error_and_a_value_error():
         lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 10, seed=0, threads=0),
         lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 10, seed=0, threads=-3),
         lambda tmp: width_samples(BallSystem.from_points(np.zeros((1, 3))), 0, seed=0),
+        # a count must be an integer: a float is refused, not truncated or run as given
+        lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 8192.0, seed=0),
+        lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 10, seed=0, threads=2.0),
+        lambda tmp: width_samples(BallSystem.from_points(np.zeros((1, 3))), 10.0, seed=0),
         lambda tmp: optimize_pyramid(4),
         lambda tmp: tessellate(build_meissner(regular_tetrahedron()), 9),
         lambda tmp: write_mesh(
@@ -48,6 +52,7 @@ def test_argument_error_is_a_validation_error_and_a_value_error():
         ),
         lambda tmp: optimize_pyramid(5, restarts=0),
         lambda tmp: optimize_meissner(OptimizationProblem.from_vertex_set(regular_tetrahedron()), restarts=0),
+        lambda tmp: optimize_pyramid(5, restarts=2.0),
         # a tolerance outside (0, 1) would accept this set of diameter 2 * sqrt(2), or no set at all
         lambda tmp: validate_vertex_set([[0, 0, 0], [2, 0, 0], [0, 2, 0], [0, 0, 2]], tol=2.0),
         lambda tmp: validate_vertex_set(regular_tetrahedron().points, tol=1.0),

@@ -36,7 +36,6 @@ from meissner.montecarlo import (
     _NORM_FLOOR,
     _SUPPORT_SLACK,
     _Strata,
-    _arc_survivors,
     _classify,
     _endpoint_gaps,
     _inside,
@@ -47,6 +46,7 @@ from meissner.montecarlo import (
     _stream,
     support,
 )
+from meissner.polytope import _arc_survivors
 from conftest import max_dist_sq, noisy_tetrahedron, triangle_center_set
 
 
@@ -455,7 +455,7 @@ def _flat_arc_system(sweep: float) -> BallSystem:
 )
 @pytest.mark.parametrize("side", [5, 19, 39])
 def test_interior_cells_are_those_whose_corners_pass_inside(system, side):
-    # the per-column spans and wedges of `_classify` against `_inside` on every corner of the lattice
+    # the per-column spans and the corner rows of `_classify` against `_inside` on every corner of the lattice
     lo, size = _sampling_box(system.centers)
     gap = float(_endpoint_gaps(system.centers, system.arcs).max(initial=0.0))
     edges = lo[:, None] + (size / side)[:, None] * np.arange(side + 1.0)

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meissner import (
     ValidationError,
@@ -36,7 +38,7 @@ from meissner import (
 )
 from meissner import polytope
 from meissner.cli import main
-from meissner.polytope import _ARC_PLANE_SLACK_PER_TOL, _NORM_FLOOR, _by_vertex, _cross, _edge_arc
+from meissner.polytope import _ARC_PLANE_SLACK_PER_TOL, _NORM_FLOOR, _arc_survivors, _by_vertex, _cross, _edge_arc
 from meissner.sphere import dihedral_angle, f_pair
 
 from conftest import (
@@ -306,6 +308,23 @@ def test_batched_arcs_match_the_per_arc_reference(make):
     rows = 2 * np.arange(len(poly.pairs)) + np.logical_not(poly.choice.bits)
     for got, want in zip((retained.center, retained.radius, retained.u, retained.v, retained.sweep), fields):
         assert np.array_equal(got, want[rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.builds(random_feasible_pyramid, st.integers(1, 5), st.integers(0, 10_000)))
+@example(regular_tetrahedron())
+@example(regular_pyramid(2))
+@example(regular_pyramid(3))
+@example(regular_pyramid(4))
+@example(regular_pyramid(5))
+def test_every_vertex_survives_both_arcs_of_every_pair(vs):
+    # an exact pair rule keeps a 4-cycle candidate when every vertex lies in the balls around both of
+    # its arcs, so on these bodies, whose candidates are all pairs, no vertex may fail.  The vertices
+    # lie in every point ball within tol, so the arcs are tested at that slack: at slack 0 the
+    # rounding of the arcs cuts a vertex on 171 of 205 such bodies tried, at 1e-12 on none
+    _, _, arcs = pair_arcs(vs, find_dual_pairs(build_diameter_graph(vs), vs))
+    survivors = _arc_survivors(arcs, *vs.points.T.copy(), (1.0 + vs.tol) ** 2)
+    assert np.array_equal(survivors, np.arange(vs.m))
 
 
 def face_cycles(vs):

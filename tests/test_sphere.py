@@ -64,6 +64,22 @@ def test_pair_lengths_range_check():
         PairLengths(0.1, -1e-6)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: rect_area(math.pi, 0.1), "rectangle parameter"),
+        (lambda: rect_area(-1e-3, 0.1), "rectangle parameter"),
+        # both parameters in range, but tan(3/2)^2 = 198.85 is no sine
+        (lambda: rect_area(3.0, 3.0), "trig argument"),
+        (lambda: spindle_area(2.0, 0.1), "spindle arc"),
+        (lambda: spindle_area(0.5, -0.1), "negative spindle sweep"),
+    ],
+)
+def test_public_closed_forms_refuse_out_of_range_arguments(call, message):
+    with pytest.raises(GeometryError, match=message):
+        call()
+
+
 def test_tetrahedron_pair_values():
     lengths = PairLengths(PI3, PI3)
     assert dihedral_angle(lengths) == pytest.approx(ACOS_THIRD, abs=1e-15)
