@@ -4,35 +4,39 @@ A body is represented by its generating centers: a finite point set
 plus circular arcs, the body being the intersection of all unit balls
 centered there.  Membership therefore reduces to one distance per point
 center and one farthest distance per arc, the arcs tested only on the
-points inside every point ball.  An arc's farthest point from a sample
-is one of its endpoints, themselves point centers, unless the sample
-lies in the arc's wedge, so each arc computes a distance only there.
-That arc test, `polytope._arc_survivors`, is the one for scored points,
-lattice corners and support candidates alike.
-The volume estimate samples an axis box that holds the body: along each
-axis, the least support over every pair of point balls of their lens.
-Sampling is chunked, with each chunk driven by its own counter-based
-generator keyed by (seed, chunk index), so results are reproducible bit
-for bit regardless of how chunks are scheduled.
+points inside every point ball.  An arc's farthest point from a point
+is one of its endpoints, themselves point centers, unless the point
+lies in the arc's wedge, so each arc computes a distance only there:
+`polytope._arc_survivors`, the arc half of `_inside`, which screens
+`support`'s candidates.
 
-Each chunk is stratified and antithetic.  It splits the unit cube into
-equal cells, mapped affinely onto the box, and sorts them before any
-sample is drawn: a cell that misses a point ball is outside the body,
-and a cell whose eight corners lie inside it, with a margin, is inside,
-since the body is convex.  Only the cells that the boundary crosses get
-samples, pairs mirrored through their cell's center dealt to them in
-turn.  The cells are as fine as the chunk allows: no more corners than
-samples, and two pairs or more for each cell the boundary crosses.
+The volume estimate samples the (x, y) rectangle of an axis box that
+holds the body: along each axis, the least support over every pair of
+point balls of their lens.  Each sample scores the body's exact chord
+on its z line.  Sampling is chunked, with each chunk driven by its own
+counter-based generator keyed by (seed, chunk index), so results are
+reproducible bit for bit regardless of how chunks are scheduled.
 
-A sample is scored, not hit or missed.  The point balls alone fix in
-closed form the span of its cell's z range that they hold over its
-(x, y), and the arcs can only cut that span further.  So the sample
-places one point in the span, at its in-cell z fraction, and scores the
-span's share of the cell's z range if that point passes the arcs, 0
-otherwise: conditional Monte Carlo along z, unbiased, with the point
-balls' share exact.  The chunk's estimate counts each interior cell
-whole and each boundary cell by its mean score, and its variance is the
-spread of the pair means inside the boundary cells alone.
+Each chunk is stratified and antithetic.  It splits the rectangle into
+equal column cells and sorts them before any sample is drawn: a cell
+whose every z line misses the point balls' common span lies outside
+the body.  Only the other cells get samples, pairs mirrored through
+their cell's center dealt to them in turn, two pairs or more each.
+
+A chord is found in two steps.  The point balls meet a z line in one
+segment [a, b], the greatest low end and the least high end of their
+spans, in closed form.  Within them an arc cuts the line only where it
+runs through the arc's wedge, and there the arc's farthest point is
+the far point of its whole circle, at squared distance
+G = |w|^2 + r^2 + 2 r rho: w the offset from the circle's center, r the
+radius, rho the length of w's projection on the circle's plane.  G is
+a maximum of squared distances, so it is convex (the convexity of the
+arc's ball body, Kupitz, Martini and Perles), and it exceeds one on at
+most one piece at each end of [a, b].  Where the line enters the wedge
+inside [a, b] the far point is an arc endpoint, within the endpoint
+gap of a point center, so no cut starts there.  Newton's method from an
+end where G exceeds one finds where that piece stops without passing
+it, since a convex function lies above its tangents.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ArgumentError, EmptySystem, NoIntersection
-from .polytope import Arc, MeissnerPolyhedron, _NORM_FLOOR, _arc_survivors, _cross, _pairs
+from .errors import ArgumentError, EmptySystem, GeometryError, NoIntersection
+from .polytope import Arc, MeissnerPolyhedron, _NORM_FLOOR, _arc_survivors, _cross, _dot, _pairs
 
 __all__ = [
     "CHUNK",
@@ -65,8 +69,16 @@ _SUPPORT_SLACK = 1e-9
 _ENDPOINT_TOL = 1e-4
 # how far a direction's norm may stray from one; `width_samples` normalizes to within a few ulps
 _UNIT_TOL = 1e-12
-# a cell this far inside or outside is so for `_inside` too, whose rounding is near 1e-15
+# a column this far outside a point ball is outside it for `_inside` too, whose rounding is near 1e-15
 _CELL_MARGIN = 1e-9
+# Newton stops once its step along z falls below this; at a simple root the error left is about the
+# step's square, and only where a line grazes an arc's ball body, converging linearly, does it near the step
+_ROOT_STEP = 1e-9
+# a grazing line only halves Newton's step, 31 steps from a box side of 2 to `_ROOT_STEP`; more is a fault
+_NEWTON_STEPS = 64
+# chord ends in arcs' wedges cut together: enough that numpy's cost per call fades, few enough that a
+# chunk's cuts add little to the memory of its rows
+_CUT_BATCH = CHUNK // 16
 # squared center distance below which two spheres coincide and share no circle
 _COINCIDENT_SQ = 1e-30
 _NO_ARCS = Arc(np.empty((0, 3)), np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
@@ -81,7 +93,8 @@ class BallSystem:
     properties of the arcs, checked here (ArgumentError otherwise): every
     arc endpoint is a point center, to within `_ENDPOINT_TOL`, and every
     sweep lies in [0, pi].  `gap` keeps the largest distance from an arc
-    endpoint to its nearest point center, 0.0 without arcs.
+    endpoint to its nearest point center, 0.0 without arcs; `support`
+    widens its screen by it.
     """
 
     centers: np.ndarray
@@ -129,7 +142,7 @@ class McResult:
 
 
 def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> McResult:
-    """Stratified antithetic sampling of the boundary cells of the point centers' lens box, scored along z.
+    """Stratified antithetic sampling of the (x, y) rectangle of the point centers' lens box, each sample scored by its chord.
 
     Along each axis direction the box reaches the least support, over
     every pair of point balls, of their lens, widened by the support
@@ -139,40 +152,35 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     no point: the result is volume 0, standard error 0 and no hits, with
     no sample drawn.
 
-    A chunk of n samples splits the unit cube into L^3 equal cells, mapped
-    affinely onto the box, and sorts them once per call and chunk size
-    (`_classify`): I interior cells, which lie inside the body, exterior
-    cells, which miss a point ball, and the B cells between, which the
-    boundary crosses.  L is the largest side whose (L + 1)^3 cell corners
-    fit in n and whose B boundary cells get two pairs each, 2 B <=
-    ceil(n / 2), or 1 (`_strata`); it depends on the body and n alone, not
-    on the samples.  The chunk draws ceil(n / 2) points q_p uniform in the
-    unit cube.  Pair p goes to the (p mod B)-th boundary cell, its two
-    samples at (cell corner + q_p) / L and (cell corner + 1 - q_p) / L,
-    mirrored through the cell's center; for an odd n the last pair keeps
-    only its first sample.
+    A chunk of n samples splits the box's (x, y) rectangle into L^2 equal
+    column cells and sorts them once per call and chunk size
+    (`_exterior`): exterior cells, whose every z line misses the point
+    balls' common span, and the B sampled cells.  L is the largest side
+    with 2 B <= ceil(n / 2), so each sampled cell gets two pairs, or 1
+    (`_strata`); it depends on the body and n alone, not on the samples.
+    The chunk draws ceil(n / 2) points q_p uniform in the unit square.
+    Pair p goes to the (p mod B)-th sampled cell, its two samples at
+    (cell corner + q_p) / L and (cell corner + 1 - q_p) / L, mirrored
+    through the cell's center; for an odd n the last pair keeps only its
+    first sample.
 
-    A sample's score is a number in [0, 1] (`_scores`).  It keeps the
-    sample's x and y, and clips the cell's z range [z0, z0 + h] to every
-    point ball's z span over (x, y) to get [a, b].  Its scored point lies
-    at z = a + f (b - a), f the sample's in-cell z fraction (q, or 1 - q
-    for the mirror), and it scores (b - a) / h if that point passes the
-    arcs, 0 otherwise or when [a, b] is empty.  Given (x, y), f is uniform,
-    so the mean score is the share of the cell's z segment in the body:
-    the point balls' share is exact and the arcs cut it only where they
-    reject the point.  The scored point's membership of the point balls
-    is decided by the span, as its square roots round (about 1e-16), and
-    only the arcs are tested at it.
+    A sample's score is the length of the body's chord on its z line
+    over the box's z size, a number in [0, 1] (`_chords`).  It is exact
+    up to rounding, so only (x, y) is sampled: the point balls' ends are
+    closed-form square roots, good to about 1e-16, and an arc's cut ends
+    once Newton's step falls below `_ROOT_STEP`, the steps never passing
+    the root.  It stops short by about the square of that last step at a
+    simple root, and by up to about the step itself only where the line
+    grazes the arc's ball body and Newton converges linearly.
 
-    A boundary cell's mean score p_c is the mean of its k_c pair means,
-    with variance the unbiased spread of those pair means over k_c, a cell
-    of one pair adding none.  The chunk's share of the box in the body is
-    (I + sum of the p_c) / L^3, with variance the p_c's variances' sum over
-    (L^3)^2; when no cell is a boundary cell, it is I / L^3 exactly and
-    the chunk draws no sample.  Chunks combine weighted by their share of
-    the samples; volume and standard error scale with the box's volume,
-    and `hits` counts the scored points that pass the arcs, all in
-    boundary cells.
+    A sampled cell's mean score p_c is the mean of its k_c pair means,
+    with variance the unbiased spread of those pair means over k_c, a
+    cell of one pair adding none.  The chunk's share of the box in the
+    body is the sum of the p_c over L^2, with variance the p_c's
+    variances' sum over L^4; when every cell is exterior it is 0 exactly
+    and the chunk draws no sample.  Chunks combine weighted by their
+    share of the samples; volume and standard error scale with the box's
+    volume, and `hits` counts the samples whose chord is not empty.
 
     Deterministic for fixed (samples, seed): the sample stream is a pure
     function of the chunk index and chunks combine in chunk order, so
@@ -193,8 +201,8 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
     def run(chunk: int) -> tuple[int, float, float]:
         strata = strata_of[min(CHUNK, samples - chunk * CHUNK)]
         if not len(strata.count):
-            # no cell is crossed by the boundary: the estimate is exact and draws nothing
-            return 0, strata.interior / strata.side**3, 0.0
+            # every cell is exterior: the body is empty and the chunk draws nothing
+            return 0, 0.0, 0.0
         hits, scores = _scores(system, strata, lo, size, _stream(seed, chunk))
         return hits, *strata.estimate(scores)
 
@@ -215,40 +223,38 @@ def mc_volume(system: BallSystem, samples: int, seed: int, threads: int = 1) -> 
 
 @dataclass(frozen=True, slots=True)
 class _Strata:
-    """A chunk's cells over one body: L per side, `interior` of them inside it, ceil(n / 2) antithetic pairs
-    dealt to the B cells the boundary crosses, pair p to the (p mod B)-th of them, each sample scored in [0, 1]."""
+    """A chunk's column cells over one body: L per side, ceil(n / 2) antithetic pairs dealt to the B cells that
+    are not exterior, pair p to the (p mod B)-th of them, each sample scored in [0, 1]."""
 
     side: int  # L
     samples: int  # n
-    interior: int  # cells wholly inside the body
-    # (3, pairs): the low corner (x, y, z) of pair p's cell, (x * L + y) * L + z its index
-    corners: np.ndarray
-    count: np.ndarray  # (B,) pairs per boundary cell
+    corners: np.ndarray  # (2, pairs) int32: the low corner (x, y) of pair p's cell, x * L + y its index
+    count: np.ndarray  # (B,) pairs per sampled cell
     spread: np.ndarray  # (B,) 1 / (4 count^2 (count - 1)), 0 for a cell of one pair
 
     @classmethod
-    def deal(cls, side: int, samples: int, interior: int, boundary: np.ndarray) -> "_Strata":
-        """Deal the pairs of n samples round-robin to the boundary cells, given by index (x * L + y) * L + z."""
+    def deal(cls, side: int, samples: int, sampled: np.ndarray) -> "_Strata":
+        """Deal the pairs of n samples round-robin to the sampled cells, given by index x * L + y."""
         pairs = (samples + 1) // 2
-        rounds, extra = divmod(pairs, len(boundary)) if len(boundary) else (0, 0)
-        corners = np.stack((boundary // (side * side), boundary // side % side, boundary % side)).astype(float)
-        corners = np.tile(corners, rounds + 1)[:, :pairs]
-        count = np.full(len(boundary), float(rounds))
+        rounds, extra = divmod(pairs, len(sampled)) if len(sampled) else (0, 0)
+        corners = np.tile(np.stack(divmod(sampled, side)).astype(np.int32), rounds + 1)[:, :pairs]
+        count = np.full(len(sampled), float(rounds))
         count[:extra] += 1.0
         spread = np.where(count > 1.0, 1.0 / (4.0 * count * count * np.maximum(count - 1.0, 1.0)), 0.0)
-        return cls(side, samples, interior, corners, count, spread)
+        return cls(side, samples, corners, count, spread)
 
     def place(self, q: np.ndarray) -> np.ndarray:
-        """Points (3, n) of [0, L)^3, in cell units, from uniform q of shape (3, pairs).
+        """Points (2, n) of [0, L)^2, in cell units, from uniform q of shape (2, pairs).
 
         Pair p's samples are columns p and pairs + p: its cell's corner + q_p
         and the mirror, corner + 1 - q_p; an odd n's last pair has no mirror.
         """
         pairs = self.corners.shape[1]
         mirrors = self.samples - pairs
-        v = np.empty((3, self.samples))
+        v = np.empty((2, self.samples))
         np.add(self.corners, q, out=v[:, :pairs])
-        np.subtract(self.corners[:, :mirrors] + 1.0, q[:, :mirrors], out=v[:, pairs:])
+        np.subtract(self.corners[:, :mirrors], q[:, :mirrors], out=v[:, pairs:])
+        v[:, pairs:] += 1.0
         return v
 
     def estimate(self, scores: np.ndarray) -> tuple[float, float]:
@@ -266,54 +272,44 @@ class _Strata:
         s2 = (twice * twice).sum(axis=0)
         # k s2 - s1^2 is 4 k^2 (k - 1) times the variance of the cell's mean;
         # an elementwise sum, not np.dot: a BLAS call here wakes BLAS's own thread pool inside every worker
-        cells = self.side**3
+        cells = self.side**2
         var = float(((self.count * s2 - s1 * s1) * self.spread).sum()) / cells**2
-        return (self.interior + float((s1 / self.count).sum()) / 2.0) / cells, var
+        return float((s1 / self.count).sum()) / 2.0 / cells, var
 
 
 def _scores(system: BallSystem, strata: _Strata, lo: np.ndarray, size: np.ndarray, rng) -> tuple[int, np.ndarray]:
     """The [0, 1] scores of `place`'s columns for q drawn from rng, as `mc_volume` defines them, and how many
-    scored points pass the arcs."""
-    rows, x, y, z, width = _scored_points(system, strata, lo, size, rng)
-    if system.arcs:
-        passed = _arc_survivors(system.arcs, x, y, z, 1.0)
-        rows, width = rows[passed], width[passed]
-    scores = np.zeros(strata.samples)
-    scores[rows] = width / (size[2] / strata.side)
-    return len(rows), scores
+    of their chords are not empty."""
+    v = strata.place(rng.random((2, strata.corners.shape[1])))
+    # the expression that places the cell edges in `_exterior`, so every sample lies in its closed cell
+    v *= (size[:2] / strata.side)[:, None]
+    v += lo[:2, None]
+    low, high = _chords(system, *v)
+    scores = np.subtract(high, low, out=high)
+    # an empty chord is reversed, or NaN where a ball misses the line
+    np.fmax(scores, 0.0, out=scores)
+    hits = int(np.count_nonzero(scores))
+    scores /= size[2]
+    return hits, scores
 
 
-def _scored_points(
-    system: BallSystem, strata: _Strata, lo: np.ndarray, size: np.ndarray, rng
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The columns of `place` with a nonempty span [a, b], their scored points x, y, z and their widths b - a.
+def _chords(system: BallSystem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Ends (2, n) of the body's chord on each z line (x, y), low then high; a chord is empty unless low < high.
 
-    [a, b] is the cell's z range [z0, z0 + h] clipped to every point
-    ball's z span over (x, y), `_z_spans`' formula at one column, and z =
-    a + f (b - a), f the in-cell z fraction: q for each pair's first
-    sample, 1 - q for the mirror.  The chunk's rows live in a few scratch
-    rows, all freed on return, so the arc test that follows holds little
-    more than the scored points.
+    The point balls give the segment [a, b] in closed form: the greatest
+    low end and the least high end of their spans over (x, y), NaN both
+    when a ball misses the line.  The arcs then cut it at its ends
+    (`_arc_cuts`).
     """
-    n = strata.samples
-    q = rng.random((3, strata.corners.shape[1]))
-    pairs, mirrors = q.shape[1], n - q.shape[1]
-    step = size / strata.side
-    # rows x, y and the cell's low z edge, each the expression that places the cell edges in `_classify`
-    v = strata.place(q)
-    v[2, :pairs] = strata.corners[2]
-    v[2, pairs:] = strata.corners[2, :mirrors]
-    v *= step[:, None]
-    v += lo[:, None]
-    x, y, low = v
-    high = low + step[2]
-    # the in-cell z fractions, written over q's x and y rows, which `place` has used
-    f = q.reshape(-1)[:n]
-    f[:pairs] = q[2]
-    np.subtract(1.0, q[2, :mirrors], out=f[pairs:])
-    # scratch rows shared by every center, so no center allocates a temporary per operation
-    acc, tmp = np.empty(n), np.empty(n)
-    # a ball that misses the column reaches NaN, which maximum and minimum pass on: the span is empty
+    n = len(x)
+    ends = np.empty((2, n))
+    low, high = ends
+    low.fill(-np.inf)
+    high.fill(np.inf)
+    # scratch rows shared by every center, and then by every arc, so none allocates a temporary per operation
+    scratch = np.empty((2, n))
+    acc, tmp = scratch
+    # a ball that misses the line reaches NaN, which maximum and minimum pass on
     with np.errstate(invalid="ignore"):
         for cx, cy, cz in system.centers.tolist():
             np.subtract(x, cx, out=acc)
@@ -324,96 +320,234 @@ def _scored_points(
             np.maximum(low, np.subtract(cz, acc, out=tmp), out=low)
             acc += cz
             np.minimum(high, acc, out=high)
-    rows = np.flatnonzero(high > low)
-    high -= low
-    np.multiply(f, high, out=acc)
-    acc += low
-    return rows, x[rows], y[rows], acc[rows], high[rows]
+    if system.arcs:
+        # both ends NaN on an empty segment, so that no arc finds an end of it in its wedge
+        ends[:, ~(high > low)] = np.nan
+        _arc_cuts(system.arcs, x, y, ends, scratch)
+    return ends
 
 
-def _classify(
-    system: BallSystem, lo: np.ndarray, size: np.ndarray, side: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Interior and exterior masks of the L^3 cells of the box, cell (x, y, z) at (x * L + y) * L + z.
+def _arc_cuts(arcs: Arc, x: np.ndarray, y: np.ndarray, ends: np.ndarray, scratch: np.ndarray) -> None:
+    """Cut each segment of the point balls on the z lines (x, y), ends (2, n), to its points within 1 of every arc.
+
+    An arc cuts a segment only from an end in its wedge where G > 1
+    (module docstring): up to where G falls to 1, or to the wedge's far
+    side on the segment when G never does (`_newton`).  Every arc is
+    tested on the segments as the point balls give them, and the cuts
+    then combine: the chord runs from the highest low cut to the lowest
+    high cut, empty when those cross.  NaN ends, of empty segments, lie
+    in no wedge.  The ends in the wedges are cut in batches of about
+    `_CUT_BATCH`, so no array holds a row per (sample, arc).  `scratch` is
+    two rows of n, overwritten.
+    """
+    n = len(x)
+    # the wedge is w . v <= 0 and w . e >= 0, e = cos(sweep) v - sin(sweep) u (`_arc_survivors`), both
+    # written as normal . p <= offset
+    end = np.cos(arcs.sweep)[:, None] * arcs.v - np.sin(arcs.sweep)[:, None] * arcs.u
+    planes = list(zip(
+        arcs.v.tolist(), _dot(arcs.center, arcs.v).tolist(), (-end).tolist(), (-_dot(arcs.center, end)).tolist()
+    ))
+    # each arc's center, its circle's unit axis and its radius, one row per arc
+    table = np.column_stack((arcs.center, _cross(arcs.u, arcs.v), arcs.radius))
+    first, second = scratch
+    at, ok = np.empty((2, n), dtype=bool), np.empty((2, n), dtype=bool)
+    found, cuts = [], []
+    for k, (v, v_offset, e, e_offset) in enumerate(planes):
+        # each half-space holds a line below or above a limit on z; the wedge, between its top and bottom
+        top = bottom = None
+        for normal, offset, out in ((v, v_offset, first), (e, e_offset, second)):
+            limit, upper = _line_limit(x, y, normal, offset, out)
+            if upper:
+                top = limit if top is None else np.minimum(top, limit, out=first)
+            else:
+                bottom = limit if bottom is None else np.maximum(bottom, limit, out=first)
+        if top is None:
+            np.greater_equal(ends, bottom, out=at)
+        else:
+            np.less_equal(ends, top, out=at)
+            if bottom is not None:
+                at &= np.greater_equal(ends, bottom, out=ok)
+        # index i < n is row i's low end, n + i its high end; each gets the wedge's other side on its line
+        hits = np.flatnonzero(at)
+        rows = hits % n
+        bound = np.where(
+            hits < n,
+            np.inf if top is None else top.take(rows),
+            -np.inf if bottom is None else bottom.take(rows),
+        )
+        found.append((np.full(len(hits), k), hits, bound))
+        if sum(len(part[1]) for part in found) >= _CUT_BATCH or k == len(planes) - 1:
+            rows, z, sign, params = _cut_starts(table, x, y, ends, *(np.concatenate(part) for part in zip(*found)))
+            z += sign * _newton(params)
+            cuts.append((rows, z, sign))
+            found = []
+    rows, z, sign = (np.concatenate(part) for part in zip(*cuts))
+    up = sign > 0.0
+    np.maximum.at(ends[0], rows[up], z[up])
+    np.minimum.at(ends[1], rows[~up], z[~up])
+
+
+def _line_limit(x: np.ndarray, y: np.ndarray, normal: list[float], offset: float, out: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Where each z line (x, y) lies in the half-space normal . p <= offset: below the returned limit when the
+    flag is True, above it when False.  A plane parallel to the lines holds all of a line or none of it,
+    limit +inf or -inf below."""
+    nx, ny, nz = normal
+    if nz == 0.0:
+        return np.where(_combine(x, y, nx, ny, out) <= offset, np.inf, -np.inf), True
+    _combine(x, y, -nx / nz, -ny / nz, out)
+    out += offset / nz
+    return out, nz > 0.0
+
+
+def _combine(x: np.ndarray, y: np.ndarray, a: float, b: float, out: np.ndarray) -> np.ndarray:
+    """x a + y b into out with no temporary, factored on the larger coefficient."""
+    if abs(a) < abs(b):
+        x, y, a, b = y, x, b, a
+    if a == 0.0:
+        out.fill(0.0)
+        return out
+    np.multiply(y, b / a, out=out)
+    out += x
+    out *= a
+    return out
+
+
+def _cut_starts(
+    table: np.ndarray, x: np.ndarray, y: np.ndarray, ends: np.ndarray, arc: np.ndarray, hits: np.ndarray,
+    bound: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The chord ends `hits` in the wedges of arcs `arc`: their rows, z, the sign of a cut's direction along z
+    (+1 up from a low end) and the columns of `_newton`'s params; an end where G <= 1 cuts nothing.
+
+    `table` holds each arc's center, unit axis a and radius; `ends` is
+    (2, n), the low ends then the high ends, and `bound` the wedge's other
+    side on each end's line.  Along the cut, at t from the end, w moves
+    by s t e_z: |w|^2 grows by t (2 s w_z + t), and rho^2 = R + t (2 P +
+    S t) with P = s (w_z - h a_z) and S = 1 - a_z^2, h = w . a.
+    """
+    n = ends.shape[1]
+    rows = hits % n
+    z = ends.ravel()[hits]
+    cx, cy, cz, ax, ay, az, r = table.T.take(arc, axis=1)
+    wx, wy, wz = x[rows] - cx, y[rows] - cy, z - cz
+    ww = wx * wx + wy * wy + wz * wz
+    h = wx * ax + wy * ay + wz * az
+    sign = np.where(hits < n, 1.0, -1.0)
+    far = np.where(sign > 0.0, np.minimum(ends[1, rows], bound) - z, z - np.maximum(ends[0, rows], bound))
+    # rho^2 at the end, which rounding may push below 0 on the axis, and q = |w|^2 + r^2 - 1
+    params = np.stack((
+        sign * (wz - h * az), 1.0 - az * az, np.maximum(ww - h * h, 0.0), 2.0 * sign * wz, ww + (r * r - 1.0), 2.0 * r, far,
+    ))
+    return rows, z, sign, params
+
+
+def _newton(params: np.ndarray) -> np.ndarray:
+    """How far each cut runs from its chord end, by Newton's method on G - 1 along the line.
+
+    A column of params holds P, S, R, 2 s w_z, q, 2 r and the distance to
+    the wedge's far side, as `_cut_starts` defines them.  At t along the
+    cut, G - 1 = q + t (2 s w_z + t) + 2 r rho, and its slope is 2 s w_z +
+    2 t + 2 r (P + S t) / rho; on the circle's axis, rho = 0, the slope
+    keeps P + S t, 0 up to rounding and a valid subgradient.  A cut whose
+    end has G <= 1 stops at t = 0.  The tangent of a convex function lies
+    below it, so each step stops short of the root; a slope that does not
+    descend, or a step past the far side, means G exceeds one all the way
+    there.  GeometryError after `_NEWTON_STEPS` steps.
+    """
+    out = np.empty(params.shape[1])
+    live = np.arange(params.shape[1])
+    finished = np.zeros(params.shape[1], dtype=bool)
+    state = np.vstack((params, np.zeros(params.shape[1])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            p, s, r0, alpha2, q, r2, far, t = state
+            lean = s * t
+            lean += p
+            rho = lean + p
+            rho *= t
+            rho += r0
+            np.sqrt(np.maximum(rho, 0.0, out=rho), out=rho)
+            excess = alpha2 + t
+            excess *= t
+            excess += q
+            excess += r2 * rho
+            np.divide(lean, rho, out=lean, where=rho > 0.0)
+            lean *= r2
+            lean += alpha2
+            lean += t
+            lean += t
+            # the step to the tangent's root: +inf where the slope does not descend, 0 at a root reached by rounding
+            step = np.fmax(excess / np.fmax(np.negative(lean, out=lean), 0.0), 0.0)
+            nxt = np.minimum(t + step, far)
+            done = (nxt >= far) | (step <= _ROOT_STEP)
+            # a cut keeps the end it finished at, so each one's result is its own, whatever else runs with it
+            np.copyto(nxt, t, where=finished)
+            finished |= done
+            out[live] = nxt
+            left = len(live) - np.count_nonzero(finished)
+            if not left:
+                return out
+            # the live ones are gathered once a quarter of them are finished
+            if 4 * left <= 3 * len(live):
+                keep = np.flatnonzero(~finished)
+                live, state, nxt, finished = live[keep], state.take(keep, axis=1), nxt[keep], finished[keep]
+            state[7] = nxt
+    raise GeometryError(f"Newton found no chord end in {_NEWTON_STEPS} steps for {len(live)} cuts")
+
+
+def _exterior(system: BallSystem, lo: np.ndarray, size: np.ndarray, side: int) -> np.ndarray:
+    """Exterior mask of the L^2 column cells of the box's (x, y) rectangle, cell (x, y) at x * L + y.
 
     The cell edges are lo + (size / L) i, the expression that places the
-    samples, so every sample lies in its closed cell.  A cell is exterior
-    when its nearest point lies over 1 + `_CELL_MARGIN` from a point
-    center, and interior when its 8 corners pass `_inside` at slack
-    -(`_CELL_MARGIN` + g), g the largest arc endpoint gap.  A point that
-    passes there lies within 1 - `_CELL_MARGIN` of every center and every
-    arc point: off an arc's wedge its farthest arc point is an endpoint,
-    at most g from the point center tested in its stead.  Those points
-    are an intersection of balls, so convex, and hold the whole cell,
-    whose every point `_inside` then accepts.
-
-    The point balls are tested per (x, y) column of the lattice, not per
-    corner or cell.  A ball meets a column's z line in one span, so the
-    column's corners that pass every point ball are those between the
-    spans' greatest low end and least high end (`_z_spans`), and its
-    cells that no point ball misses are those that reach into the like
-    span at 1 + margin; the margin covers the rounding of the square
-    roots.  The corners that pass every point ball then go through the
-    arcs as rows (`_arc_survivors`), and those that fail are cleared.
+    samples, so every sample lies in its closed cell.  A ball meets a z
+    line in one span, as high as the ball is over the line, and over a
+    cell it reaches no higher than over the cell's point nearest its
+    center.  So a cell is exterior when, at those nearest points, within
+    1 + `_CELL_MARGIN` of every center, the spans share no point: then
+    no z line in the cell meets the body, and the margin covers the
+    rounding of the square roots.  The cells are taken a block of rows
+    at a time, about a chunk's worth of (center, cell) numbers each.
     """
-    limit = (1.0 - (_CELL_MARGIN + system.gap)) ** 2
-    edges = lo[:, None] + (size / side)[:, None] * np.arange(side + 1.0)
-    # (centers, axis, L + 1): each center's offset from each edge along each axis
-    off = edges[None] - system.centers[:, :, None]
-    z = system.centers[:, 2]
-    sq = off[:, :2] ** 2
-    low, high = _z_spans(z, sq[:, 0, :, None] + sq[:, 1, None, :], limit)
-    ok = (edges[2] >= low) & (edges[2] <= high)
-    if system.arcs:
-        i, j, k = np.nonzero(ok)
-        ok[i, j, k] = False
-        kept = _arc_survivors(system.arcs, edges[0][i], edges[1][j], edges[2][k], limit)
-        ok[i[kept], j[kept], k[kept]] = True
-    # a cell's corners pass when both ends of each of its edges along x, then y, then z do
-    ok = ok[:-1] & ok[1:]
-    ok = ok[:, :-1] & ok[:, 1:]
-    interior = ok[:, :, :-1] & ok[:, :, 1:]
-    # along x and y, the squared distance from each center to each cell's span: a cell meets every
-    # ball within 1 + margin when its z span meets every ball's span over its column
-    near = np.maximum(np.maximum(off[:, :2, :-1], -off[:, :2, 1:]), 0.0) ** 2
-    low, high = _z_spans(z, near[:, 0, :, None] + near[:, 1, None, :], (1.0 + _CELL_MARGIN) ** 2)
-    exterior = (edges[2][:-1] > high) | (edges[2][1:] < low)
-    return interior.ravel(), exterior.ravel()
-
-
-def _z_spans(z: np.ndarray, across: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high ends, (X, Y, 1), of each column's z span within sqrt(bound) of every center.
-
-    `across` (centers, X, Y) holds each column's squared distance to each
-    center in x and y, z the centers' heights.  A column that some ball
-    misses gets an empty span, low +inf and high -inf.
-    """
-    rest = bound - across
-    reach = np.sqrt(np.maximum(rest, 0.0))
-    reach[rest < 0.0] = -np.inf
-    return (z[:, None, None] - reach).max(axis=0)[..., None], (z[:, None, None] + reach).min(axis=0)[..., None]
+    edges = lo[:2, None] + (size[:2] / side)[:, None] * np.arange(side + 1.0)
+    # (centers, axis, L): the squared distance from each center to each cell's span along x and y
+    off = edges[None] - system.centers[:, :2, None]
+    near = np.maximum(np.maximum(off[:, :, :-1], -off[:, :, 1:]), 0.0) ** 2
+    z = system.centers[:, 2, None, None]
+    exterior = np.empty((side, side), dtype=bool)
+    step = max(1, CHUNK // (len(z) * side))
+    # a ball that misses a cell reaches NaN, which max and min pass on, so the cell counts as exterior
+    with np.errstate(invalid="ignore"):
+        for i in range(0, side, step):
+            reach = np.subtract((1.0 + _CELL_MARGIN) ** 2 - near[:, 0, i : i + step, None], near[:, 1, None, :])
+            np.sqrt(reach, out=reach)
+            low = np.subtract(z, reach).max(axis=0)
+            reach += z
+            exterior[i : i + step] = ~(low <= reach.min(axis=0))
+    return exterior.ravel()
 
 
 def _strata(system: BallSystem, lo: np.ndarray, size: np.ndarray, n: int) -> _Strata:
-    """The cells of a chunk of n samples over the box, sorted for the system.
+    """The column cells of a chunk of n samples over the box, sorted for the system.
 
-    L is the largest side with (L + 1)^3 <= n, so the corner lattice is no
-    bigger than the chunk, and 2 B <= ceil(n / 2), so each of the B
-    boundary cells gets two pairs or more and its spread is estimated; 1
-    when no side passes both.  The search classifies down from the
-    largest side that passes the first, where most bodies already pass
-    the second.
+    L is the largest side with 2 B <= ceil(n / 2), so each of the B
+    sampled cells gets two pairs or more and its spread is estimated; 1
+    when no side passes.  Every side up to sqrt(ceil(n / 2) / 2) passes,
+    since B <= L^2, and the body's cells grow about as L^2, so the count
+    at that side predicts the answer.  The search steps down from one
+    over that prediction and classifies at most a few sides.
     """
     pairs = (n + 1) // 2
-    side = 1
-    while (side + 2) ** 3 <= n:
-        side += 1
-    while True:
-        interior, exterior = _classify(system, lo, size, side)
-        boundary = np.flatnonzero(~(interior | exterior))
-        if side == 1 or 2 * len(boundary) <= pairs:
-            return _Strata.deal(side, n, int(np.count_nonzero(interior)), boundary)
-        side -= 1
+    side = max(1, math.isqrt(pairs // 2))
+    exterior = _exterior(system, lo, size, side)
+    sampled = len(exterior) - int(np.count_nonzero(exterior))
+    if sampled:
+        for finer in range(int(side * math.sqrt(pairs / (2 * sampled))) + 1, side, -1):
+            ext = _exterior(system, lo, size, finer)
+            if 2 * (len(ext) - np.count_nonzero(ext)) <= pairs:
+                side, exterior = finer, ext
+                break
+    return _Strata.deal(side, n, np.flatnonzero(~exterior))
+
 
 
 def width_samples(
@@ -489,8 +623,11 @@ def support(system: BallSystem, direction: np.ndarray) -> float | np.ndarray:
 
 
 def _check_integer(value: int, name: str, least: int) -> None:
-    """Raise ArgumentError unless value is an integer of at least `least`: 0 for a seed, 1 for a count."""
-    if not isinstance(value, (int, np.integer)) or value < least:
+    """Raise ArgumentError unless value is an integer of at least `least`: 0 for a seed, 1 for a count.
+
+    A bool is refused although Python counts it an int: True would pass as 1 sample, thread or restart.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise ArgumentError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 

@@ -418,6 +418,9 @@ def _arc_survivors(arcs: Arc, x: np.ndarray, y: np.ndarray, z: np.ndarray, limit
     only on the rows in its wedge, and a row that fails leaves the
     survivors at once.  This is the membership test of a ball polytope's
     arcs (Kupitz, Martini and Perles); the point balls are the caller's.
+    Its one caller is `montecarlo._inside`, which screens `support`'s
+    candidates; the volume oracle cuts whole z lines instead
+    (`montecarlo._arc_cuts`).
     """
     # the wedge is w . v <= 0 and w . e >= 0, e = cos(sweep) v - sin(sweep) u, two half-planes that
     # meet in that angle for sweep <= pi; as half-spaces of the rows they need no w

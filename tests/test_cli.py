@@ -159,7 +159,7 @@ def test_mc_check_deterministic(tetra_file, capsys):
 
 
 def test_mc_check_sigmas_without_spread(tetra_file, capsys, monkeypatch):
-    # one sample has no spread: its one cell scores the share of its z range it holds, and a miss
+    # one sample has no spread: its one column cell scores the body's chord on its z line, and a miss
     # by half the volume is infinitely many sigmas
     code, out, _ = run(capsys, "mc-check", tetra_file, "--samples", "1", "--seed", "3")
     assert code == 0

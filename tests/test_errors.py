@@ -59,6 +59,12 @@ def test_argument_error_is_a_validation_error_and_a_value_error():
         lambda tmp: validate_vertex_set(regular_tetrahedron().points, tol=0.0),
         lambda tmp: validate_vertex_set(regular_tetrahedron().points, tol=-1.0),
         lambda tmp: validate_vertex_set(regular_tetrahedron().points, tol=float("nan")),
+        # nor is a bool, which Python counts an int: True ran as one sample, thread or restart
+        lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), True, seed=0),
+        lambda tmp: mc_volume(BallSystem.from_points(np.zeros((1, 3))), 10, seed=0, threads=True),
+        lambda tmp: width_samples(BallSystem.from_points(np.zeros((1, 3))), True, seed=0),
+        lambda tmp: optimize_pyramid(5, restarts=True),
+        lambda tmp: optimize_meissner(OptimizationProblem.from_vertex_set(regular_tetrahedron()), restarts=True),
     ],
 )
 def test_bad_arguments_raise_argument_error(call, tmp_path):
@@ -66,7 +72,7 @@ def test_bad_arguments_raise_argument_error(call, tmp_path):
         call(tmp_path)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True, False])
 @pytest.mark.parametrize(
     "call",
     [

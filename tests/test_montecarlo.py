@@ -28,6 +28,7 @@ from meissner import (
     width_samples,
 )
 from meissner import montecarlo
+from meissner.errors import GeometryError
 from meissner.montecarlo import (
     CHUNK,
     _CELL_MARGIN,
@@ -36,11 +37,13 @@ from meissner.montecarlo import (
     _NORM_FLOOR,
     _SUPPORT_SLACK,
     _Strata,
-    _classify,
+    _chords,
     _endpoint_gaps,
+    _exterior,
     _inside,
+    _newton,
     _sampling_box,
-    _scored_points,
+    _scores,
     _sphere_corners,
     _strata,
     _stream,
@@ -154,7 +157,7 @@ def test_ball_system_rejects_an_arc_that_ends_off_every_center(tetra_poly, tetra
 
 
 def test_gap_is_the_largest_endpoint_gap(tetra_vs):
-    # the largest endpoint gap is kept at construction for `_classify` and `support`
+    # the largest endpoint gap is kept at construction for `support`
     for system in _support_systems(tetra_vs):
         assert system.gap == _endpoint_gaps(system.centers, system.arcs).max(initial=0.0)
     assert BallSystem.from_points(tetra_vs.points).gap == 0.0
@@ -226,8 +229,8 @@ def test_reproducible_and_thread_invariant(tetra_system):
         assert (threaded.volume, threaded.hits) == (base.volume, base.hits)
     other = mc_volume(tetra_system, 200_000, seed=8)
     assert other.hits != base.hits
-    # the last chunk, 3,395 samples, deals 1,698 pairs to the boundary cells of its 14^3, and keeps
-    # the last pair's first sample alone
+    # the last chunk, 3,395 samples, deals 1,698 pairs to the sampled cells of its 33^2 columns, and
+    # keeps the last pair's first sample alone
     uneven = mc_volume(tetra_system, 200_003, seed=7)
     for threads in (2, 3, 4):
         assert mc_volume(tetra_system, 200_003, seed=7, threads=threads) == uneven
@@ -257,9 +260,9 @@ def test_width_samples_use_one_core():
 
 
 def reference_estimate(strata: _Strata, scores: np.ndarray) -> tuple[float, float]:
-    """(I + each boundary cell's mean pair mean) / L^3, and the unbiased spread of the pair means over
-    their count, summed over the boundary cells and divided by (L^3)^2; pair p in cell p mod B."""
-    n, cells, dealt = strata.samples, strata.side**3, len(strata.count)
+    """Each sampled cell's mean pair mean summed over L^2, and the unbiased spread of the pair means over their
+    count, summed over the sampled cells and divided by (L^2)^2; pair p in cell p mod B."""
+    n, cells, dealt = strata.samples, strata.side**2, len(strata.count)
     pairs = (n + 1) // 2
     mirrors = n - pairs
     pair_means = scores[:pairs].astype(float)
@@ -269,48 +272,53 @@ def reference_estimate(strata: _Strata, scores: np.ndarray) -> tuple[float, floa
     means = np.bincount(cell, pair_means, minlength=dealt) / count
     squares = np.bincount(cell, (pair_means - means[cell]) ** 2, minlength=dealt)
     spread = np.where(count > 1, squares / np.maximum(count - 1, 1) / count, 0.0)
-    return (strata.interior + means.sum()) / cells, spread.sum() / cells**2
+    return means.sum() / cells, spread.sum() / cells**2
 
 
-def assert_strata_rule(system: BallSystem, n: int) -> None:
-    """L is the largest side whose (L + 1)^3 corners fit in n and whose B boundary cells get two pairs each, or 1."""
+def _fits(system: BallSystem, lo: np.ndarray, size: np.ndarray, side: int, pairs: int) -> bool:
+    """Whether the B column cells that are not exterior at side L get two pairs each: 2 B <= pairs."""
+    return 2 * np.count_nonzero(~_exterior(system, lo, size, side)) <= pairs
+
+
+def assert_column_rule(system: BallSystem, n: int) -> None:
+    """L is the largest side whose B sampled column cells get two pairs each, 2 B <= ceil(n / 2), or 1."""
     lo, size = _sampling_box(system.centers)
-    strata = _strata(system, lo, size, n)
-    side, pairs = strata.side, (n + 1) // 2
-
-    def fits(side: int) -> bool:
-        interior, exterior = _classify(system, lo, size, side)
-        return (side + 1) ** 3 <= n and 2 * np.count_nonzero(~(interior | exterior)) <= pairs
-
-    assert side == 1 or fits(side)
-    assert (side + 2) ** 3 > n or not fits(side + 1)
+    side, pairs = _strata(system, lo, size, n).side, (n + 1) // 2
+    assert side == 1 or _fits(system, lo, size, side, pairs)
+    assert not _fits(system, lo, size, side + 1, pairs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 15, 16, 17, 31, 32, 1001, 3392, 3395, 8192, 65536])
 def test_each_sample_lies_in_its_own_cell(tetra_system, n):
-    # its cell is the boundary cell its pair is dealt to, the pairs dealt to them in turn
+    # its column cell is the sampled cell its pair is dealt to, the pairs dealt to them in turn
     lo, size = _sampling_box(tetra_system.centers)
     strata = _strata(tetra_system, lo, size, n)
     side = strata.side
-    assert_strata_rule(tetra_system, n)
-    interior, exterior = _classify(tetra_system, lo, size, side)
-    assert not (interior & exterior).any()
-    assert strata.interior == np.count_nonzero(interior)
-    boundary = np.flatnonzero(~(interior | exterior))
+    assert_column_rule(tetra_system, n)
+    sampled = np.flatnonzero(~_exterior(tetra_system, lo, size, side))
     pairs = (n + 1) // 2
-    cell = boundary[np.arange(pairs) % len(boundary)]
-    v = strata.place(_stream(5, 0).random((3, pairs)))
-    assert v.shape == (3, n)
+    cell = sampled[np.arange(pairs) % len(sampled)]
+    v = strata.place(_stream(5, 0).random((2, pairs)))
+    assert v.shape == (2, n)
     corner = np.floor(v[:, :pairs]).astype(int)
     assert ((corner >= 0) & (corner < side)).all()
-    assert np.array_equal((corner[0] * side + corner[1]) * side + corner[2], cell)
+    assert np.array_equal(corner[0] * side + corner[1], cell)
     # each pair's second sample mirrors its first through their cell's center; an odd n's last has none
     mirrors = n - pairs
     assert mirrors == pairs - n % 2
     assert np.abs(v[:, :mirrors] + v[:, pairs:] - (2.0 * corner[:, :mirrors] + 1.0)).max(initial=0.0) <= 1e-12
-    # the boundary cells share the pairs evenly, two or more each once n >= 4
-    assert np.array_equal(strata.count, np.bincount(np.arange(pairs) % len(boundary)))
-    assert set(strata.count.tolist()) <= {pairs // len(boundary), pairs // len(boundary) + 1}
+    # placed in the box as `_scores` places them, every sample lies in its cell's closed rectangle as
+    # `_exterior` draws the edges
+    step = size[:2] / side
+    xy = v * step[:, None]
+    xy += lo[:2, None]
+    edges = lo[:2, None] + step[:, None] * np.arange(side + 1.0)
+    i, j = np.concatenate((corner, corner[:, :mirrors]), axis=1)
+    assert ((edges[0][i] <= xy[0]) & (xy[0] <= edges[0][i + 1])).all()
+    assert ((edges[1][j] <= xy[1]) & (xy[1] <= edges[1][j + 1])).all()
+    # the sampled cells share the pairs evenly, two or more each once n >= 4
+    assert np.array_equal(strata.count, np.bincount(np.arange(pairs) % len(sampled)))
+    assert set(strata.count.tolist()) <= {pairs // len(sampled), pairs // len(sampled) + 1}
     assert n < 4 or strata.count.min() >= 2
     scores = _scores_like_a_chunk(_stream(6, 0), n, 0.4)
     frac, var = strata.estimate(scores)
@@ -320,16 +328,16 @@ def test_each_sample_lies_in_its_own_cell(tetra_system, n):
 
 
 def _scores_like_a_chunk(rng, n: int, rate: float) -> np.ndarray:
-    """n scores in [0, 1]: a share rate of them a whole cell's 1, the rest 0 or a fraction, half each."""
+    """n scores in [0, 1]: a share rate of them a whole column's 1, the rest 0 or a fraction, half each."""
     u, share = rng.random(n), rng.random(n)
     return np.where(u < rate, 1.0, np.where(u < (1.0 + rate) / 2.0, 0.0, share))
 
 
 @pytest.mark.parametrize("rate", [0.5, 0.95, 1.0])
 def test_the_estimate_sums_many_pairs_per_cell(rate):
-    # three boundary cells of eight share 501 pairs, 167 each; at rate 1 every score is 1, and the
+    # three sampled cells of nine share 501 pairs, 167 each; at rate 1 every score is 1, and the
     # cells' spread is 0 exactly
-    strata = _Strata.deal(2, 1001, 3, np.array([0, 5, 6]))
+    strata = _Strata.deal(3, 1001, np.array([0, 5, 6]))
     assert strata.count.min() >= 64
     scores = _scores_like_a_chunk(_stream(7, 0), 1001, rate)
     frac, var = strata.estimate(scores)
@@ -339,29 +347,25 @@ def test_the_estimate_sums_many_pairs_per_cell(rate):
     assert var == pytest.approx(ref_var, rel=1e-12, abs=1e-300)
 
 
-def _cell_points(lo: np.ndarray, size: np.ndarray, side: int, cells: np.ndarray, rng) -> np.ndarray:
-    """Each cell's 8 corners, then 8 uniform points per cell, placed by `mc_volume`'s expression."""
-    corner = np.stack((cells // (side * side), cells // side % side, cells % side)).astype(float)
-    offsets = np.concatenate((np.array(list(np.ndindex(2, 2, 2)), dtype=float).T, rng.random((3, 8))), axis=1)
-    v = (corner[:, None, :] + offsets[:, :, None]).reshape(3, -1)
-    return (lo[:, None] + (size / side)[:, None] * v).T
+def _cell_columns(lo: np.ndarray, size: np.ndarray, side: int, cells: np.ndarray, rng) -> np.ndarray:
+    """Each column cell's 4 corners, then 4 uniform columns per cell, placed by `mc_volume`'s expression: (2, 8 cells)."""
+    corner = np.stack(np.divmod(cells, side)).astype(float)
+    offsets = np.concatenate((np.array(list(np.ndindex(2, 2)), dtype=float).T, rng.random((2, 4))), axis=1)
+    v = (corner[:, None, :] + offsets[:, :, None]).reshape(2, -1)
+    return lo[:2, None] + (size[:2] / side)[:, None] * v
 
 
-def _arc_end_boxes(system: BallSystem, rng, per_end: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
-    """Small boxes (lo, size, side) around points at distance one from each arc end on its wedge's edge.
-
-    There the arc's farthest point leaves the end, and off the wedge
-    `_inside` tests the end's point center in its stead: an end off its
-    center bends `_inside`'s body out of convexity within that gap.
-    """
-    arcs = system.arcs
+def _near_the_rim(system: BallSystem, rng, count: int) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """Small rectangles (lo, size, side) around the columns with the shortest chords of 4096 random ones,
+    where the body's silhouette runs, so that some of their fine cells are exterior and some are not."""
+    lo, size = _sampling_box(system.centers)
+    x, y = lo[:2, None] + size[:2, None] * rng.random((2, 4096))
+    low, high = _chords(system, x, y)
+    length = np.where(high > low, high - low, np.inf)
     boxes = []
-    for end in (0.0, 1.0):
-        for _ in range(per_end):
-            lift = rng.uniform(-0.9, 0.9, (len(arcs), 1))
-            for x in near_far_sphere(arcs, end * arcs.sweep[:, None], np.ones((len(arcs), 1)), lift):
-                size = np.full(3, 10.0 ** rng.uniform(-7.0, -4.0))
-                boxes.append((x - size * rng.random(3), size, int(rng.integers(1, 5))))
+    for i in np.argsort(length)[:count]:
+        side = size * 10.0 ** rng.uniform(-6.0, -2.0)
+        boxes.append((np.array([x[i], y[i], lo[2]]) - side * rng.random(3), side, int(rng.integers(1, 40))))
     return boxes
 
 
@@ -383,20 +387,24 @@ def _arc_end_boxes(system: BallSystem, rng, per_end: int) -> list[tuple[np.ndarr
     ),
     st.integers(0, 2**32 - 1),
 )
-def test_interior_cells_lie_inside_and_exterior_cells_outside(system, seed):
-    # the sampling box at a random side, and small boxes where an arc's farthest point leaves its end:
-    # these noisy tetrahedra's arcs end up to 2e-6 off their centers.  An interior cell's points pass
-    # `_inside`, and its corners lie within 1 - margin / 2 of every center and every arc point, so the
-    # whole cell does: those points are an intersection of balls, hence convex
+def test_exterior_cells_hold_no_inside_point(system, seed):
+    # the sampling box at a random side, and small rectangles across the silhouette: every column of an
+    # exterior cell, its corners included, has an empty chord and no point that `_inside` accepts on a
+    # 16-point grid over the box's heights, while the other cells hold columns with chords
     rng = np.random.default_rng(seed)
-    lo, size = _sampling_box(system.centers)
-    for lo, size, side in [(lo, size, int(rng.integers(1, 17)))] + _arc_end_boxes(system, rng, 4):
-        interior, exterior = _classify(system, lo, size, side)
-        assert not (interior & exterior).any()
-        pts = _cell_points(lo, size, side, np.flatnonzero(interior), rng)
-        assert _inside(system, pts).all()
-        assert reference_inside(system, pts[: 8 * np.count_nonzero(interior)], -_CELL_MARGIN / 2).all()
-        assert not _inside(system, _cell_points(lo, size, side, np.flatnonzero(exterior), rng)).any()
+    box_lo, box_size = _sampling_box(system.centers)
+    heights = box_lo[2] + box_size[2] * np.linspace(0.0, 1.0, 16)
+    sampled_chords = 0
+    for lo, size, side in [(box_lo, box_size, int(rng.integers(1, 60)))] + _near_the_rim(system, rng, 3):
+        exterior = _exterior(system, lo, size, side)
+        x, y = _cell_columns(lo, size, side, np.flatnonzero(exterior), rng)
+        low, high = _chords(system, x, y)
+        assert not (high > low).any()
+        pts = np.stack(np.broadcast_arrays(x[:, None], y[:, None], heights), axis=-1).reshape(-1, 3)
+        assert not _inside(system, pts).any()
+        low, high = _chords(system, *_cell_columns(lo, size, side, np.flatnonzero(~exterior), rng))
+        sampled_chords += np.count_nonzero(high > low)
+    assert sampled_chords
 
 
 @settings(max_examples=60, deadline=None)
@@ -418,23 +426,26 @@ def test_interior_cells_lie_inside_and_exterior_cells_outside(system, seed):
 def test_every_chunk_size_takes_the_finest_side_the_rule_allows(system, samples):
     # the full chunks and the last one, which `mc_volume` sorts separately
     for n in {min(CHUNK, samples), samples - (samples - 1) // CHUNK * CHUNK}:
-        assert_strata_rule(system, n)
+        assert_column_rule(system, n)
 
 
 @pytest.mark.parametrize("samples", [1 << 13, CHUNK])
-def test_the_side_search_classifies_once_at_the_cap(tetra_poly, pyr2_poly, pyr3_poly, samples, monkeypatch):
-    # these bodies' boundaries leave every boundary cell two pairs at the largest side whose corners fit
+def test_the_side_search_classifies_at_most_three_sides(tetra_poly, pyr2_poly, pyr3_poly, samples, monkeypatch):
+    # the first classification, at sqrt(ceil(n / 2) / 2), predicts the side from B growing as L^2; the
+    # search then steps down from one past the prediction, where these bodies stop at once or a step later
     calls = []
 
     def counted(system, lo, size, side):
         calls.append(side)
-        return _classify(system, lo, size, side)
+        return _exterior(system, lo, size, side)
 
-    monkeypatch.setattr(montecarlo, "_classify", counted)
+    monkeypatch.setattr(montecarlo, "_exterior", counted)
     for poly in (tetra_poly, pyr2_poly, pyr3_poly):
         calls.clear()
         mc_volume(BallSystem.from_meissner(poly), samples, seed=0)
-        assert calls == [19 if samples == 1 << 13 else 39]
+        assert 2 <= len(calls) <= 3
+        assert calls[0] == math.isqrt((samples + 1) // 2 // 2)
+        assert calls[1:] == sorted(calls[1:], reverse=True) and min(calls[1:]) > calls[0]
 
 
 def _flat_arc_system(sweep: float) -> BallSystem:
@@ -443,7 +454,7 @@ def _flat_arc_system(sweep: float) -> BallSystem:
     return BallSystem(arc.point(np.array([[0.0, sweep]]))[0], arc)
 
 
-@pytest.mark.parametrize(
+_LATTICE_SYSTEMS = pytest.mark.parametrize(
     "system",
     [
         pytest.param(BallSystem.from_meissner(build_meissner(regular_tetrahedron())), id="tetra"),
@@ -453,43 +464,76 @@ def _flat_arc_system(sweep: float) -> BallSystem:
         pytest.param(_flat_arc_system(math.pi), id="flat-half-turn"),
     ],
 )
+
+
+@_LATTICE_SYSTEMS
 @pytest.mark.parametrize("side", [5, 19, 39])
 def test_interior_cells_are_those_whose_corners_pass_inside(system, side):
-    # the per-column spans and the corner rows of `_classify` against `_inside` on every corner of the lattice
+    # a cell of the box's L^3 lattice lies in the body when its 8 corners do, the body being convex.  The
+    # chords of the (L + 1)^2 corner columns, read at the lattice heights, hold every corner that `_inside`
+    # keeps 1e-9 inward and none that it drops 1e-9 outward, so they find the interior cells that
+    # `_inside` finds; no interior cell lies under an exterior column cell
     lo, size = _sampling_box(system.centers)
-    gap = float(_endpoint_gaps(system.centers, system.arcs).max(initial=0.0))
     edges = lo[:, None] + (size / side)[:, None] * np.arange(side + 1.0)
+    x, y = (a.ravel() for a in np.meshgrid(edges[0], edges[1], indexing="ij"))
+    low, high = _chords(system, x, y)
+    held = ((low[:, None] <= edges[2]) & (edges[2] <= high[:, None])).ravel()
     corners = np.stack(np.meshgrid(*edges, indexing="ij"), axis=-1).reshape(-1, 3)
-    ok = _inside(system, corners, slack=-(_CELL_MARGIN + gap)).reshape((side + 1,) * 3)
-    ok = ok[:-1] & ok[1:]
-    ok = ok[:, :-1] & ok[:, 1:]
-    interior = (ok[:, :, :-1] & ok[:, :, 1:]).ravel()
-    assert interior.any()
-    assert np.array_equal(_classify(system, lo, size, side)[0], interior)
+    inner, outer = _inside(system, corners, slack=-1e-9), _inside(system, corners, slack=1e-9)
+    assert not (inner & ~held).any() and not (held & ~outer).any()
+
+    def interior(ok: np.ndarray) -> np.ndarray:
+        ok = ok.reshape((side + 1,) * 3)
+        ok = ok[:-1] & ok[1:]
+        ok = ok[:, :-1] & ok[:, 1:]
+        return ok[:, :, :-1] & ok[:, :, 1:]
+
+    cells = interior(held)
+    assert interior(inner).any() and np.array_equal(cells, interior(_inside(system, corners)))
+    assert not (_exterior(system, lo, size, side) & cells.any(axis=2).ravel()).any()
 
 
-def _reference_spans(system: BallSystem, strata: _Strata, lo: np.ndarray, size: np.ndarray, q: np.ndarray):
-    """Per sample, one center at a time in Python floats: x, y, its cell's z range [z0, z1], the range
-    clipped to every point ball's z span over (x, y) as [a, b] (a > b when empty), and its in-cell fraction f."""
-    n, pairs = strata.samples, q.shape[1]
-    step = size / strata.side
-    v = strata.place(q)
-    corner = np.concatenate((strata.corners, strata.corners[:, : n - pairs]), axis=1)
-    x, y = (lo[:2, None] + step[:2, None] * v[:2]).tolist()
-    z0 = (lo[2] + step[2] * corner[2]).tolist()
-    f = np.concatenate((q[2], 1.0 - q[2, : n - pairs])).tolist()
+@_LATTICE_SYSTEMS
+@pytest.mark.parametrize("side", [5, 19, 39])
+def test_exterior_cells_match_the_per_center_reference(system, side):
+    # one cell and one center at a time in Python floats: the point of the cell nearest the center, the
+    # ball's span over it at 1 + margin, and whether the spans share a point
+    lo, size = _sampling_box(system.centers)
+    edges = (lo[:2, None] + (size[:2] / side)[:, None] * np.arange(side + 1.0)).tolist()
+    bound = (1.0 + _CELL_MARGIN) ** 2
+    reference = []
+    for i in range(side):
+        for j in range(side):
+            low, high = -math.inf, math.inf
+            for cx, cy, cz in system.centers.tolist():
+                dx = max(edges[0][i] - cx, cx - edges[0][i + 1], 0.0)
+                dy = max(edges[1][j] - cy, cy - edges[1][j + 1], 0.0)
+                rest = bound - dx * dx - dy * dy
+                if rest < 0.0:
+                    low, high = math.inf, -math.inf
+                    break
+                low, high = max(low, cz - math.sqrt(rest)), min(high, cz + math.sqrt(rest))
+            reference.append(not low <= high)
+    exterior = _exterior(system, lo, size, side)
+    assert not exterior.all() and (side < 19 or exterior.any())
+    assert exterior.tolist() == reference
+
+
+def _reference_segments(system: BallSystem, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, one center at a time in Python floats: every point ball's z span over (x, y) clipped to the
+    others as [a, b], a > b when empty."""
     rows = []
-    for k in range(n):
-        a, b = z0[k], z0[k] + step[2]
+    for xk, yk in zip(x.tolist(), y.tolist()):
+        a, b = -math.inf, math.inf
         for cx, cy, cz in system.centers.tolist():
-            dx, dy = x[k] - cx, y[k] - cy
+            dx, dy = xk - cx, yk - cy
             rest = 1.0 - (dx * dx + dy * dy)
             if rest < 0.0:
                 a, b = math.inf, -math.inf
                 break
             reach = math.sqrt(rest)
             a, b = max(a, cz - reach), min(b, cz + reach)
-        rows.append((x[k], y[k], z0[k], z0[k] + step[2], a, b, f[k]))
+        rows.append((a, b))
     return np.array(rows).T
 
 
@@ -504,29 +548,177 @@ _SPAN_SYSTEMS = [
 @pytest.mark.parametrize("system", _SPAN_SYSTEMS, ids=["pyr1", "pyr3", "pyr5", "noisy3", "noisy5", "points2", "points4", "ball"])
 @pytest.mark.parametrize("n", [1001, 4096])
 def test_scored_spans_match_the_per_center_reference(system, n):
-    # the span of each sample's cell z range that the point balls hold, and the scored point at its
-    # in-cell fraction of it; inside [a, b] every point ball holds the cell's points, outside it one
+    # the samples of a chunk of n: the point balls' segment on each one's z line, the chord the arcs leave
+    # of it, and its score.  Inside the segment every point ball holds the line's points, outside it one
     # misses them, both up to the rounding of the square roots
     rng = np.random.default_rng(n)
     lo, size = _sampling_box(system.centers)
     strata = _strata(system, lo, size, n)
-    x, y, z0, z1, a, b, f = _reference_spans(system, strata, lo, size, _stream(3, 0).random((3, strata.corners.shape[1])))
-    rows, sx, sy, sz, width = _scored_points(system, strata, lo, size, _stream(3, 0))
-    assert np.array_equal(rows, np.flatnonzero(b > a))
-    assert 0 < len(rows) < n
-    assert np.array_equal(sx, x[rows]) and np.array_equal(sy, y[rows])
-    assert np.array_equal(width, (b - a)[rows])
-    assert np.abs(sz - (a[rows] + f[rows] * width)).max() <= 1e-15
+    x, y = strata.place(_stream(3, 0).random((2, strata.corners.shape[1]))) * (size[:2] / strata.side)[:, None] + lo[:2, None]
+    a, b = _reference_segments(system, x, y)
     points = BallSystem.from_points(system.centers)
-    inner = np.stack((sx, sy, a[rows] + rng.random(len(rows)) * width), axis=1)
+    low, high = _chords(points, x, y)
+    rows = np.flatnonzero(b > a)
+    assert 0 < len(rows) < n
+    assert np.array_equal(np.flatnonzero(high > low), rows)
+    assert np.array_equal(low[rows], a[rows]) and np.array_equal(high[rows], b[rows])
+    # the arcs only cut the segment, and the scores are the chords over the box's height
+    chord_low, chord_high = _chords(system, x, y)
+    kept = np.flatnonzero(chord_high > chord_low)
+    assert np.isin(kept, rows).all()
+    assert (chord_low[kept] >= a[kept]).all() and (chord_high[kept] <= b[kept]).all()
+    hits, scores = _scores(system, strata, lo, size, _stream(3, 0))
+    assert hits == len(kept)
+    expected = np.zeros(n)
+    expected[kept] = (chord_high - chord_low)[kept] / size[2]
+    assert np.array_equal(scores, expected)
+    width = (b - a)[rows]
+    inner = np.stack((x[rows], y[rows], a[rows] + rng.random(len(rows)) * width), axis=1)
     assert reference_inside(points, inner, 1e-12).all()
-    # the cell's points below a or above b, and the whole range where the span is empty
+    # points of the box's height below a or above b, and the whole height where the segment is empty
+    z0, z1 = lo[2], lo[2] + size[2]
     empty = ~(b > a)
     a, b = np.where(empty, z1, a), np.where(empty, z1, b)
     below, above = a - z0, z1 - b
     u = rng.random(n) * (below + above)
     outer = np.stack((x, y, np.where(u < below, z0 + u, b + (u - below))), axis=1)[below + above > 0.0]
     assert len(outer) and not reference_inside(points, outer, -1e-12).any()
+
+
+_CHORD_STEP = 1e-9
+
+
+def _assert_chords_agree_with_inside(system: BallSystem, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each chord end passes `_inside` _CHORD_STEP inward and fails as far outward, on chords over 1e-6 long,
+    whose every end ball reaches well over the rounding of a squared distance; an empty chord holds no inside
+    point on a 50-point grid over the box's heights."""
+    low, high = _chords(system, x, y)
+    long = np.flatnonzero(high - low > 1e-6)
+    for end, inward in ((low, _CHORD_STEP), (high, -_CHORD_STEP)):
+        assert _inside(system, np.stack((x[long], y[long], end[long] + inward), axis=1)).all()
+        assert not _inside(system, np.stack((x[long], y[long], end[long] - inward), axis=1)).any()
+    empty = np.flatnonzero(~(high > low))
+    lo, size = _sampling_box(system.centers)
+    heights = lo[2] + size[2] * np.linspace(0.0, 1.0, 50)
+    grid = np.stack(np.broadcast_arrays(x[empty, None], y[empty, None], heights), axis=-1).reshape(-1, 3)
+    assert not _inside(system, grid).any()
+    return low, high
+
+
+_CHORD_BODIES = [regular_tetrahedron()] + [regular_pyramid(k) for k in range(2, 6)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(_CHORD_BODIES).map(lambda vs: BallSystem.from_meissner(build_meissner(vs))),
+        st.builds(
+            lambda k, seed: BallSystem.from_meissner(build_meissner(random_feasible_pyramid(k, seed))),
+            st.integers(1, 5), st.integers(0, 10_000),
+        ),
+        st.builds(
+            lambda seed: BallSystem.from_meissner(build_meissner(validate_vertex_set(noisy_tetrahedron(seed), tol=1e-5))),
+            st.integers(0, 10_000),
+        ),
+        st.builds(lambda k, seed: BallSystem.from_points(random_feasible_pyramid(k, seed).points),
+                  st.integers(1, 5), st.integers(0, 10_000)),
+        st.just(BallSystem.from_points(np.array([[0.3, -1.0, 2.0]]))),
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_chord_ends_are_where_inside_changes(system, seed):
+    # columns uniform over the box's rectangle; points-only systems and a single ball have no arc and
+    # no cut.  The arcs cut some chords of every smoothed body
+    rng = np.random.default_rng(seed)
+    lo, size = _sampling_box(system.centers)
+    x, y = lo[:2, None] + size[:2, None] * rng.random((2, 3000))
+    low, high = _assert_chords_agree_with_inside(system, x, y)
+    segment_low, segment_high = _chords(BallSystem.from_points(system.centers), x, y)
+    cut = (low > segment_low) | (high < segment_high) | ((segment_high > segment_low) & ~(high > low))
+    assert cut.any() == bool(system.arcs)
+
+
+def test_flat_arc_chords_match_the_closed_form():
+    # both wedge planes of an arc in the plane z = 0 are parallel to the lines, so a line in the wedge
+    # lies in it whole, and there G = (rho + r)^2 + z^2: the arc keeps |z| <= sqrt(1 - (rho + r)^2), and
+    # cuts the whole chord where rho + r > 1.  Off the wedge it cuts nothing
+    system = _flat_arc_system(math.pi / 3.0)
+    rng = np.random.default_rng(2)
+    angle = math.pi + math.pi / 3.0 * rng.random(4000)
+    rho = 0.6 * rng.random(4000)
+    x, y = rho * np.cos(angle), rho * np.sin(angle)
+    low, high = _assert_chords_agree_with_inside(system, x, y)
+    a, b = _chords(BallSystem.from_points(system.centers), x, y)
+    reach = np.sqrt(np.maximum(1.0 - (rho + 0.5) ** 2, 0.0))
+    keep = (rho + 0.5 < 1.0) & (reach < b)
+    assert keep.any() and (~keep & (b > a)).any()
+    assert np.abs(low[keep] + reach[keep]).max() <= 1e-12 and np.abs(high[keep] - reach[keep]).max() <= 1e-12
+    # the arc cuts its whole wedge part: lines past rho = 0.5 whose segment is not empty have no chord
+    whole = (rho + 0.5 > 1.0) & (b > a)
+    assert whole.any() and not (high[whole] > low[whole]).any()
+    off = np.array([0.1, -0.1, 0.3]), np.array([0.2, 0.05, 0.1])
+    assert np.array_equal(np.stack(_chords(system, *off)), np.stack(_chords(BallSystem.from_points(system.centers), *off)))
+
+
+def test_a_line_on_a_circle_axis_keeps_its_segment():
+    # the line through the flat arc's center runs along its circle's axis, rho = 0: its far distance
+    # there is its ends', as much as the point balls allow, so the arc cuts nothing
+    system = _flat_arc_system(math.pi / 3.0)
+    x, y = np.zeros(1), np.zeros(1)
+    low, high = _assert_chords_agree_with_inside(system, x, y)
+    assert low[0] == pytest.approx(-math.sqrt(0.75), abs=1e-15) and high[0] == pytest.approx(math.sqrt(0.75), abs=1e-15)
+
+
+def test_newton_steps_along_and_across_a_circle_axis():
+    # three cuts up from z0 = -0.5 on circles of radius r about the x axis: one along the axis (rho = 0
+    # throughout, S = 0), and two across it at height h, where rho = |z| passes 0 at t = 0.5.  Along the
+    # axis G = z^2 + r^2; across it G = (|z| + r)^2 + h^2, so the cut at h = 0.3 stops at
+    # |z| = sqrt(1 - h^2) - r, and at h = 0.5, where G > 1 on the axis too, runs on to the far side
+    z0, far = -0.5, 1.0
+    r, h = np.array([0.9, 0.9, 0.9]), np.array([0.0, 0.3, 0.5])
+    along = np.array([0.0, 1.0, 1.0])
+    params = np.stack((
+        along * z0, along, along * z0 * z0, np.full(3, 2.0 * z0), h * h + z0 * z0 + r * r - 1.0, 2.0 * r, np.full(3, far),
+    ))
+    t = _newton(params)
+    assert t[0] == pytest.approx(-z0 - math.sqrt(1.0 - 0.81), abs=1e-12)
+    assert t[1] == pytest.approx(-z0 - (math.sqrt(1.0 - 0.09) - 0.9), abs=1e-12)
+    assert t[2] == far
+
+
+def _two_arc_system(arcs: list[int]) -> BallSystem:
+    """Two arcs of radius 0.5 about the z axis, one in the plane z = 0 over angles [0, pi/3], one in the
+    plane z = 0.05 over [pi/6, pi/2], with the ends of both as point centers; `arcs` picks which arcs
+    the system keeps."""
+    start = np.array([0.0, math.pi / 6.0])
+    u = np.stack((np.cos(start), np.sin(start), np.zeros(2)), axis=1)
+    v = np.stack((-np.sin(start), np.cos(start), np.zeros(2)), axis=1)
+    both = Arc(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.05]]), np.full(2, 0.5), u, v, np.full(2, math.pi / 3.0))
+    centers = both.point(np.array([[0.0, math.pi / 3.0]] * 2)).reshape(-1, 3)
+    return BallSystem(centers, Arc(*(field[arcs] for field in (both.center, both.radius, both.u, both.v, both.sweep))))
+
+
+def test_two_arcs_cutting_the_same_chord_end():
+    # lines in both arcs' wedges, angles [7 pi/6, 4 pi/3]: on some of them both arcs cut the low end, the
+    # raised arc deeper, and together the chord is the tighter of the two cuts at each end
+    rng = np.random.default_rng(4)
+    angle = 7.0 * math.pi / 6.0 + math.pi / 6.0 * rng.random(500)
+    rho = 0.4 * rng.random(500)
+    x, y = rho * np.cos(angle), rho * np.sin(angle)
+    both = _assert_chords_agree_with_inside(_two_arc_system([0, 1]), x, y)
+    a, b = _chords(BallSystem.from_points(_two_arc_system([]).centers), x, y)
+    first, second = (_chords(_two_arc_system([k]), x, y) for k in (0, 1))
+    assert ((first[0] > a) & (second[0] > first[0])).any()
+    assert np.array_equal(both[0], np.maximum(first[0], second[0]))
+    assert np.array_equal(both[1], np.minimum(first[1], second[1]))
+
+
+def test_newton_raises_at_its_step_cap(tetra_system, monkeypatch):
+    # the tetrahedron's cuts take three steps or more; at a cap of one Newton raises rather than returns
+    # a chord end it has not found
+    monkeypatch.setattr(montecarlo, "_NEWTON_STEPS", 1)
+    with pytest.raises(GeometryError, match="Newton"):
+        mc_volume(tetra_system, 1 << 13, seed=0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -539,8 +731,8 @@ def test_scored_spans_match_the_per_center_reference(system, n):
     st.integers(0, 2**32 - 1),
 )
 def test_the_arc_kernel_is_inside_on_rows_in_every_point_ball(vs, seed):
-    # `_inside` tests the point balls and hands the rows in all of them to `_arc_survivors`, which
-    # `mc_volume` calls on its scored points alone
+    # `_inside` tests the point balls and hands the rows in all of them to `_arc_survivors`, its arc
+    # half, which screens `support`'s candidates
     system = BallSystem.from_meissner(build_meissner(vs))
     rng = np.random.default_rng(seed)
     lo, size = _sampling_box(system.centers)
@@ -565,7 +757,8 @@ def test_a_few_samples_give_a_finite_estimate(tetra_system, samples):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_strata_halve_the_standard_error_of_plain_sampling(k):
-    # plain sampling's error at the body's share of the box; the sorted cells cut it to about a twelfth
+    # plain sampling's error at the body's share of the box; the sorted columns and exact chords cut it
+    # to under a two-hundredth
     poly = build_meissner(random_feasible_pyramid(k, 0))
     system = BallSystem.from_meissner(poly)
     result = mc_volume(system, 1 << 16, seed=0)
@@ -836,17 +1029,18 @@ def test_disjoint_balls_have_no_support_and_no_volume():
 
 
 def test_a_box_whose_cells_each_miss_a_ball_draws_no_sample():
-    # every two of these balls meet and their lens box is not empty, yet the four share no point:
-    # at 2^13 and 2^16 samples each cell misses one of them and the chunk draws nothing, while at
-    # 1001 a few of the 9^3 cells touch all four and share every pair, none of which hits
+    # every two of these balls meet and their lens box is not empty, yet the four share no point: at
+    # 2^13, 2^16 and 1001 samples no z line of any column cell meets all four and the chunk draws
+    # nothing, while at 11 and 3 a few coarse cells touch all four and share every pair, none of which hits
     centers = np.array([[-1.091, 0.223, 0.773], [0.839, 0.334, 0.558], [-0.166, -0.561, -0.26], [-0.622, -0.545, 0.037]])
     system = BallSystem.from_points(centers)
     with pytest.raises(NoIntersection):
         support(system, np.eye(3))
     lo, size = _sampling_box(centers)
     assert len(_strata(system, lo, size, CHUNK).count) == len(_strata(system, lo, size, 1 << 13).count) == 0
-    assert len(_strata(system, lo, size, 1001).count) > 0
-    for samples in (CHUNK, 1 << 13, 1001, CHUNK + 1001):
+    assert len(_strata(system, lo, size, 1001).count) == 0
+    assert len(_strata(system, lo, size, 11).count) > 0 and len(_strata(system, lo, size, 3).count) > 0
+    for samples in (CHUNK, 1 << 13, 1001, CHUNK + 1001, 11, 3):
         result = mc_volume(system, samples, seed=1)
         assert (result.volume, result.std_error, result.hits) == (0.0, 0.0, 0)
 
@@ -919,7 +1113,7 @@ def test_estimates_center_on_the_closed_form_with_honest_errors(k, samples):
     # over 200 seeds, 100 for the two chunks of the last size, whose cells are sorted per chunk size:
     # the mean estimate within 4 sigma of the closed form, and the estimates' spread matching the
     # mean reported standard error.
-    # 2^13 and the full chunk of CHUNK + 1001 take the lattice cap, L = 19 and 39; 1001 steps down, 9 to 7
+    # 2^13 and the full chunk of CHUNK + 1001 take 50-52 and 143-150 column cells a side, 1001 takes 16-17
     poly = build_meissner(random_feasible_pyramid(k, 11))
     system = BallSystem.from_meissner(poly)
     results = [mc_volume(system, samples, seed=seed) for seed in range(200 if samples <= CHUNK else 100)]
